@@ -2,16 +2,23 @@
 
 Elements are stored as a dense k-dimensional bit array with one cell per
 exponent tuple in {0..d}^k; axis i-1 carries the exponent of u_i.  Addition
-is XOR.  Multiplication by a linear form u_{i1}+...+u_{ij} is a XOR of
-shifted copies of the coefficient array, with exponents that exceed d
-falling off the end of the axis (eager truncation, so intermediates never
-grow past (d+1)^k cells).  Values are immutable after construction.
-"""
+is XOR.  Values are immutable after construction.
+
+Products of linear forms u_{i1}+...+u_{ij}, the certificates' one hot
+path, are computed by `product_of_forms` without the dense array: a
+product of j forms is homogeneous of degree j, so it is held as a
+(d+1)^(k-1) slice over the exponents of u1..u_{k-1}, the exponent of u_k
+being j minus the cell's exponent sum.  Forms are grouped by
+multiplicity and applied with the Frobenius identity
+l^(2^b) = sum_{i in l} u_i^(2^b) over GF(2): one shift-XOR pass per set
+bit of the multiplicity, with exponents past d dropped eagerly.  Only the
+final product is expanded to a dense element."""
 
 from __future__ import annotations
 
 import hashlib
 import json
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -92,17 +99,6 @@ class SignVector:
             raise ShapeError("sign vectors of different length")
         return SignVector(tuple(a ^ b for a, b in zip(self.bits, other.bits)))
 
-    def as_polynomial(self, shape: RingShape) -> "TruncatedPolynomial":
-        if shape.k != self.k:
-            raise ShapeError(f"form of length {self.k} in a k={shape.k} ring")
-        p = TruncatedPolynomial.zero(shape)
-        for i in self.support():
-            if shape.d >= 1:
-                p = p + TruncatedPolynomial.monomial(
-                    shape, tuple(1 if j == i - 1 else 0 for j in range(shape.k))
-                )
-        return p
-
     def __str__(self) -> str:
         return " + ".join(f"u{i}" for i in self.support())
 
@@ -141,12 +137,24 @@ class TruncatedPolynomial:
     def __setattr__(self, name, value):  # pragma: no cover - defensive
         raise AttributeError("TruncatedPolynomial is immutable")
 
+    @classmethod
+    def _adopt(cls, shape: RingShape, coeffs: np.ndarray) -> "TruncatedPolynomial":
+        """Freeze and wrap a C-ordered bool array of the ring's shape that
+        the caller has just built and keeps no other reference to.  Skips
+        the copy __init__ makes, which would write every cell of a mostly
+        untouched zeroed array."""
+        coeffs.flags.writeable = False
+        p = object.__new__(cls)
+        object.__setattr__(p, "shape", shape)
+        object.__setattr__(p, "coeffs", coeffs)
+        return p
+
     # ------------------------------------------------------------------
     # constructors
     # ------------------------------------------------------------------
     @classmethod
     def zero(cls, shape: RingShape) -> "TruncatedPolynomial":
-        return cls(shape, np.zeros((shape.d + 1,) * shape.k, dtype=bool))
+        return cls._adopt(shape, np.zeros((shape.d + 1,) * shape.k, dtype=bool))
 
     @classmethod
     def one(cls, shape: RingShape) -> "TruncatedPolynomial":
@@ -185,15 +193,16 @@ class TruncatedPolynomial:
         """True iff the element is exactly the generator u1^d * ... * uk^d."""
         if not self.coeffs[(self.shape.d,) * self.shape.k]:
             return False
-        return int(self.coeffs.sum()) == 1
+        return self.monomial_count() == 1
 
     def monomial_count(self) -> int:
-        return int(self.coeffs.sum())
+        return int(np.count_nonzero(self.coeffs))
 
     def support(self) -> tuple[tuple[int, ...], ...]:
-        """Exponent tuples with coefficient 1, sorted lexicographically."""
-        idx = np.argwhere(self.coeffs)
-        return tuple(sorted(tuple(int(e) for e in row) for row in idx))
+        """Exponent tuples with coefficient 1, sorted lexicographically
+        (the row-major order of the cells)."""
+        idx = np.unravel_index(np.flatnonzero(self.coeffs), self.coeffs.shape)
+        return tuple(zip(*(axis.tolist() for axis in idx)))
 
     # ------------------------------------------------------------------
     # arithmetic
@@ -205,26 +214,6 @@ class TruncatedPolynomial:
     def __add__(self, other: "TruncatedPolynomial") -> "TruncatedPolynomial":
         self._require_same_ring(other)
         return TruncatedPolynomial(self.shape, self.coeffs ^ other.coeffs)
-
-    def mul_linear(self, form: SignVector) -> "TruncatedPolynomial":
-        """Multiply by the linear form named by a sign vector.
-
-        Equals the XOR over i in supp(form) of the exponent-shift of self
-        along axis i; cells shifted past degree d are dropped.
-        """
-        if form.k != self.shape.k:
-            raise ShapeError(f"form of length {form.k} in a k={self.shape.k} ring")
-        k = self.shape.k
-        acc = np.zeros_like(self.coeffs)
-        if self.shape.d >= 1:
-            for ax in range(k):
-                if form.bits[ax]:
-                    dst = [slice(None)] * k
-                    src = [slice(None)] * k
-                    dst[ax] = slice(1, None)
-                    src[ax] = slice(0, -1)
-                    acc[tuple(dst)] ^= self.coeffs[tuple(src)]
-        return TruncatedPolynomial(self.shape, acc)
 
     def __mul__(self, other: "TruncatedPolynomial") -> "TruncatedPolynomial":
         self._require_same_ring(other)
@@ -297,28 +286,51 @@ class TruncatedPolynomial:
         return f"TruncatedPolynomial(k={self.shape.k}, d={self.shape.d}, {self})"
 
 
-def zero(shape: RingShape) -> TruncatedPolynomial:
-    return TruncatedPolynomial.zero(shape)
-
-
-def one(shape: RingShape) -> TruncatedPolynomial:
-    return TruncatedPolynomial.one(shape)
-
-
-def monomial(shape: RingShape, exps: Sequence[int]) -> TruncatedPolynomial:
-    return TruncatedPolynomial.monomial(shape, exps)
-
-
 def product_of_forms(
     shape: RingShape, forms: Iterable[SignVector]
 ) -> TruncatedPolynomial:
-    """Left fold of mul_linear over the forms, starting from 1.
+    """Product of the linear forms named by the sign vectors, starting from 1.
 
     The result depends only on the multiset of forms, not their order.
+    The running product of degree j is a slice over the exponents of
+    u1..u_{k-1}, and a form of multiplicity n costs one pass per set bit
+    of n (see the module docstring).
     """
-    acc = TruncatedPolynomial.one(shape)
-    for form in forms:
-        if acc.is_zero():
-            break
-        acc = acc.mul_linear(form)
-    return acc
+    counts = Counter(forms)
+    for form in counts:
+        if form.k != shape.k:
+            raise ShapeError(f"form of length {form.k} in a k={shape.k} ring")
+    k, d = shape.k, shape.d
+    # exponent sum of u1..u_{k-1} in every slice cell
+    degree = np.zeros((d + 1,) * (k - 1), dtype=np.intp)
+    for ax in range(k - 1):
+        degree += np.arange(d + 1).reshape((-1,) + (1,) * (k - 2 - ax))
+    acc = np.zeros_like(degree, dtype=bool)
+    acc[(0,) * (k - 1)] = True
+    j = 0
+    for form, n in counts.items():
+        for b in range(n.bit_length()):
+            if not n >> b & 1:
+                continue
+            s = 1 << b
+            if s > d or not acc.any():
+                return TruncatedPolynomial.zero(shape)
+            nxt = np.zeros_like(acc)
+            # u_i^s for i < k shifts axis i by s; the u_k exponent is unchanged
+            for ax in range(k - 1):
+                if form.bits[ax]:
+                    dst = [slice(None)] * (k - 1)
+                    src = [slice(None)] * (k - 1)
+                    dst[ax] = slice(s, None)
+                    src[ax] = slice(None, d + 1 - s)
+                    nxt[tuple(dst)] ^= acc[tuple(src)]
+            if form.bits[k - 1]:
+                # u_k^s keeps the slice cell; its u_k exponent j - degree
+                # grows by s and must stay <= d
+                nxt ^= acc & (degree >= j + s - d)
+            acc = nxt
+            j += s
+    cells = np.flatnonzero(acc)
+    dense = np.zeros((d + 1,) * k, dtype=bool)
+    np.put(dense, cells * (d + 1) + (j - degree.ravel()[cells]), True)
+    return TruncatedPolynomial._adopt(shape, dense)

@@ -220,22 +220,20 @@ def _build() -> list[KnownValue]:
         )
     )
     entries.append(
-        _entry(
+        _exact(
             ConstraintProblem.of(3, m=(7, 1, 2), ortho=[(2, 3)]),
-            18,
             19,
-            "interval as printed in the source compilation; condition counting "
-            "already forces >= 19, upper bound by domination from the "
+            "printed as 18..19 in the source compilation; condition counting "
+            "forces >= 19, upper bound by domination from the "
             "last-orthogonality family (q=2, t=1, j=1)",
         )
     )
     entries.append(
-        _entry(
+        _exact(
             ConstraintProblem.of(3, m=(7, 1, 1), ortho=last_orthogonal(3)),
-            18,
             19,
-            "interval as printed in the source compilation; condition counting "
-            "already forces >= 19, upper bound by domination from the "
+            "printed as 18..19 in the source compilation; condition counting "
+            "forces >= 19, upper bound by domination from the "
             "last-orthogonality family (q=2, t=1, j=2)",
         )
     )

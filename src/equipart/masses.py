@@ -86,6 +86,8 @@ class SampledMass:
             raise ShapeError("points must be a non-empty (N, d) array")
         if w.shape != (pts.shape[0],):
             raise ShapeError("weights must be a length-N vector")
+        if not (np.isfinite(pts).all() and np.isfinite(w).all()):
+            raise RangeError("points and weights must be finite")
         if not (w > 0).all():
             raise ConfigurationError("all weights must be positive")
         pts = pts.copy()

@@ -24,8 +24,6 @@ from typing import Iterable, Sequence
 from .exceptions import ContradictionError, RangeError, ShapeError
 from .gf2 import SignVector, nonzero_vectors_on
 
-PairSet = frozenset
-
 
 def all_pairs(k: int) -> frozenset[tuple[int, int]]:
     """Full orthogonality: every pair (r,s), 1 <= r < s <= k."""

@@ -19,7 +19,7 @@ from equipart.exceptions import (
     RangeError,
 )
 from equipart.families import cascade_family, last_ortho_family
-from equipart.gf2 import RingShape, product_of_forms
+from equipart.gf2 import RingShape, TruncatedPolynomial, product_of_forms
 from equipart.problems import (
     ConstraintProblem,
     all_pairs,
@@ -55,6 +55,16 @@ def test_check_strict_cascade():
 def test_check_strict_fully_constrained_k4():
     cert = check(PROP_74_STYLE, 8, "strict")
     assert cert.certified and cert.tight and cert.form_count == 32
+
+
+def test_check_strict_cascade_big_ring():
+    # k=4, d=70: 280 forms in a ring of 71^4 (25.4M) cells
+    inst = cascade_family(q=3, t=2, k=4)
+    assert inst.d == 70
+    cert = check(inst.problem, 70)
+    assert cert.certified and cert.h_is_top
+    top = TruncatedPolynomial.from_support(RingShape(4, 70), [(70,) * 4])
+    assert cert.h_digest == top.digest()
 
 
 def test_check_relaxed_negative_control():

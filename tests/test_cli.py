@@ -188,6 +188,22 @@ def test_solve_end_to_end(tmp_path, capsys):
     assert json.loads(json.dumps(doc)) == doc
 
 
+def test_solve_non_finite_mass_exit_2(tmp_path, capsys):
+    masses = {
+        "d": 2,
+        "masses": [
+            {"label": "1.1", "mixture": [{"mean": [float("nan"), 0], "weight": 1}], "N": 10}
+        ],
+    }
+    ppath, mpath = tmp_path / "p.json", tmp_path / "m.json"
+    ppath.write_text(json.dumps({"k": 1, "m": [1]}))
+    mpath.write_text(json.dumps(masses))
+    code = run(["solve", "--problem", str(ppath), "--masses", str(mpath)])
+    _, err = capture(capsys)
+    assert code == 2
+    assert "RangeError" in json.loads(err.splitlines()[-1])["error"]
+
+
 def test_usage_error_single_line(capsys):
     code = run(["check", "--k", "2", "--d", "oops"])
     _, err = capture(capsys)

@@ -4,19 +4,18 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from equipart.certify import check
 from equipart.exceptions import RangeError, ShapeError
 from equipart.gf2 import (
     RingShape,
     SignVector,
     TruncatedPolynomial,
-    monomial,
     nonzero_vectors_on,
-    one,
     product_of_forms,
-    zero,
 )
+from equipart.problems import ConstraintProblem
 
-from oracle import DictPoly
+from oracle import DictPoly, product_of_forms_oracle
 
 
 # ----------------------------------------------------------------------
@@ -59,17 +58,19 @@ def to_oracle(p: TruncatedPolynomial) -> DictPoly:
 # constructors and trivia
 # ----------------------------------------------------------------------
 def test_constants():
-    assert zero(RingShape(2, 2)).support() == ()
-    assert one(RingShape(3, 4)).support() == ((0, 0, 0),)
-    assert monomial(RingShape(2, 2), (2, 2)).support() == ((2, 2),)
-    assert one(RingShape(3, 4)) == monomial(RingShape(3, 4), (0, 0, 0))
+    assert TruncatedPolynomial.zero(RingShape(2, 2)).support() == ()
+    assert TruncatedPolynomial.one(RingShape(3, 4)).support() == ((0, 0, 0),)
+    shape = RingShape(2, 2)
+    assert TruncatedPolynomial.monomial(shape, (2, 2)).support() == ((2, 2),)
+    shape = RingShape(3, 4)
+    assert TruncatedPolynomial.one(shape) == TruncatedPolynomial.monomial(shape, (0, 0, 0))
 
 
 def test_monomial_out_of_range():
     with pytest.raises(RangeError):
-        monomial(RingShape(2, 2), (3, 0))
+        TruncatedPolynomial.monomial(RingShape(2, 2), (3, 0))
     with pytest.raises(RangeError):
-        monomial(RingShape(2, 2), (0, -1))
+        TruncatedPolynomial.monomial(RingShape(2, 2), (0, -1))
 
 
 def test_ring_shape_validation_and_cap():
@@ -83,8 +84,8 @@ def test_ring_shape_validation_and_cap():
 
 def test_add_examples():
     shape = RingShape(2, 2)
-    u1 = monomial(shape, (1, 0))
-    u2 = monomial(shape, (0, 1))
+    u1 = TruncatedPolynomial.monomial(shape, (1, 0))
+    u2 = TruncatedPolynomial.monomial(shape, (0, 1))
     assert (u1 + u1).is_zero()
     assert (u1 + u2).support() == ((0, 1), (1, 0))
     assert ((u1 + u2) + u2) == u1
@@ -92,47 +93,50 @@ def test_add_examples():
 
 def test_add_shape_mismatch():
     with pytest.raises(ShapeError):
-        one(RingShape(2, 2)) + one(RingShape(2, 3))
+        TruncatedPolynomial.one(RingShape(2, 2)) + TruncatedPolynomial.one(RingShape(2, 3))
     with pytest.raises(ShapeError):
-        one(RingShape(2, 2)).mul_linear(SignVector((1, 0, 0)))
+        product_of_forms(RingShape(2, 2), [SignVector((1, 0, 0))])
 
 
-def test_mul_linear_examples():
+def test_single_form_product_examples():
     shape = RingShape(2, 2)
-    p = monomial(shape, (1, 1))
-    assert p.mul_linear(SignVector((1, 1))).support() == ((1, 2), (2, 1))
+    p = TruncatedPolynomial.monomial(shape, (1, 1))
+    assert (p * product_of_forms(shape, [SignVector((1, 1))])).support() == ((1, 2), (2, 1))
 
-    assert monomial(RingShape(1, 1), (1,)).mul_linear(SignVector((1,))).is_zero()
+    shape1 = RingShape(1, 1)
+    u1 = TruncatedPolynomial.monomial(shape1, (1,))
+    assert (u1 * product_of_forms(shape1, [SignVector((1,))])).is_zero()
 
     shape3 = RingShape(3, 2)
-    assert one(shape3).mul_linear(SignVector((0, 1, 0))).support() == ((0, 1, 0),)
+    assert product_of_forms(shape3, [SignVector((0, 1, 0))]).support() == ((0, 1, 0),)
 
 
 def test_mul_examples():
     shape = RingShape(2, 3)
-    u1, u2 = monomial(shape, (1, 0)), monomial(shape, (0, 1))
+    u1 = TruncatedPolynomial.monomial(shape, (1, 0))
+    u2 = TruncatedPolynomial.monomial(shape, (0, 1))
     s = u1 + u2
     assert (s * s).support() == ((0, 2), (2, 0))  # cross terms cancel mod 2
 
     d2 = RingShape(2, 2)
-    assert (monomial(d2, (2, 1)) * monomial(d2, (1, 0))).is_zero()
-
-    lhs = monomial(d2, (1, 0)) * monomial(d2, (0, 1))
-    lhs = lhs * (monomial(d2, (1, 0)) + monomial(d2, (0, 1)))
-    assert lhs.support() == ((1, 2), (2, 1))
+    v1 = TruncatedPolynomial.monomial(d2, (1, 0))
+    v2 = TruncatedPolynomial.monomial(d2, (0, 1))
+    assert (TruncatedPolynomial.monomial(d2, (2, 1)) * v1).is_zero()
+    assert (v1 * v2 * (v1 + v2)).support() == ((1, 2), (2, 1))
 
 
 def test_is_top_is_zero():
-    assert monomial(RingShape(2, 3), (3, 3)).is_top()
-    z = zero(RingShape(2, 3))
+    shape = RingShape(2, 3)
+    top = TruncatedPolynomial.monomial(shape, (3, 3))
+    assert top.is_top()
+    z = TruncatedPolynomial.zero(shape)
     assert z.is_zero() and not z.is_top()
-    p = monomial(RingShape(2, 3), (3, 3)) + monomial(RingShape(2, 3), (3, 0))
-    assert not p.is_top()
+    assert not (top + TruncatedPolynomial.monomial(shape, (3, 0))).is_top()
 
 
 def test_top_of_d0_ring():
     # d = 0: the ring is GF(2) and the unit is also the top class
-    assert one(RingShape(2, 0)).is_top()
+    assert TruncatedPolynomial.one(RingShape(2, 0)).is_top()
 
 
 def test_product_of_forms_single_variable():
@@ -175,11 +179,48 @@ def test_mul_matches_oracle(data):
 
 @settings(max_examples=60, deadline=None)
 @given(shaped_poly_and_form())
-def test_mul_linear_matches_oracle_and_general_mul(data):
+def test_single_form_product_matches_oracle_and_general_mul(data):
     shape, p, form = data
     expect = to_oracle(p).mul_form(form.bits).sorted_support()
-    assert p.mul_linear(form).support() == expect
-    assert p.mul_linear(form) == p * form.as_polynomial(shape)
+    h = product_of_forms(shape, [form])
+    assert (p * h).support() == expect
+    # the product of one form is the form itself, u_i for i in its support
+    units = [tuple(int(j == i - 1) for j in range(shape.k)) for i in form.support()]
+    assert h == TruncatedPolynomial.from_support(shape, units if shape.d >= 1 else [])
+
+
+@st.composite
+def form_multisets(draw):
+    """(k, d, forms): up to 4 distinct forms, each repeated 1..9 times, so
+    that the Frobenius passes see every bit of a multiplicity up to 9."""
+    k = draw(st.integers(1, 4))
+    d = draw(st.integers(0, 6))
+    distinct = draw(
+        st.lists(
+            st.tuples(*[st.integers(0, 1)] * k).filter(any), max_size=4, unique=True
+        )
+    )
+    forms = [bits for bits in distinct for _ in range(draw(st.integers(1, 9)))]
+    return k, d, draw(st.permutations(forms))
+
+
+@settings(max_examples=150, deadline=None)
+@given(form_multisets())
+def test_product_of_forms_matches_oracle(data):
+    k, d, forms = data
+    h = product_of_forms(RingShape(k, d), [SignVector(bits) for bits in forms])
+    assert h.support() == product_of_forms_oracle(k, d, forms).sorted_support()
+    # check's verdicts at every d' that fits the forms agree with the oracle
+    problem = ConstraintProblem.of(k, extra=forms)
+    for dd in range(1, 7):
+        if len(forms) > k * dd:
+            continue
+        expect = product_of_forms_oracle(k, dd, forms).sorted_support()
+        relaxed = check(problem, dd, "relaxed")
+        assert relaxed.certified == bool(expect)
+        assert relaxed.h_is_top == (expect == ((dd,) * k,))
+        if len(forms) == k * dd:
+            assert check(problem, dd, "strict").certified == (expect == ((dd,) * k,))
 
 
 @settings(max_examples=40, deadline=None)
@@ -192,7 +233,7 @@ def test_ring_axioms(data):
     assert (p * q) * r == p * (q * r)
     assert p * (q + r) == p * q + p * r
     assert (p + p).is_zero()
-    assert one(shape) * p == p
+    assert TruncatedPolynomial.one(shape) * p == p
 
 
 @settings(max_examples=40, deadline=None)
@@ -285,18 +326,18 @@ def test_json_round_trip_and_digest_stability():
     assert doc == {"k": 2, "d": 3, "support": [[0, 0], [1, 2], [3, 3]]}
     assert TruncatedPolynomial.from_dict(doc) == p
     assert p.digest() == TruncatedPolynomial.from_dict(doc).digest()
-    assert p.digest() != (p + one(shape)).digest()
+    assert p.digest() != (p + TruncatedPolynomial.one(shape)).digest()
 
 
 def test_str_form():
     shape = RingShape(2, 3)
     p = TruncatedPolynomial.from_support(shape, [(2, 1), (0, 0)])
     assert str(p) == "1 + u1^2*u2"
-    assert str(zero(shape)) == "0"
+    assert str(TruncatedPolynomial.zero(shape)) == "0"
 
 
 def test_immutability():
-    p = one(RingShape(2, 2))
+    p = TruncatedPolynomial.one(RingShape(2, 2))
     with pytest.raises(ValueError):
         p.coeffs[0, 0] = False
     with pytest.raises(AttributeError):

@@ -4,6 +4,7 @@ from equipart.problems import (
     all_pairs,
     constraint_dimension,
     last_orthogonal,
+    lower_bound_dim,
 )
 
 
@@ -39,6 +40,11 @@ def test_entries_have_provenance_and_consistent_intervals():
         # no entry may claim an upper bound below what counting forces
         forced = -(-constraint_dimension(kv.problem) // kv.problem.k)
         assert kv.hi >= forced
+
+
+def test_lower_ends_respect_the_counting_bound():
+    for kv in knownvalues.entries():
+        assert kv.lo >= lower_bound_dim(kv.problem), kv.problem.describe()
 
 
 def test_table_has_reasonable_coverage():

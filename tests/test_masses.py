@@ -33,6 +33,18 @@ def test_sampled_mass_validation():
         parse_label("first")
 
 
+def test_sampled_mass_rejects_non_finite_input():
+    nan, inf = float("nan"), float("inf")
+    with pytest.raises(RangeError):
+        SampledMass([[nan, 0.0], [1.0, 1.0]], [1.0, inf], "1.1")
+    with pytest.raises(RangeError):
+        SampledMass([[inf, 0.0], [1.0, 1.0]], [1.0, 1.0], "1.1")
+    with pytest.raises(RangeError):
+        SampledMass(np.zeros((2, 2)), [1.0, inf], "1.1")
+    with pytest.raises(RangeError):
+        SampledMass(np.zeros((2, 2)), [1.0, nan], "1.1")
+
+
 def test_gaussian_mixture_sampling():
     one = sample_gaussian_mixture([{"mean": [1.0, 2.0], "weight": 1}], 1, seed=0)
     assert one.points.shape == (1, 2) and one.total == pytest.approx(1.0)
