@@ -5,6 +5,17 @@ measure.  A hyperplane is a unit vector (normal, offset) in R^(d+1); the
 two closed half-spaces are side 0 = {<u, normal> >= offset} and side 1 =
 its complement.  Near-zero normals would describe the degenerate
 "hyperplane at infinity" and are rejected.
+
+`region_masses` is the one region-mass kernel, shared by the solver's
+objective and its residuals.  It works in row layout: the n hyperplanes
+in play are stacked into V (n, d+1), and one matmul gives every signed
+distance as S = V[:, :d] @ points.T - offset, an (n, N) array whose rows
+are contiguous.  Hard mode ORs each row's side-1 bit into an orthant index
+and takes one weighted bincount; points on a plane take the even tie split
+only when some |s| <= tie_eps.  Smoothed mode turns S into side-0
+fractions 0.5 + 0.5 tanh(S / 2 tau) = expit(S / tau) and reduces them with
+a binary product tree over the rows, ending in one matrix-vector product.
+No copy of the points is made or cached.
 """
 
 from __future__ import annotations
@@ -221,7 +232,7 @@ def side_fractions(
 ) -> np.ndarray:
     """Per-point fraction of weight landing on side 0 of a hyperplane.
 
-    Hard mode: 1 on side 0, 0 on side 1, 0.5 on a tie (|s| < tie_eps).
+    Hard mode: 1 on side 0, 0 on side 1, 0.5 on a tie (|s| <= tie_eps).
     Smoothed mode: logistic(s / tau).
     """
     if mode == "hard":
@@ -236,30 +247,50 @@ def side_fractions(
 def _hard_region_masses(
     S: np.ndarray, weights: np.ndarray, tie_eps: float
 ) -> np.ndarray:
-    """Orthant weights from signed distances S of shape (N, n).  Points on
-    a hyperplane (|s| <= tie_eps) split their weight evenly between the two
-    sides; the common tie-free case is a single bincount."""
-    n = S.shape[1]
+    """Orthant weights from signed distances S of shape (n, N).  Bit j of a
+    point's orthant index is set when it lies strictly on side 1 of plane
+    j; the tie-free case is one bincount over the points in input order.
+    A point on a plane (|s| <= tie_eps) splits its weight evenly between
+    the two sides of every plane it lies on."""
+    n = S.shape[0]
     side1 = S < -tie_eps
+    idx = side1[0].astype(np.intp)
+    for j in range(1, n):
+        idx |= side1[j] << j
+    # a point is tied on a plane when s <= tie_eps but not s < -tie_eps
+    if np.count_nonzero(S <= tie_eps) == np.count_nonzero(side1):
+        return np.bincount(idx, weights=weights, minlength=2**n)
     tied = np.abs(S) <= tie_eps
-    idx = np.zeros(S.shape[0], dtype=np.intp)
-    for j in range(n):
-        idx |= side1[:, j].astype(np.intp) << j
-    has_tie = tied.any(axis=1)
+    has_tie = tied.any(axis=0)
+    # an empty bincount comes back as int, hence the cast
     out = np.bincount(
         idx[~has_tie], weights=weights[~has_tie], minlength=2**n
-    ).astype(float)
-    for p in np.nonzero(has_tie)[0]:
-        tie_bits = [j for j in range(n) if tied[p, j]]
-        share = weights[p] / 2 ** len(tie_bits)
-        base = int(idx[p]) & ~sum(1 << j for j in tie_bits)
-        for combo in range(2 ** len(tie_bits)):
-            o = base
-            for t, j in enumerate(tie_bits):
-                if combo >> t & 1:
-                    o |= 1 << j
-            out[o] += share
+    ).astype(float, copy=False)
+    for p in np.flatnonzero(has_tie):
+        spread = np.zeros(1, dtype=np.intp)
+        for j in np.flatnonzero(tied[:, p]):
+            spread = np.concatenate([spread, spread | 1 << j])
+        out[idx[p] | spread] += weights[p] / spread.size
     return out
+
+
+def _smoothed_region_masses(S: np.ndarray, weights: np.ndarray, tau: float) -> np.ndarray:
+    """Orthant weights with side-0 fractions F = expit(S / tau), evaluated
+    as 0.5 + 0.5 tanh(S / (2 tau)), which stays finite for any tau > 0.
+    A binary product tree over the planes keeps one row of per-point
+    weight per orthant of the planes seen so far (rows with bit j clear
+    first); the last plane is one matrix-vector product."""
+    with np.errstate(over="ignore"):  # |S / 2tau| = inf saturates tanh, as it should
+        F = np.divide(S, 2 * tau, out=S)
+    np.tanh(F, out=F)
+    F *= 0.5
+    F += 0.5
+    t = weights[None, :]
+    for f in F[:-1]:
+        p = t * f
+        t = np.concatenate([p, t - p])
+    side0 = t @ F[-1]
+    return np.concatenate([side0, t.sum(axis=1) - side0])
 
 
 def region_masses(
@@ -274,7 +305,8 @@ def region_masses(
 
     Returns 2^(k-stage+1) values summing to the mass total.  Orthant index:
     bit j is the side of hyperplane stage+j, so index 0 is the all-side-0
-    region and flipping one hyperplane's orientation flips one bit.
+    region and flipping one hyperplane's orientation flips one bit.  Hard
+    mode follows `side_fractions`' hard rule; smoothed mode its logistic.
     """
     k = len(hyperplanes)
     if not 1 <= stage <= k:
@@ -282,14 +314,14 @@ def region_masses(
     for h in hyperplanes:
         if h.dim != mass.dim:
             raise ShapeError(f"hyperplane in R^{h.dim} against mass in R^{mass.dim}")
-    planes = hyperplanes[stage - 1 :]
-    S = np.empty((mass.points.shape[0], len(planes)))
-    for j, h in enumerate(planes):
-        S[:, j] = h.signed_distances(mass.points)
+    if mode == "smoothed":
+        if tau is None or tau <= 0:
+            raise ConfigurationError("smoothed mode needs tau > 0")
+    elif mode != "hard":
+        raise ConfigurationError(f"unknown evaluation mode {mode!r}")
+    V = np.stack([h.vector for h in hyperplanes[stage - 1 :]])
+    S = V[:, :-1] @ mass.points.T
+    S -= V[:, -1:]
     if mode == "hard":
         return _hard_region_masses(S, mass.weights, tie_eps)
-    table = mass.weights[:, None].astype(float)
-    for j in range(len(planes)):
-        f0 = side_fractions(S[:, j], mode, tau, tie_eps)
-        table = np.hstack([table * f0[:, None], table * (1.0 - f0)[:, None]])
-    return table.sum(axis=0)
+    return _smoothed_region_masses(S, mass.weights, tau)

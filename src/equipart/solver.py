@@ -22,6 +22,7 @@ as an exception.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -30,7 +31,7 @@ from typing import Sequence
 import numpy as np
 from scipy.optimize import minimize
 
-from .exceptions import ConfigurationError, EquipartError, ShapeError
+from .exceptions import ConfigurationError, EquipartError, RangeError, ShapeError
 from .masses import HyperplaneParam, SampledMass, parse_label, region_masses
 from .problems import ConstraintProblem
 
@@ -62,29 +63,7 @@ class SolverConfig:
     use_seeded_starts: bool = True
 
     def to_dict(self) -> dict:
-        return {
-            "seed": self.seed,
-            "starts": self.starts,
-            "tol": self.tol,
-            "tau_stages": self.tau_stages,
-            "tau_init_factor": self.tau_init_factor,
-            "tau_final": self.tau_final,
-            "anneal_maxiter": self.anneal_maxiter,
-            "anneal_subsample": self.anneal_subsample,
-            "anneal_full_tail": self.anneal_full_tail,
-            "tau_handoff_factor": self.tau_handoff_factor,
-            "polish_maxiter": self.polish_maxiter,
-            "stop_on_success": self.stop_on_success,
-            "jobs": self.jobs,
-            "eq_weight": self.eq_weight,
-            "ortho_weight": self.ortho_weight,
-            "containment_weight": self.containment_weight,
-            "tie_eps": self.tie_eps,
-            "min_normal_norm": self.min_normal_norm,
-            "degenerate_tol": self.degenerate_tol,
-            "max_degenerate_restarts": self.max_degenerate_restarts,
-            "use_seeded_starts": self.use_seeded_starts,
-        }
+        return dataclasses.asdict(self)
 
 
 @dataclass
@@ -166,7 +145,7 @@ def _organize_masses(
     dims = {mass.dim for mass in masses}
     if len(dims) > 1:
         raise ShapeError(f"masses live in different dimensions: {sorted(dims)}")
-    return got
+    return dict(sorted(got.items()))
 
 
 def _organize_points(
@@ -183,6 +162,8 @@ def _organize_points(
         p = np.asarray(coords, dtype=float)
         if p.shape != (d,):
             raise ShapeError(f"containment point {p} is not in R^{d}")
+        if not np.isfinite(p).all():
+            raise RangeError(f"containment point {p} must be finite")
         per[i].append(p)
     for i in range(1, problem.k + 1):
         if len(per[i]) != problem.a[i - 1]:
@@ -263,41 +244,62 @@ def residuals(
             raise ShapeError("hyperplanes live in different dimensions")
     cont = _organize_points(problem, points, d)
 
-    equip: dict[str, tuple[float, ...]] = {}
+    equip, ortho, containment, objective = _evaluate(
+        problem, by_key, cont, hyperplanes, mode, tau, cfg
+    )
+    return MassArrangementWitness(
+        hyperplanes=tuple(hyperplanes),
+        equipartition={key: tuple(float(x) for x in dev) for key, dev in equip.items()},
+        orthogonality=ortho,
+        containment=tuple(
+            {"hyperplane": i, "point": [float(x) for x in p], "residual": r}
+            for i, p, r in containment
+        ),
+        objective=objective,
+        evaluation_mode=mode,
+    )
+
+
+def _evaluate(
+    problem: ConstraintProblem,
+    by_key: dict[tuple[int, int], SampledMass],
+    cont: dict[int, list[np.ndarray]],
+    planes: Sequence[HyperplaneParam],
+    mode: str,
+    tau: float | None,
+    cfg: SolverConfig,
+) -> tuple[dict[str, np.ndarray], dict[str, float], list[tuple], float]:
+    """The objective evaluator behind both the optimizer and `residuals`.
+
+    Returns the equipartition deviations per mass "i.j" (orthant masses
+    over the mass total, minus the fair share 2^-(k-i+1)), the cosine of
+    each orthogonality pair "r-s", (hyperplane, point, signed distance)
+    for each containment point, and the weighted sum of their squares.
+    """
+    equip: dict[str, np.ndarray] = {}
     objective = 0.0
-    for (i, j), mass in sorted(by_key.items()):
-        share = 2.0 ** -(problem.k - i + 1)
-        regions = region_masses(mass, hyperplanes, i, mode=mode, tau=tau, tie_eps=cfg.tie_eps)
-        dev = regions / mass.total - share
-        equip[f"{i}.{j}"] = tuple(float(x) for x in dev)
+    for (i, j), mass in by_key.items():
+        regions = region_masses(mass, planes, i, mode=mode, tau=tau, tie_eps=cfg.tie_eps)
+        dev = regions / mass.total - 2.0 ** -(problem.k - i + 1)
+        equip[f"{i}.{j}"] = dev
         objective += cfg.eq_weight * float(np.dot(dev, dev))
 
     ortho: dict[str, float] = {}
-    for r, s in sorted(problem.ortho):
-        a, b = hyperplanes[r - 1].normal, hyperplanes[s - 1].normal
+    for r, s in problem.sorted_ortho():
+        a, b = planes[r - 1].normal, planes[s - 1].normal
         cosine = float(a @ b / (np.linalg.norm(a) * np.linalg.norm(b)))
         ortho[f"{r}-{s}"] = cosine
         objective += cfg.ortho_weight * cosine**2
 
-    containment: list[dict] = []
+    containment: list[tuple] = []
     for i in range(1, problem.k + 1):
-        h = hyperplanes[i - 1]
+        h = planes[i - 1]
         scale = float(np.linalg.norm(h.normal))
         for p in cont[i]:
             r = float((p @ h.normal - h.offset) / scale)
-            containment.append(
-                {"hyperplane": i, "point": [float(x) for x in p], "residual": r}
-            )
+            containment.append((i, p, r))
             objective += cfg.containment_weight * r**2
-
-    return MassArrangementWitness(
-        hyperplanes=tuple(hyperplanes),
-        equipartition=equip,
-        orthogonality=ortho,
-        containment=tuple(containment),
-        objective=objective,
-        evaluation_mode=mode,
-    )
+    return equip, ortho, containment, objective
 
 
 def _objective_only(
@@ -315,22 +317,7 @@ def _objective_only(
     )
     if planes is None:
         return 1e9
-    total = 0.0
-    for (i, j), mass in by_key.items():
-        share = 2.0 ** -(problem.k - i + 1)
-        regions = region_masses(mass, planes, i, mode=mode, tau=tau, tie_eps=cfg.tie_eps)
-        dev = regions / mass.total - share
-        total += cfg.eq_weight * float(np.dot(dev, dev))
-    for r, s in problem.ortho:
-        a, b = planes[r - 1].normal, planes[s - 1].normal
-        cosine = float(a @ b / (np.linalg.norm(a) * np.linalg.norm(b)))
-        total += cfg.ortho_weight * cosine**2
-    for i in range(1, problem.k + 1):
-        h = planes[i - 1]
-        scale = float(np.linalg.norm(h.normal))
-        for p in cont[i]:
-            total += cfg.containment_weight * float((p @ h.normal - h.offset) / scale) ** 2
-    return total
+    return _evaluate(problem, by_key, cont, planes, mode, tau, cfg)[3]
 
 
 def _data_diameter(masses: Sequence[SampledMass]) -> float:

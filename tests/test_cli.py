@@ -204,6 +204,25 @@ def test_solve_non_finite_mass_exit_2(tmp_path, capsys):
     assert "RangeError" in json.loads(err.splitlines()[-1])["error"]
 
 
+def test_solve_non_finite_containment_point_exit_2(tmp_path, capsys):
+    masses = {
+        "d": 2,
+        "masses": [
+            {"label": "1.1", "mixture": [{"mean": [0, 0], "cov": "I", "weight": 1}], "N": 100}
+        ],
+        "points": [{"hyperplane": 2, "coords": [float("nan"), float("inf")]}],
+    }
+    ppath, mpath = tmp_path / "p.json", tmp_path / "m.json"
+    ppath.write_text(json.dumps({"k": 2, "m": [1, 0], "a": [0, 1]}))
+    mpath.write_text(json.dumps(masses))
+    code = run(["solve", "--problem", str(ppath), "--masses", str(mpath)])
+    _, err = capture(capsys)
+    assert code == 2
+    lines = [line for line in err.splitlines() if line.strip()]
+    assert len(lines) == 1 and "Traceback" not in err
+    assert json.loads(lines[0])["error"].startswith("RangeError: containment point")
+
+
 def test_usage_error_single_line(capsys):
     code = run(["check", "--k", "2", "--d", "oops"])
     _, err = capture(capsys)

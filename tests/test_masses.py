@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from equipart.exceptions import ConfigurationError, RangeError, ShapeError
 from equipart.masses import (
@@ -9,6 +10,7 @@ from equipart.masses import (
     parse_label,
     region_masses,
     sample_gaussian_mixture,
+    side_fractions,
 )
 
 
@@ -85,8 +87,6 @@ def test_region_masses_tie_splitting():
 
 
 def test_side_fraction_rule():
-    from equipart.masses import side_fractions
-
     s = np.array([1.0, -1.0, 0.0, 5e-13, -5e-13])
     assert np.array_equal(side_fractions(s, "hard"), [1.0, 0.0, 0.5, 0.5, 0.5])
     smooth = side_fractions(s, "smoothed", tau=0.5)
@@ -163,6 +163,96 @@ def test_smoothed_approaches_hard():
     for tau, tol in ((0.1, 20.0), (0.01, 3.0), (0.001, 0.5)):
         smooth = region_masses(mass, hs, 1, mode="smoothed", tau=tau)
         assert np.max(np.abs(smooth - hard)) < tol
+
+
+def reference_region_masses(mass, hyperplanes, stage, mode, tau=None):
+    """The documented rule, one point at a time: a point of weight w puts
+    w * prod_j (f_j if bit j is clear else 1 - f_j) in each orthant, where
+    f_j is its `side_fractions` value for hyperplane stage+j."""
+    planes = hyperplanes[stage - 1 :]
+    out = np.zeros(2 ** len(planes))
+    for x, w in zip(mass.points, mass.weights):
+        f = side_fractions(np.array([h.signed_distances(x) for h in planes]), mode, tau)
+        for o in range(out.size):
+            share = w
+            for j, fj in enumerate(f):
+                share *= 1.0 - fj if o >> j & 1 else fj
+            out[o] += share
+    return out
+
+
+@st.composite
+def cut_clouds(draw):
+    """Random weighted points and 1..4 hyperplanes in R^1..R^4.  Each
+    hyperplane may be moved to pass exactly through point 0 or point 1
+    (point 2 repeats point 0), planting ties on one or several planes."""
+    d = draw(st.integers(1, 4))
+    n_planes = draw(st.integers(1, 4))
+    n_points = draw(st.integers(3, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    points = rng.standard_normal((n_points, d))
+    points[2] = points[0]
+    mass = SampledMass(points, rng.uniform(0.1, 2.0, n_points), "1.1")
+    planes = []
+    for _ in range(n_planes):
+        normal = rng.standard_normal(d)
+        normal /= np.linalg.norm(normal)
+        anchor = draw(st.sampled_from([None, 0, 1]))
+        offset = rng.standard_normal() if anchor is None else points[anchor] @ normal
+        planes.append(HyperplaneParam.of(normal, offset))
+    return mass, planes
+
+
+@settings(max_examples=150, deadline=None)
+@given(cut_clouds(), st.data())
+def test_region_masses_match_per_point_reference(cloud, data):
+    mass, planes = cloud
+    tol = 1e-12 * mass.total
+    for stage in range(1, len(planes) + 1):
+        got = region_masses(mass, planes, stage)
+        want = reference_region_masses(mass, planes, stage, "hard")
+        assert np.max(np.abs(got - want)) <= tol
+        tau = data.draw(st.sampled_from([1e-3, 0.05, 0.5, 3.0]))
+        got = region_masses(mass, planes, stage, mode="smoothed", tau=tau)
+        want = reference_region_masses(mass, planes, stage, "smoothed", tau)
+        assert np.max(np.abs(got - want)) <= tol
+        # at a tiny tau a planted tie's side turns on the rounding of its
+        # signed distance, so only finiteness and conservation are checked
+        got = region_masses(mass, planes, stage, mode="smoothed", tau=1e-300)
+        assert np.isfinite(got).all() and abs(got.sum() - mass.total) <= tol
+
+
+def test_region_masses_tie_on_several_planes_matches_reference():
+    # point 0 lies on all three planes, point 1 on the last one only
+    rng = np.random.default_rng(6)
+    points = rng.standard_normal((10, 3))
+    mass = SampledMass(points, rng.uniform(0.1, 2.0, 10), "1.1")
+    planes = []
+    for anchor in (0, 0, 0, 1):
+        normal = rng.standard_normal(3)
+        planes.append(HyperplaneParam.of(normal, points[anchor] @ normal))
+    for stage in (1, 2, 3, 4):
+        got = region_masses(mass, planes, stage)
+        want = reference_region_masses(mass, planes, stage, "hard")
+        assert np.max(np.abs(got - want)) <= 1e-12 * mass.total
+    # alone, point 0 spreads evenly over the 8 orthants of the planes it is on
+    alone = SampledMass(points[:1], [1.0], "1.1")
+    got = region_masses(alone, planes, 1)
+    assert np.count_nonzero(got) == 8 and np.allclose(got[got > 0], 0.125)
+
+
+def test_smoothed_tiny_tau_stays_finite_on_a_plane():
+    mass = SampledMass(
+        points=np.array([[0.0, 0.0], [1.0, 0.0], [-2.0, 1.0]]),
+        weights=np.array([1.0, 2.0, 4.0]),
+        label="1.1",
+    )
+    hs = [HyperplaneParam.of([1.0, 0.0], 0.0), HyperplaneParam.of([0.0, 1.0], 0.0)]
+    for tau in (1e-300, 5e-324):
+        got = region_masses(mass, hs, 1, mode="smoothed", tau=tau)
+        assert np.isfinite(got).all()
+        # the origin lies on both planes and splits four ways, as in hard mode
+        assert np.allclose(got, region_masses(mass, hs, 1), rtol=0, atol=1e-12)
 
 
 def test_region_masses_errors():
