@@ -15,7 +15,7 @@ import sys
 from . import knownvalues
 from .atlas import AtlasQuery, emit_report, enumerate_rows
 from .certify import check, verify_dickson, verify_pki_ortho, verify_vandermonde
-from .exceptions import EquipartError, InternalConsistencyError, SearchSpaceError
+from .exceptions import EquipartError, InternalConsistencyError, RangeError, SearchSpaceError
 from .families import FAMILIES
 from .masses import load_mass_spec
 from .problems import (
@@ -175,6 +175,9 @@ def _cmd_families(args) -> int:
 
 def _cmd_identities(args) -> int:
     k, d = args.k, args.d
+    if k < 1 or d < 1:
+        # with no identity in range the verdict would pass vacuously
+        raise RangeError(f"identities need k >= 1 and d >= 1, got k={k}, d={d}")
     results: dict[str, dict[str, bool]] = {"vandermonde": {}, "dickson": {}, "pair_shift": {}}
     for j in range(1, k):
         if d >= k - j:

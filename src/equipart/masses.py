@@ -24,7 +24,6 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
-from scipy.special import expit
 
 from .exceptions import ConfigurationError, RangeError, ShapeError
 
@@ -53,6 +52,18 @@ class HyperplaneParam:
         v = v.copy()
         v.flags.writeable = False
         object.__setattr__(self, "vector", v)
+
+    @classmethod
+    def _adopt(cls, v: np.ndarray) -> "HyperplaneParam":
+        """Freeze and wrap a float vector that the caller has just built,
+        keeps no other reference to, and has already normalised to unit
+        length with a normal part of norm >= MIN_NORMAL_NORM.  Skips the
+        checks and the copy __post_init__ makes, which the solver's
+        assembly would otherwise pay on every objective evaluation."""
+        v.flags.writeable = False
+        h = object.__new__(cls)
+        object.__setattr__(h, "vector", v)
+        return h
 
     @classmethod
     def of(cls, normal: Sequence[float], offset: float) -> "HyperplaneParam":
@@ -240,6 +251,9 @@ def side_fractions(
     if mode == "smoothed":
         if tau is None or tau <= 0:
             raise ConfigurationError("smoothed mode needs tau > 0")
+        # scipy costs about 0.3 s to import and only this reference needs it
+        from scipy.special import expit
+
         return expit(s / tau)
     raise ConfigurationError(f"unknown evaluation mode {mode!r}")
 

@@ -24,18 +24,26 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .exceptions import ConfigurationError, EquipartError, RangeError, ShapeError
-from .masses import HyperplaneParam, SampledMass, parse_label, region_masses
+from .masses import MIN_NORMAL_NORM, HyperplaneParam, SampledMass, parse_label, region_masses
 from .problems import ConstraintProblem
 
 SCHEMA_VERSION = 1
+
+
+def minimize(fun, x0, args=(), **kwargs):
+    """`scipy.optimize.minimize`, imported on the first call: scipy takes
+    about 0.3 s to import, and nothing but a solve needs it."""
+    from scipy.optimize import minimize as scipy_minimize
+
+    return scipy_minimize(fun, x0, args=args, **kwargs)
 
 
 @dataclass(frozen=True)
@@ -61,6 +69,10 @@ class SolverConfig:
     degenerate_tol: float = 1e-6
     max_degenerate_restarts: int = 3
     use_seeded_starts: bool = True
+
+    def __post_init__(self) -> None:
+        if self.starts < 1:
+            raise ConfigurationError(f"starts must be >= 1, got {self.starts}")
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
@@ -177,6 +189,12 @@ def _organize_points(
 # ----------------------------------------------------------------------
 # assembly with exact constraint elimination
 # ----------------------------------------------------------------------
+def _norm(x: np.ndarray) -> float:
+    """`np.linalg.norm` of a 1-D float vector, bit for bit (it is
+    sqrt(x.dot(x)) there too), without its per-call overhead."""
+    return math.sqrt(x.dot(x))
+
+
 def assemble_hyperplanes(
     raw: np.ndarray,
     problem: ConstraintProblem,
@@ -185,13 +203,16 @@ def assemble_hyperplanes(
 ) -> list[HyperplaneParam] | None:
     """Turn raw (k, d+1) parameters into hyperplanes satisfying every
     orthogonality pair and containment point exactly.  Returns None when a
-    projection collapses the normal (degenerate raw input)."""
+    projection collapses the normal (degenerate raw input) or the normal
+    part of a unit plane falls below max(min_normal_norm, MIN_NORMAL_NORM),
+    so every plane returned is a valid `HyperplaneParam`."""
     k = problem.k
     d = raw.shape[1] - 1
+    min_normal_norm = max(min_normal_norm, MIN_NORMAL_NORM)
     unit_normals: list[np.ndarray] = []
     planes: list[HyperplaneParam] = []
     for i in range(1, k + 1):
-        n = raw[i - 1, :d].astype(float).copy()
+        n = raw[i - 1, :d].astype(float)
         constraints = [unit_normals[r - 1] for (r, s) in problem.ortho if s == i]
         pts = cont_points.get(i, [])
         constraints.extend(p - pts[0] for p in pts[1:])
@@ -199,16 +220,17 @@ def assemble_hyperplanes(
             basis = np.stack(constraints, axis=1)
             q, _ = np.linalg.qr(basis)
             n = n - q @ (q.T @ n)
-        nn = np.linalg.norm(n)
-        if nn < 1e-9:
+        if _norm(n) < 1e-9:
             return None
-        offset = float(n @ pts[0]) if pts else float(raw[i - 1, d])
-        v = np.append(n, offset)
-        v = v / np.linalg.norm(v)
-        if np.linalg.norm(v[:d]) < min_normal_norm:
+        v = np.empty(d + 1)
+        v[:d] = n
+        v[d] = n @ pts[0] if pts else raw[i - 1, d]
+        v /= _norm(v)
+        normal_norm = _norm(v[:d])
+        if not normal_norm >= min_normal_norm:  # also catches NaN from non-finite raw input
             return None
-        unit_normals.append(v[:d] / np.linalg.norm(v[:d]))
-        planes.append(HyperplaneParam(v))
+        unit_normals.append(v[:d] / normal_norm)
+        planes.append(HyperplaneParam._adopt(v))
     return planes
 
 

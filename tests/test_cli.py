@@ -1,4 +1,10 @@
+import contextlib
+import io
 import json
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from equipart.cli import run
 
@@ -123,6 +129,17 @@ def test_identities_all_pass(capsys):
     assert doc["results"]["dickson"]["i=1"] is True
 
 
+@pytest.mark.parametrize("k, d", [("0", "3"), ("3", "-2")])
+def test_identities_reject_an_empty_range_exit_2(capsys, k, d):
+    # no identity is in range there, so the verdict would pass vacuously
+    code = run(["identities", "--k", k, "--d", d])
+    out, err = capture(capsys)
+    assert code == 2 and out == ""
+    lines = [line for line in err.splitlines() if line.strip()]
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"].startswith("RangeError: identities need")
+
+
 def test_atlas_inline_json(capsys):
     code = run(
         ["atlas", "--k", "2", "--d-lo", "2", "--d-hi", "2", "--max-m", "2", "--format", "json"]
@@ -221,6 +238,63 @@ def test_solve_non_finite_containment_point_exit_2(tmp_path, capsys):
     lines = [line for line in err.splitlines() if line.strip()]
     assert len(lines) == 1 and "Traceback" not in err
     assert json.loads(lines[0])["error"].startswith("RangeError: containment point")
+
+
+def test_solve_zero_starts_exit_2(tmp_path, capsys):
+    masses = {
+        "d": 2,
+        "masses": [
+            {"label": "1.1", "mixture": [{"mean": [0, 0], "cov": "I", "weight": 1}], "N": 100}
+        ],
+    }
+    ppath, mpath = tmp_path / "p.json", tmp_path / "m.json"
+    ppath.write_text(json.dumps({"k": 1, "m": [1]}))
+    mpath.write_text(json.dumps(masses))
+    code = run(["solve", "--problem", str(ppath), "--masses", str(mpath), "--starts", "0"])
+    out, err = capture(capsys)
+    assert code == 2 and out == ""
+    lines = [line for line in err.splitlines() if line.strip()]
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"] == "ConfigurationError: starts must be >= 1, got 0"
+
+
+# Problem flag values: well-formed lists (of any length, so often not k),
+# or fragments of numbers, separators and junk.
+FLAG_TEXT = st.text(alphabet="0123456789,-;x ", max_size=8)
+INT_LIST = st.lists(st.integers(0, 3), max_size=3).map(lambda xs: ",".join(map(str, xs)))
+PAIR_LIST = st.lists(st.tuples(st.integers(1, 3), st.integers(1, 3)), max_size=3).map(
+    lambda ps: ",".join(f"{r}-{s}" for r, s in ps)
+)
+BITS_LIST = st.lists(st.text(alphabet="01", min_size=1, max_size=3), max_size=2).map(";".join)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    command=st.sampled_from(["check", "bound"]),
+    k=st.integers(1, 3),
+    d=st.integers(1, 6),
+    mode=st.sampled_from(["strict", "relaxed"]),
+    m=st.one_of(INT_LIST, FLAG_TEXT),
+    a=st.one_of(INT_LIST, FLAG_TEXT),
+    ortho=st.one_of(st.sampled_from(["all", "last", "not12"]), PAIR_LIST, FLAG_TEXT),
+    extra=st.one_of(BITS_LIST, FLAG_TEXT),
+)
+def test_problem_flags_fuzz(command, k, d, mode, m, a, ortho, extra):
+    argv = [command, "--k", str(k), f"--m={m}", f"--a={a}", f"--ortho={ortho}",
+            f"--extra={extra}"]
+    if command == "check":
+        argv += ["--d", str(d), "--mode", mode]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run(argv)
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+    if code == 2:
+        lines = [line for line in err.getvalue().splitlines() if line.strip()]
+        assert len(lines) == 1
+        assert json.loads(lines[0])["kind"] == "usage"
+    else:
+        assert json.loads(out.getvalue())["schema_version"] == 1
 
 
 def test_usage_error_single_line(capsys):

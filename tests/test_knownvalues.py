@@ -1,4 +1,5 @@
 from equipart import knownvalues
+from equipart.certify import check, find_min_certified_d
 from equipart.problems import (
     ConstraintProblem,
     all_pairs,
@@ -49,3 +50,23 @@ def test_lower_ends_respect_the_counting_bound():
 
 def test_table_has_reasonable_coverage():
     assert len(knownvalues.entries()) >= 40
+
+
+def test_strict_certificate_entries_recertify_at_hi():
+    # an entry whose instance is weaker than its tight family instance (a
+    # lowered cascade entry) holds by domination, a relaxed certificate
+    recertified = 0
+    for kv in knownvalues.entries():
+        if not kv.provenance.startswith("strict certificate"):
+            continue
+        tight = constraint_dimension(kv.problem) == kv.problem.k * kv.hi
+        cert = check(kv.problem, kv.hi, "strict" if tight else "relaxed")
+        assert cert.certified, kv.problem.describe()
+        recertified += 1
+    assert recertified >= 25
+
+
+def test_min_certified_d_never_below_lo():
+    for kv in knownvalues.entries():
+        found = find_min_certified_d(kv.problem, kv.hi, "relaxed")
+        assert found is None or found[0] >= kv.lo, kv.problem.describe()

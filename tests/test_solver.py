@@ -63,6 +63,42 @@ def test_assembly_degenerate_returns_none():
     assert assemble_hyperplanes(raw, problem, {1: [], 2: [], 3: []}) is None
 
 
+def test_assembled_planes_keep_the_hyperplane_invariants():
+    # assembly builds its planes without HyperplaneParam's checks and copy;
+    # each must still pass those checks unchanged, and be read-only
+    problem = ConstraintProblem.of(3, m=(1, 0, 0), a=(0, 1, 2), ortho=[(1, 2), (1, 3)])
+    cont = {
+        1: [],
+        2: [np.array([0.3, -0.7, 0.2])],
+        3: [np.array([1.0, 0.0, 0.5]), np.array([0.0, 2.0, -1.0])],
+    }
+    rng = np.random.default_rng(5)
+    for _ in range(50):
+        planes = assemble_hyperplanes(rng.standard_normal((3, 4)), problem, cont)
+        assert planes is not None
+        for h in planes:
+            assert np.array_equal(HyperplaneParam(h.vector).vector, h.vector)
+            assert not h.vector.flags.writeable
+
+
+def test_assembly_non_finite_raw_returns_none():
+    problem = ConstraintProblem.of(1, m=(1,))
+    for raw in ([[np.inf, 1.0, 0.0]], [[np.nan, 1.0, 0.0]], [[1.0, 0.0, np.inf]]):
+        with np.errstate(invalid="ignore"):  # inf / inf while normalising
+            assert assemble_hyperplanes(np.array(raw), problem, {1: []}) is None
+
+
+def test_min_normal_norm_below_the_hyperplane_floor_reports_failure():
+    # a plane through a far point has a normal part of about 1e-7; assembly
+    # must refuse it at HyperplaneParam's own floor (1e-6) instead of
+    # accepting it at the configured 1e-9 and letting HyperplaneParam raise
+    mass = gaussian(500, (18,), "1.1")
+    cfg = SolverConfig(starts=2, tau_stages=4, min_normal_norm=1e-9)
+    w = solve(ConstraintProblem.of(1, m=(1,), a=(1,)), [mass], [(1, [1e7, 1e7])], cfg)
+    assert w.success is False
+    assert w.diagnostics["starts_run"] == 2
+
+
 # ----------------------------------------------------------------------
 # residuals
 # ----------------------------------------------------------------------
@@ -146,6 +182,12 @@ def test_config_to_dict_lists_every_field():
     assert doc == dataclasses.asdict(cfg)
     assert list(doc) == [f.name for f in dataclasses.fields(SolverConfig)]
     assert doc["tol"] == 2e-4 and doc["jobs"] == 2 and doc["anneal_subsample"] == 4_000
+
+
+def test_config_rejects_fewer_than_one_start():
+    for starts in (0, -3):
+        with pytest.raises(ConfigurationError, match="starts must be >= 1"):
+            SolverConfig(starts=starts)
 
 
 def test_every_objective_evaluation_assembles_and_counts_regions(monkeypatch):
