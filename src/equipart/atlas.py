@@ -13,12 +13,11 @@ from __future__ import annotations
 import csv
 import io
 import json
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from itertools import combinations, product
-from typing import Iterable, Iterator
+from typing import Any, Iterable, Iterator
 
-from . import knownvalues
+from . import jsontypes, knownvalues
 from .certify import Certificate, check
 from .exceptions import ConfigurationError, SearchSpaceError
 from .problems import (
@@ -48,6 +47,19 @@ REPORT_COLUMNS = (
 )
 
 
+def _universe_from_spec(value: Any, what: str) -> str | frozenset:
+    """A universe name, or a list of [r, s] pairs."""
+    if not isinstance(value, list):
+        return jsontypes.text(value, what)
+    pairs = [jsontypes.items(p, f"{what}[{i}]") for i, p in enumerate(value)]
+    if any(len(p) != 2 for p in pairs):
+        raise ConfigurationError(f"{what} pairs must be [r, s], got {value!r}")
+    return frozenset(
+        tuple(jsontypes.integer(x, f"{what}[{i}][{j}]") for j, x in enumerate(p))
+        for i, p in enumerate(pairs)
+    )
+
+
 @dataclass(frozen=True)
 class AtlasQuery:
     k: int
@@ -62,6 +74,38 @@ class AtlasQuery:
     require_maximal_j: int | None = None
     require_balanced: bool = False
     candidate_limit: int = 2_000_000
+
+    @classmethod
+    def from_spec(cls, doc: Any) -> "AtlasQuery":
+        """Build a query from a parsed query-spec document: {"k": int,
+        "d_range": [lo, hi]} plus any of the other fields, with
+        "ortho_universe" a universe name or a list of [r, s] pairs.  Raises
+        ConfigurationError when a field has the wrong JSON type."""
+        doc = jsontypes.obj(doc, "atlas spec")
+        d_range = jsontypes.field(doc, "d_range", jsontypes.items)
+        if len(d_range) != 2:
+            raise ConfigurationError(f"d_range must be [lo, hi], got {d_range!r}")
+        checks = {
+            "mode": jsontypes.text,
+            "max_m": jsontypes.integer,
+            "max_a": jsontypes.integer,
+            "allow_ortho": jsontypes.boolean,
+            "allow_affine": jsontypes.boolean,
+            "ortho_universe": _universe_from_spec,
+            "require_optimal": jsontypes.boolean,
+            "require_balanced": jsontypes.boolean,
+            "candidate_limit": jsontypes.integer,
+        }
+        fields = {key: check(doc[key], key) for key, check in checks.items() if key in doc}
+        if doc.get("require_maximal_j") is not None:
+            fields["require_maximal_j"] = jsontypes.integer(
+                doc["require_maximal_j"], "require_maximal_j"
+            )
+        return cls(
+            k=jsontypes.field(doc, "k", jsontypes.integer),
+            d_range=tuple(jsontypes.integer(x, f"d_range[{i}]") for i, x in enumerate(d_range)),
+            **fields,
+        )
 
     def universe_pairs(self) -> tuple[tuple[int, int], ...]:
         if not self.allow_ortho:
@@ -163,6 +207,8 @@ def enumerate_rows(query: AtlasQuery, jobs: int = 1) -> Iterator[AtlasRow]:
         raise SearchSpaceError(estimate, query.candidate_limit)
 
     if jobs > 1:
+        from concurrent.futures import ProcessPoolExecutor  # only a parallel query needs it
+
         todo = list(_candidates(query))
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             certs = pool.map(

@@ -197,24 +197,7 @@ def _cmd_atlas(args) -> int:
     if args.spec:
         with open(args.spec, "r", encoding="utf-8") as fh:
             spec = json.load(fh)
-        query = AtlasQuery(
-            k=int(spec["k"]),
-            d_range=(int(spec["d_range"][0]), int(spec["d_range"][1])),
-            mode=spec.get("mode", "strict"),
-            max_m=int(spec.get("max_m", 2)),
-            max_a=int(spec.get("max_a", 0)),
-            allow_ortho=bool(spec.get("allow_ortho", True)),
-            allow_affine=bool(spec.get("allow_affine", False)),
-            ortho_universe=(
-                frozenset(tuple(p) for p in spec["ortho_universe"])
-                if isinstance(spec.get("ortho_universe", "all"), list)
-                else spec.get("ortho_universe", "all")
-            ),
-            require_optimal=bool(spec.get("require_optimal", False)),
-            require_maximal_j=spec.get("require_maximal_j"),
-            require_balanced=bool(spec.get("require_balanced", False)),
-            candidate_limit=int(spec.get("candidate_limit", 2_000_000)),
-        )
+        query = AtlasQuery.from_spec(spec)
     else:
         query = AtlasQuery(
             k=args.k,

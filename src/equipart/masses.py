@@ -6,25 +6,32 @@ two closed half-spaces are side 0 = {<u, normal> >= offset} and side 1 =
 its complement.  Near-zero normals would describe the degenerate
 "hyperplane at infinity" and are rejected.
 
+A `SampledMass` stores its coordinates once, coordinate-major: `coords`
+is a C-contiguous (d, N) array and `points` its (N, d) transposed view.
+
 `region_masses` is the one region-mass kernel, shared by the solver's
 objective and its residuals.  It works in row layout: the n hyperplanes
-in play are stacked into V (n, d+1), and one matmul gives every signed
-distance as S = V[:, :d] @ points.T - offset, an (n, N) array whose rows
-are contiguous.  Hard mode ORs each row's side-1 bit into an orthant index
-and takes one weighted bincount; points on a plane take the even tie split
-only when some |s| <= tie_eps.  Smoothed mode turns S into side-0
-fractions 0.5 + 0.5 tanh(S / 2 tau) = expit(S / tau) and reduces them with
-a binary product tree over the rows, ending in one matrix-vector product.
-No copy of the points is made or cached.
+in play are stacked into V (n, d+1), and one matmul over contiguous
+memory gives every signed distance as S = V[:, :d] @ coords - offset, an
+(n, N) array whose rows are contiguous.  Hard mode ORs each row's side-1
+bit into an orthant index and takes one weighted bincount; points on a
+plane take the even tie split only when some |s| <= tie_eps.  Smoothed
+mode turns S into side-0 fractions 0.5 + 0.5 tanh(S / 2 tau) =
+expit(S / tau) and reduces them with a binary product tree over the rows,
+ending in one matrix-vector product; on request it also returns dR/dV,
+the derivative of the orthant masses with respect to the plane vectors,
+at one (2^(n-1), N) @ (N, d) product per plane.  No copy of the points is
+made or cached.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Any, Sequence
 
 import numpy as np
 
+from . import jsontypes
 from .exceptions import ConfigurationError, RangeError, ShapeError
 
 TIE_EPS = 1e-12
@@ -94,12 +101,19 @@ class HyperplaneParam:
 
 @dataclass
 class SampledMass:
-    """Weighted point cloud; label "i.j" ties it to stage i, index j."""
+    """Weighted point cloud; label "i.j" ties it to stage i, index j.
+
+    The coordinates are stored once, coordinate-major: `coords` is a
+    C-contiguous (d, N) array and `points` its (N, d) transposed view.
+    Both, and `weights`, are read-only; `total` is the weight sum, taken
+    once at construction."""
 
     points: np.ndarray
     weights: np.ndarray
     label: str
     generator: dict | None = field(default=None)
+    coords: np.ndarray = field(init=False, repr=False, compare=False)
+    total: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         pts = np.asarray(self.points, dtype=float)
@@ -112,20 +126,23 @@ class SampledMass:
             raise RangeError("points and weights must be finite")
         if not (w > 0).all():
             raise ConfigurationError("all weights must be positive")
-        pts = pts.copy()
+        coords = np.array(pts.T, order="C")
         w = w.copy()
-        pts.flags.writeable = False
+        coords.flags.writeable = False
         w.flags.writeable = False
-        self.points = pts
+        self.coords = coords
+        self.points = coords.T
         self.weights = w
+        self.total = float(w.sum())
+
+    def __reduce__(self):
+        # pickle (for worker processes) the coordinates once; unpickling
+        # rebuilds the read-only coordinate-major layout and the total
+        return (SampledMass, (self.points, self.weights, self.label, self.generator))
 
     @property
     def dim(self) -> int:
-        return int(self.points.shape[1])
-
-    @property
-    def total(self) -> float:
-        return float(self.weights.sum())
+        return int(self.coords.shape[0])
 
 
 def parse_label(label: str) -> tuple[int, int]:
@@ -204,37 +221,65 @@ def sample_gaussian_mixture(
 # ----------------------------------------------------------------------
 # region masses
 # ----------------------------------------------------------------------
+def _checked_component(component: Any, what: str) -> dict:
+    """A mixture component of a mass spec, unchanged once its fields have
+    their JSON types: "mean" numbers, optional "cov" ("I", a number or
+    rows of numbers) and optional "weight" a number."""
+    component = jsontypes.obj(component, what)
+    jsontypes.field(component, "mean", jsontypes.numbers, what)
+    cov = component.get("cov")
+    if isinstance(cov, list):
+        for r, row in enumerate(cov):
+            jsontypes.numbers(row, f"{what}.cov[{r}]")
+    elif isinstance(cov, str):
+        if cov.upper() != "I":
+            raise ConfigurationError(f"{what}.cov must be \"I\", a number or a matrix, got {cov!r}")
+    elif cov is not None:
+        jsontypes.number(cov, f"{what}.cov")
+    jsontypes.field(component, "weight", jsontypes.number, what, None)
+    return component
+
+
+def _checked_point(entry: Any, what: str) -> dict:
+    entry = jsontypes.obj(entry, what)
+    jsontypes.field(entry, "hyperplane", jsontypes.integer, what)
+    jsontypes.field(entry, "coords", jsontypes.numbers, what)
+    return entry
+
+
 def load_mass_spec(
-    spec: dict, master_seed: int
+    spec: Any, master_seed: int
 ) -> tuple[int, list[SampledMass], list[dict]]:
     """Instantiate a mass-description document.
 
     Expects {"d": ..., "masses": [{"label": "i.j", "mixture": [...],
     "N": ...}, ...], "points": [{"hyperplane": i, "coords": [...]}, ...]}.
     Each mass gets its own RNG stream derived from the master seed, so the
-    document plus one seed pins the whole sample set.
+    document plus one seed pins the whole sample set.  A field of the wrong
+    JSON type raises ConfigurationError.
     """
-    try:
-        d = int(spec["d"])
-        mass_specs = spec["masses"]
-    except (KeyError, TypeError) as exc:
-        raise ConfigurationError(f"mass spec missing required field: {exc}") from exc
+    doc = jsontypes.obj(spec, "mass spec")
+    d = jsontypes.field(doc, "d", jsontypes.integer)
     masses = []
-    for idx, mspec in enumerate(mass_specs):
+    for idx, entry in enumerate(jsontypes.field(doc, "masses", jsontypes.items)):
+        what = f"masses[{idx}]"
+        entry = jsontypes.obj(entry, what)
+        components = jsontypes.field(entry, "mixture", jsontypes.items, what)
         seed = np.random.SeedSequence(entropy=master_seed, spawn_key=(1, idx))
         mass = sample_gaussian_mixture(
-            mspec["mixture"],
-            int(mspec["N"]),
+            [_checked_component(c, f"{what}.mixture[{j}]") for j, c in enumerate(components)],
+            jsontypes.field(entry, "N", jsontypes.integer, what),
             seed,
-            label=str(mspec.get("label", f"1.{idx + 1}")),
-            total=float(mspec.get("total", 1.0)),
+            label=str(entry.get("label", f"1.{idx + 1}")),
+            total=jsontypes.field(entry, "total", jsontypes.number, what, 1.0),
         )
         if mass.dim != d:
             raise ConfigurationError(
                 f"mass {mass.label!r} lives in R^{mass.dim}, spec says d={d}"
             )
         masses.append(mass)
-    points = list(spec.get("points", []))
+    points = jsontypes.field(doc, "points", jsontypes.items, default=[])
+    points = [_checked_point(p, f"points[{idx}]") for idx, p in enumerate(points)]
     return d, masses, points
 
 
@@ -288,23 +333,70 @@ def _hard_region_masses(
     return out
 
 
-def _smoothed_region_masses(S: np.ndarray, weights: np.ndarray, tau: float) -> np.ndarray:
+def _orthant_table(F, weights: np.ndarray) -> np.ndarray:
+    """The binary product tree over the side-0 fraction rows F: one row of
+    per-point weight per orthant of those planes, row index bit j the side
+    of the j-th row (rows with bit j clear first)."""
+    t = weights[None, :]
+    for f in F:
+        p = t * f
+        t = np.concatenate([p, t - p])
+    return t
+
+
+def _smoothed_region_masses(
+    S: np.ndarray, weights: np.ndarray, tau: float, coords: np.ndarray | None = None
+) -> np.ndarray | tuple[np.ndarray, np.ndarray]:
     """Orthant weights with side-0 fractions F = expit(S / tau), evaluated
     as 0.5 + 0.5 tanh(S / (2 tau)), which stays finite for any tau > 0.
-    A binary product tree over the planes keeps one row of per-point
-    weight per orthant of the planes seen so far (rows with bit j clear
-    first); the last plane is one matrix-vector product."""
+    The product tree over all planes but the last is finished by one
+    matrix-vector product with the last plane's fractions.
+
+    Given the (d, N) coordinates, also returns J (2^n, n, d+1), the
+    derivative of each orthant weight with respect to each plane vector
+    (normal, offset).  Plane j moves weight T_j F'_j (x, -1) from the
+    orthants with bit j set to those with it clear, where T_j is the
+    product table of the other planes and F'_j = F_j (1 - F_j) / tau the
+    slope of its side-0 fraction: one (2^(n-1), N) @ (N, d) product per
+    plane."""
     with np.errstate(over="ignore"):  # |S / 2tau| = inf saturates tanh, as it should
         F = np.divide(S, 2 * tau, out=S)
     np.tanh(F, out=F)
     F *= 0.5
     F += 0.5
-    t = weights[None, :]
-    for f in F[:-1]:
-        p = t * f
-        t = np.concatenate([p, t - p])
-    side0 = t @ F[-1]
-    return np.concatenate([side0, t.sum(axis=1) - side0])
+    n = F.shape[0]
+    if coords is not None:
+        d = coords.shape[0]
+        rows = np.arange(2 ** (n - 1))
+        J = np.empty((2**n, n, d + 1))
+    # The masses need only the last plane's table.  The gradient visits
+    # every plane, the last one last, and keeps one table alive at a time,
+    # so its peak memory stays near that of the masses alone.
+    for j in range(n) if coords is not None else [n - 1]:
+        table = _orthant_table((f for l, f in enumerate(F) if l != j), weights)
+        if j == n - 1:
+            side0 = table @ F[j]
+            regions = np.concatenate([side0, table.sum(axis=1) - side0])
+            if coords is None:
+                return regions
+            slope = F[j]  # no table reads F[j] any more: overwrite it
+        else:
+            slope = F[j].copy()
+        # F (1 - F) = 0.25 - (F - 0.5)^2, computed in place
+        slope -= 0.5
+        np.square(slope, out=slope)
+        slope -= 0.25
+        slope *= -1.0 / tau
+        # a table over n - 1 >= 1 planes is fresh and is scaled in place;
+        # with n = 1 it is a view of the weights
+        A = np.multiply(table, slope, out=table if n > 1 else None)
+        low = rows & ((1 << j) - 1)
+        clear = low | (rows - low) << 1  # insert a clear bit j into each row index
+        J[clear, j, :d] = A @ coords.T
+        J[clear, j, d] = -A.sum(axis=1)
+        J[clear | 1 << j, j] = -J[clear, j]
+        del table, A, slope
+    return regions, J
 
 
 def region_masses(
@@ -314,13 +406,17 @@ def region_masses(
     mode: str = "hard",
     tau: float | None = None,
     tie_eps: float = TIE_EPS,
-) -> np.ndarray:
+    jac: bool = False,
+) -> np.ndarray | tuple[np.ndarray, np.ndarray]:
     """Mass of each orthant cut out by hyperplanes stage..k.
 
     Returns 2^(k-stage+1) values summing to the mass total.  Orthant index:
     bit j is the side of hyperplane stage+j, so index 0 is the all-side-0
     region and flipping one hyperplane's orientation flips one bit.  Hard
     mode follows `side_fractions`' hard rule; smoothed mode its logistic.
+    With jac=True (smoothed mode only) also returns dR/dV, shape
+    (2^(k-stage+1), k-stage+1, d+1): the derivative of each orthant mass
+    with respect to each plane vector of hyperplanes stage..k.
     """
     k = len(hyperplanes)
     if not 1 <= stage <= k:
@@ -333,9 +429,11 @@ def region_masses(
             raise ConfigurationError("smoothed mode needs tau > 0")
     elif mode != "hard":
         raise ConfigurationError(f"unknown evaluation mode {mode!r}")
+    elif jac:
+        raise ConfigurationError("hard region masses are piecewise constant: no jac")
     V = np.stack([h.vector for h in hyperplanes[stage - 1 :]])
-    S = V[:, :-1] @ mass.points.T
+    S = V[:, :-1] @ mass.coords
     S -= V[:, -1:]
     if mode == "hard":
         return _hard_region_masses(S, mass.weights, tie_eps)
-    return _smoothed_region_masses(S, mass.weights, tau)
+    return _smoothed_region_masses(S, mass.weights, tau, mass.coords if jac else None)

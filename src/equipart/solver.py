@@ -7,14 +7,17 @@ gives no construction, so this is a best-effort multi-start optimizer:
 
   * raw parameters are one unnormalized vector in R^(d+1) per hyperplane;
   * orthogonality pairs and containment points are eliminated exactly
-    during assembly (normals projected onto the admissible subspace,
-    offsets pinned through the prescribed points), so those residual
-    blocks sit at machine precision throughout;
+    during assembly (normals projected by Gram-Schmidt onto the admissible
+    subspace, offsets pinned through the prescribed points), so those
+    residual blocks sit at machine precision throughout;
   * the equipartition block is annealed: orthant indicators are smoothed
     by logistics of signed distance at temperature tau, tau falling
-    geometrically, followed by a derivative-free polish on the hard
-    objective (region masses of a point cloud are piecewise constant, so
-    gradient methods get no signal there).
+    geometrically, and each temperature is one L-BFGS run on the analytic
+    gradient (dR/dV from `region_masses`, chained through the squared
+    deviations and pulled back through the assembly by `_assembly_vjp`);
+  * a derivative-free Nelder-Mead polish on the hard objective follows
+    (region masses of a point cloud are piecewise constant, so gradient
+    methods get no signal there).
 
 Failure to converge is reported via success=False on the witness, never
 as an exception.
@@ -25,7 +28,6 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -195,43 +197,130 @@ def _norm(x: np.ndarray) -> float:
     return math.sqrt(x.dot(x))
 
 
+def _project_out(x: np.ndarray, basis: Sequence[tuple[np.ndarray, int]]) -> np.ndarray:
+    """x minus its components along the orthonormal vectors q of `basis`
+    ((q, column) pairs from `_orthonormal_basis`), one at a time."""
+    for q, _ in basis:
+        x = x - q * (q @ x)
+    return x
+
+
+def _orthonormal_basis(columns: Sequence[np.ndarray]) -> list[tuple[np.ndarray, int]]:
+    """Gram-Schmidt over `columns`: (q, column index) for each column that
+    adds a direction.  A column already in the span of the earlier ones
+    (to 1e-12 of its norm) is dropped."""
+    basis: list[tuple[np.ndarray, int]] = []
+    for col, c in enumerate(columns):
+        q = _project_out(c, basis)
+        q_norm = _norm(q)
+        if q_norm > 1e-12 * _norm(c):
+            basis.append((q / q_norm, col))
+    return basis
+
+
+def _span_coefficients(
+    basis: Sequence[tuple[np.ndarray, int]], columns: Sequence[np.ndarray], y: np.ndarray
+) -> np.ndarray:
+    """Coefficients a, one row per column of C, with C a = Q Q^T y: the
+    projection of y onto the span of C written in the columns of C.  Back
+    substitution through R = Q^T C, which Gram-Schmidt makes upper
+    triangular on the columns it kept; a dropped column gets 0."""
+    a = np.zeros((len(columns),) + y.shape[1:])
+    for r in range(len(basis) - 1, -1, -1):
+        q, col = basis[r]
+        rest = q @ y - sum((q @ columns[c]) * a[c] for _, c in basis[r + 1 :])
+        a[col] = rest / (q @ columns[col])
+    return a
+
+
 def assemble_hyperplanes(
     raw: np.ndarray,
     problem: ConstraintProblem,
     cont_points: dict[int, list[np.ndarray]],
     min_normal_norm: float = 1e-6,
+    tape: list | None = None,
 ) -> list[HyperplaneParam] | None:
     """Turn raw (k, d+1) parameters into hyperplanes satisfying every
     orthogonality pair and containment point exactly.  Returns None when a
     projection collapses the normal (degenerate raw input) or the normal
     part of a unit plane falls below max(min_normal_norm, MIN_NORMAL_NORM),
-    so every plane returned is a valid `HyperplaneParam`."""
+    so every plane returned is a valid `HyperplaneParam`.
+
+    Plane i's raw normal is projected onto the orthogonal complement of its
+    constraints: the unit normals of its earlier orthogonality partners and
+    the differences of its containment points, orthonormalised by
+    Gram-Schmidt.  Its offset is pinned through its first containment point,
+    if any, and the plane is normalised.  When `tape` is a list, one entry
+    per plane is appended for `_assembly_vjp`."""
     k = problem.k
     d = raw.shape[1] - 1
     min_normal_norm = max(min_normal_norm, MIN_NORMAL_NORM)
     unit_normals: list[np.ndarray] = []
     planes: list[HyperplaneParam] = []
     for i in range(1, k + 1):
-        n = raw[i - 1, :d].astype(float)
-        constraints = [unit_normals[r - 1] for (r, s) in problem.ortho if s == i]
+        partners = [r for (r, s) in problem.ortho if s == i]
         pts = cont_points.get(i, [])
+        constraints = [unit_normals[r - 1] for r in partners]
         constraints.extend(p - pts[0] for p in pts[1:])
-        if constraints:
-            basis = np.stack(constraints, axis=1)
-            q, _ = np.linalg.qr(basis)
-            n = n - q @ (q.T @ n)
+        basis = _orthonormal_basis(constraints)
+        n = _project_out(raw[i - 1, :d].astype(float), basis)
         if _norm(n) < 1e-9:
             return None
         v = np.empty(d + 1)
         v[:d] = n
         v[d] = n @ pts[0] if pts else raw[i - 1, d]
-        v /= _norm(v)
+        w_norm = _norm(v)
+        v /= w_norm
         normal_norm = _norm(v[:d])
         if not normal_norm >= min_normal_norm:  # also catches NaN from non-finite raw input
             return None
         unit_normals.append(v[:d] / normal_norm)
         planes.append(HyperplaneParam._adopt(v))
+        if tape is not None:
+            tape.append((partners, constraints, basis, n, w_norm))
     return planes
+
+
+def _assembly_vjp(
+    raw: np.ndarray,
+    cont_points: dict[int, list[np.ndarray]],
+    planes: Sequence[HyperplaneParam],
+    tape: list,
+    grad: np.ndarray,
+) -> np.ndarray:
+    """Pull the gradient with respect to the assembled plane vectors,
+    (k, d+1), back to the raw parameters through `assemble_hyperplanes`
+    (its `tape` holds each plane's intermediates).  Planes are visited
+    last to first, so the gradient reaching a unit normal through later
+    planes' orthogonality projections is complete before its own plane."""
+    k, d = grad.shape[0], grad.shape[1] - 1
+    out = np.zeros_like(grad)
+    grad_unit = np.zeros((k, d))
+    for i in range(k - 1, -1, -1):
+        partners, constraints, basis, n, w_norm = tape[i]
+        v = planes[i].vector
+        # v = w / |w| with w = (n, offset)
+        g_w = (grad[i] - v * (v @ grad[i])) / w_norm
+        g_n = g_w[:d].copy()
+        pts = cont_points.get(i + 1, [])
+        if pts:
+            g_n += g_w[d] * pts[0]  # offset = n . p0
+        else:
+            out[i, d] = g_w[d]
+        # unit normal u = n / |n|, a constraint of later planes; what they
+        # send back (below) is orthogonal to u, so no projection is needed
+        g_n += grad_unit[i] / _norm(n)
+        # n = P n0, P the projection onto the complement of the span of the
+        # constraint columns C: the gradient g of n reaches n0 as P g, and
+        # C as -(P g) a^T - n b^T with a = C+ n0, b = C+ g (C+ = pinv(C)),
+        # the coefficients of n0 and g on the columns of C
+        g_proj = _project_out(g_n, basis)
+        out[i, :d] = g_proj
+        if partners:
+            ab = _span_coefficients(basis, constraints, np.stack([raw[i, :d], g_n], axis=1))
+            for col, r in enumerate(partners):
+                grad_unit[r - 1] -= g_proj * ab[col, 0] + n * ab[col, 1]
+    return out
 
 
 def _coincident(planes: Sequence[HyperplaneParam], tol: float) -> bool:
@@ -266,7 +355,7 @@ def residuals(
             raise ShapeError("hyperplanes live in different dimensions")
     cont = _organize_points(problem, points, d)
 
-    equip, ortho, containment, objective = _evaluate(
+    equip, ortho, containment, objective, _ = _evaluate(
         problem, by_key, cont, hyperplanes, mode, tau, cfg
     )
     return MassArrangementWitness(
@@ -290,21 +379,29 @@ def _evaluate(
     mode: str,
     tau: float | None,
     cfg: SolverConfig,
-) -> tuple[dict[str, np.ndarray], dict[str, float], list[tuple], float]:
+    jac: bool = False,
+) -> tuple[dict[str, np.ndarray], dict[str, float], list[tuple], float, np.ndarray | None]:
     """The objective evaluator behind both the optimizer and `residuals`.
 
     Returns the equipartition deviations per mass "i.j" (orthant masses
     over the mass total, minus the fair share 2^-(k-i+1)), the cosine of
     each orthogonality pair "r-s", (hyperplane, point, signed distance)
-    for each containment point, and the weighted sum of their squares.
+    for each containment point, the weighted sum of their squares, and,
+    with jac=True (smoothed mode), the (k, d+1) gradient of that sum with
+    respect to the plane vectors (else None).  The gradient has only the
+    equipartition terms: assembly keeps the other residuals at zero.
     """
     equip: dict[str, np.ndarray] = {}
     objective = 0.0
+    grad = np.zeros((problem.k, planes[0].dim + 1)) if jac else None
     for (i, j), mass in by_key.items():
-        regions = region_masses(mass, planes, i, mode=mode, tau=tau, tie_eps=cfg.tie_eps)
+        out = region_masses(mass, planes, i, mode=mode, tau=tau, tie_eps=cfg.tie_eps, jac=jac)
+        regions = out[0] if jac else out
         dev = regions / mass.total - 2.0 ** -(problem.k - i + 1)
         equip[f"{i}.{j}"] = dev
         objective += cfg.eq_weight * float(np.dot(dev, dev))
+        if jac:
+            grad[i - 1 :] += np.tensordot(2 * cfg.eq_weight / mass.total * dev, out[1], axes=1)
 
     ortho: dict[str, float] = {}
     for r, s in problem.sorted_ortho():
@@ -321,10 +418,10 @@ def _evaluate(
             r = float((p @ h.normal - h.offset) / scale)
             containment.append((i, p, r))
             objective += cfg.containment_weight * r**2
-    return equip, ortho, containment, objective
+    return equip, ortho, containment, objective, grad
 
 
-def _objective_only(
+def _objective(
     x: np.ndarray,
     problem: ConstraintProblem,
     by_key: dict[tuple[int, int], SampledMass],
@@ -333,18 +430,26 @@ def _objective_only(
     mode: str,
     tau: float | None,
     cfg: SolverConfig,
-) -> float:
-    planes = assemble_hyperplanes(
-        x.reshape(problem.k, d + 1), problem, cont, cfg.min_normal_norm
-    )
+    jac: bool = False,
+) -> float | tuple[float, np.ndarray]:
+    """The objective at raw parameters x: assembly, then `_evaluate`.
+    With jac=True returns (objective, gradient with respect to x), the
+    gradient pulled back through the assembly; a degenerate assembly
+    scores 1e9 with a zero gradient."""
+    raw = x.reshape(problem.k, d + 1)
+    tape: list | None = [] if jac else None
+    planes = assemble_hyperplanes(raw, problem, cont, cfg.min_normal_norm, tape)
     if planes is None:
-        return 1e9
-    return _evaluate(problem, by_key, cont, planes, mode, tau, cfg)[3]
+        return (1e9, np.zeros_like(x)) if jac else 1e9
+    *_, objective, grad = _evaluate(problem, by_key, cont, planes, mode, tau, cfg, jac)
+    if not jac:
+        return objective
+    return objective, _assembly_vjp(raw, cont, planes, tape, grad).ravel()
 
 
 def _data_diameter(masses: Sequence[SampledMass]) -> float:
-    lo = np.min([m.points.min(axis=0) for m in masses], axis=0)
-    hi = np.max([m.points.max(axis=0) for m in masses], axis=0)
+    lo = np.min([m.coords.min(axis=1) for m in masses], axis=0)
+    hi = np.max([m.coords.max(axis=1) for m in masses], axis=0)
     return max(float(np.linalg.norm(hi - lo)), 1e-6)
 
 
@@ -375,17 +480,14 @@ def _seeded_raw(
     mass means, so seed hyperplane l through those means (exactly, for up
     to d of them), leaving the remaining directions random."""
     raw = rng.standard_normal((problem.k, d + 1))
-    means = {key: mass.points.mean(axis=0) for key, mass in by_key.items()}
+    means = {key: mass.coords.mean(axis=1) for key, mass in by_key.items()}
     for plane in range(1, problem.k + 1):
         pts = [means[key] for key in sorted(means) if key[0] <= plane]
         if not pts:
             continue
         base = pts[0]
         dirs = [p - base for p in pts[1:]][: d - 1]
-        n = raw[plane - 1, :d].copy()
-        if dirs:
-            q, _ = np.linalg.qr(np.stack(dirs, axis=1))
-            n = n - q @ (q.T @ n)
+        n = _project_out(raw[plane - 1, :d], _orthonormal_basis(dirs))
         if np.linalg.norm(n) < 1e-9:
             continue
         raw[plane - 1, :d] = n
@@ -422,20 +524,21 @@ def _run_start(args) -> tuple[int, float, np.ndarray, int]:
         head = head_taus[-min(6, len(head_taus)) :] if seeded else head_taus
         schedule = [(tau, anneal_key, cfg.anneal_maxiter) for tau in head]
         schedule += [(tau, by_key, 2 * cfg.anneal_maxiter) for tau in tail_taus]
-        # Intermediate temperatures are deliberately left under-converged
-        # (default NM tolerances): over-polishing each tau traps the
-        # iterate; the schedule itself does the converging.
+        # Each smoothed stage is an L-BFGS run on the analytic gradient,
+        # capped at maxiter iterations with the default tolerances: the
+        # schedule, not any one temperature, does the converging.
         for tau, keys, maxiter in schedule:
             res = minimize(
-                _objective_only,
+                _objective,
                 x,
-                args=(problem, keys, cont, d, "smoothed", float(tau), cfg),
-                method="Nelder-Mead",
-                options={"maxiter": maxiter, "adaptive": True},
+                args=(problem, keys, cont, d, "smoothed", float(tau), cfg, True),
+                method="L-BFGS-B",
+                jac=True,
+                options={"maxiter": maxiter},
             )
             x = res.x
         res = minimize(
-            _objective_only,
+            _objective,
             x,
             args=(problem, by_key, cont, d, "hard", None, cfg),
             method="Nelder-Mead",
@@ -448,7 +551,7 @@ def _run_start(args) -> tuple[int, float, np.ndarray, int]:
         restarts += 1
         if restarts > cfg.max_degenerate_restarts:
             break
-    value = _objective_only(x, problem, by_key, cont, d, "hard", None, cfg)
+    value = _objective(x, problem, by_key, cont, d, "hard", None, cfg)
     return (start, float(value), x, restarts)
 
 
@@ -492,6 +595,8 @@ def solve(
             if cfg.stop_on_success and out[1] < cfg.tol:
                 break
     else:
+        from concurrent.futures import ProcessPoolExecutor  # only a parallel solve needs it
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             stop = False
             for chunk_lo in range(0, cfg.starts, jobs):

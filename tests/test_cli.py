@@ -1,9 +1,11 @@
 import contextlib
 import io
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from equipart.cli import run
@@ -258,6 +260,37 @@ def test_solve_zero_starts_exit_2(tmp_path, capsys):
     assert json.loads(lines[0])["error"] == "ConfigurationError: starts must be >= 1, got 0"
 
 
+def run_quiet(argv):
+    """Run the CLI in-process; returns (exit code, stdout, stderr)."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def assert_clean_exit(code, out, err, kinds=("usage",)):
+    """The exit code is 0, 1 or 2, exit 2 prints exactly one JSON error
+    line on stderr, and no run prints a traceback."""
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err
+    if code == 2:
+        lines = [line for line in err.splitlines() if line.strip()]
+        assert len(lines) == 1
+        assert json.loads(lines[0])["kind"] in kinds
+    return code
+
+
+def run_with_documents(argv, **documents):
+    """Write each document as JSON to a temporary file and run the CLI
+    with --<name> <file> appended for each."""
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, doc in documents.items():
+            path = Path(tmp) / f"{name}.json"
+            path.write_text(json.dumps(doc))
+            argv = argv + [f"--{name}", str(path)]
+        return run_quiet(argv)
+
+
 # Problem flag values: well-formed lists (of any length, so often not k),
 # or fragments of numbers, separators and junk.
 FLAG_TEXT = st.text(alphabet="0123456789,-;x ", max_size=8)
@@ -284,17 +317,126 @@ def test_problem_flags_fuzz(command, k, d, mode, m, a, ortho, extra):
             f"--extra={extra}"]
     if command == "check":
         argv += ["--d", str(d), "--mode", mode]
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = run(argv)
-    assert code in (0, 1, 2)
-    assert "Traceback" not in err.getvalue()
-    if code == 2:
-        lines = [line for line in err.getvalue().splitlines() if line.strip()]
-        assert len(lines) == 1
-        assert json.loads(lines[0])["kind"] == "usage"
-    else:
-        assert json.loads(out.getvalue())["schema_version"] == 1
+    code, out, err = run_quiet(argv)
+    if assert_clean_exit(code, out, err) != 2:
+        assert json.loads(out)["schema_version"] == 1
+
+
+GOOD_MASSES = [{"label": "1.1", "mixture": [{"mean": [0, 0], "cov": "I", "weight": 1}], "N": 6}]
+
+
+@pytest.mark.parametrize(
+    "command, documents, field",
+    [
+        ("atlas", {"spec": [1, 2]}, "atlas spec"),
+        ("atlas", {"spec": {"k": 3, "d_range": [2]}}, "d_range"),
+        ("atlas", {"spec": {"k": 2, "d_range": [2, 2], "ortho_universe": [5]}},
+         "ortho_universe[0]"),
+        ("atlas", {"spec": {"k": 2, "d_range": [2, 2], "max_m": float("inf")}}, "max_m"),
+        ("solve", {"problem": {"k": 1, "m": [1]}, "masses": {"d": 2, "masses": [1]}}, "masses[0]"),
+        ("solve", {"problem": {"k": 1, "m": [1], "a": [1]},
+                   "masses": {"d": 2, "masses": GOOD_MASSES, "points": [5]}}, "points[0]"),
+    ],
+)
+def test_malformed_documents_exit_2(command, documents, field):
+    code, out, err = run_with_documents([command], **documents)
+    assert assert_clean_exit(code, out, err) == 2 and out == ""
+    assert json.loads(err)["error"].startswith(f"ConfigurationError: {field} must be")
+
+
+# JSON values of every type, for fields that are meant to hold something else.
+JUNK = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 8) | st.floats() | st.text(max_size=3),
+    lambda inner: (st.lists(inner, max_size=3)
+                   | st.dictionaries(st.text(max_size=3), inner, max_size=3)),
+    max_leaves=6,
+)
+
+
+def maybe(strategy):
+    """A well-formed value about seven times in eight, otherwise JSON junk
+    (keyed on a middle value: hypothesis favours the ends of a range)."""
+    return st.integers(0, 7).flatmap(lambda n: JUNK if n == 3 else strategy)
+
+
+PAIRS = st.lists(
+    st.one_of(
+        st.tuples(st.integers(1, 2), st.integers(1, 2)).map(lambda t: [t[0], t[0] + t[1]]),
+        st.lists(st.integers(0, 4), max_size=3),
+    ),
+    max_size=3,
+)
+ATLAS_SPECS = maybe(
+    st.fixed_dictionaries(
+        {"k": maybe(st.integers(1, 3)),
+         "d_range": maybe(st.one_of(
+             st.tuples(st.integers(1, 3), st.integers(0, 1)).map(lambda t: [t[0], t[0] + t[1]]),
+             st.lists(st.integers(0, 4), max_size=3),
+         ))},
+        optional={
+            "mode": maybe(st.sampled_from(["strict", "relaxed", "loose"])),
+            "max_m": maybe(st.integers(-1, 2)),
+            "max_a": maybe(st.integers(0, 1)),
+            "allow_ortho": maybe(st.booleans()),
+            "allow_affine": maybe(st.booleans()),
+            "ortho_universe": maybe(st.sampled_from(["all", "last", "not12", "none"]) | PAIRS),
+            "require_optimal": maybe(st.booleans()),
+            "require_maximal_j": maybe(st.none() | st.integers(0, 3)),
+            "require_balanced": maybe(st.booleans()),
+            "candidate_limit": maybe(st.integers(-1, 10_000)),
+        },
+    )
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(spec=ATLAS_SPECS, fmt=st.sampled_from(["json", "csv", "markdown"]))
+def test_atlas_spec_fuzz(spec, fmt):
+    code, out, err = run_with_documents(["atlas", "--format", fmt], spec=spec)
+    assert_clean_exit(code, out, err, kinds=("usage", "search-space"))
+    assert code != 1
+    if code == 0 and fmt == "json":
+        assert json.loads(out)["schema_version"] == 1
+    elif code == 0:
+        assert out.startswith({"csv": "k,d,m,", "markdown": "| k | d |"}[fmt])
+    event(f"exit {code}")
+
+
+@st.composite
+def mass_specs(draw):
+    d = draw(st.integers(1, 3))
+    coords = maybe(st.lists(st.floats(-5, 5), min_size=d, max_size=d))
+    component = maybe(st.fixed_dictionaries({"mean": coords}, optional={
+        "cov": maybe(st.one_of(st.just("I"), st.floats(0.1, 2.0),
+                               st.lists(st.lists(st.floats(-1, 1), max_size=2), max_size=2))),
+        "weight": maybe(st.floats(0.1, 2.0)),
+    }))
+    mass = maybe(st.fixed_dictionaries(
+        {"mixture": maybe(st.lists(component, min_size=1, max_size=2)),
+         "N": maybe(st.integers(1, 6))},
+        optional={"label": maybe(st.sampled_from(["1.1", "1.2"])),
+                  "total": maybe(st.floats(0.5, 2.0))},
+    ))
+    point = maybe(st.fixed_dictionaries({"hyperplane": maybe(st.just(1)), "coords": coords}))
+    return draw(maybe(st.fixed_dictionaries(
+        {"d": maybe(st.just(d)),
+         "masses": maybe(st.lists(mass, min_size=1, max_size=2)),
+         "points": maybe(st.lists(point, min_size=1, max_size=2))},
+    )))
+
+
+@settings(max_examples=100, deadline=None)
+@given(masses=mass_specs())
+def test_mass_spec_fuzz(masses):
+    # hyperplane 1 bisects mass 1.1 through one prescribed point; a
+    # well-formed document runs one solver start on at most 6 points
+    code, out, err = run_with_documents(
+        ["solve", "--starts", "1"], problem={"k": 1, "m": [1], "a": [1]}, masses=masses
+    )
+    assert_clean_exit(code, out, err)
+    if code != 2:
+        assert json.loads(out)["schema_version"] == 1
+    event(f"exit {code}")
 
 
 def test_usage_error_single_line(capsys):

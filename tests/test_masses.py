@@ -1,3 +1,5 @@
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -45,6 +47,21 @@ def test_sampled_mass_rejects_non_finite_input():
         SampledMass(np.zeros((2, 2)), [1.0, inf], "1.1")
     with pytest.raises(RangeError):
         SampledMass(np.zeros((2, 2)), [1.0, nan], "1.1")
+
+
+def test_sampled_mass_stores_coordinates_once_coordinate_major():
+    pts = np.random.default_rng(3).standard_normal((50, 3))
+    w = np.random.default_rng(4).uniform(0.1, 2.0, 50)
+    mass = SampledMass(pts, w, "1.1")
+    assert mass.coords.shape == (3, 50) and mass.coords.flags.c_contiguous
+    assert mass.points.base is mass.coords and np.array_equal(mass.points, pts)
+    assert not (mass.coords.flags.writeable or mass.points.flags.writeable)
+    assert mass.dim == 3 and mass.total == float(w.sum())
+    # worker processes receive the same layout, read-only and one copy
+    again = pickle.loads(pickle.dumps(mass))
+    assert again.points.base is again.coords and again.coords.flags.c_contiguous
+    assert not (again.coords.flags.writeable or again.weights.flags.writeable)
+    assert np.array_equal(again.coords, mass.coords) and again.total == mass.total
 
 
 def test_gaussian_mixture_sampling():
@@ -267,6 +284,8 @@ def test_region_masses_errors():
         region_masses(mass, [h], 1, mode="smoothed", tau=None)
     with pytest.raises(ConfigurationError):
         region_masses(mass, [h], 1, mode="fuzzy")
+    with pytest.raises(ConfigurationError):
+        region_masses(mass, [h], 1, jac=True)  # hard masses are piecewise constant
 
 
 def test_load_mass_spec():

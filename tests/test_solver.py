@@ -3,6 +3,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import equipart.solver
 from equipart.exceptions import ConfigurationError, RangeError, ShapeError
@@ -220,6 +222,53 @@ def test_every_objective_evaluation_assembles_and_counts_regions(monkeypatch):
     assert w.success and calls["nfev"] > 0
     assert calls["assemble_hyperplanes"] > calls["nfev"]
     assert calls["region_masses"] > 2 * calls["nfev"]
+
+
+@st.composite
+def smoothed_objectives(draw):
+    """A constrained instance with small sampled masses on several stages,
+    containment points and a temperature: the arguments of `_objective`
+    in smoothed mode.  Every plane keeps at least one free direction."""
+    k, d = draw(st.integers(1, 3)), draw(st.integers(2, 3))
+    m = tuple(draw(st.integers(0, 2)) for _ in range(k))
+    assume(sum(m) > 0)
+    pairs = [(r, s) for s in range(1, k + 1) for r in range(1, s)]
+    ortho = draw(st.sets(st.sampled_from(pairs))) if pairs else set()
+    a = tuple(draw(st.integers(0, 2)) for _ in range(k))
+    for i in range(1, k + 1):
+        assume(sum(s == i for _, s in ortho) + max(a[i - 1] - 1, 0) <= d - 1)
+    problem = ConstraintProblem.of(k, m=m, a=a, ortho=sorted(ortho))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    masses = [
+        sample_gaussian_mixture(
+            [{"mean": list(rng.uniform(-1, 1, d)), "cov": "I", "weight": 1}],
+            150, rng.integers(2**32), label=f"{i}.{j}",
+        )
+        for i in range(1, k + 1)
+        for j in range(1, m[i - 1] + 1)
+    ]
+    points = [(i, rng.uniform(-1, 1, d)) for i in range(1, k + 1) for _ in range(a[i - 1])]
+    by_key = equipart.solver._organize_masses(problem, masses)
+    cont = equipart.solver._organize_points(problem, points, d)
+    tau = draw(st.sampled_from([1e-2, 0.1, 1.0]))
+    return rng.standard_normal(k * (d + 1)), (problem, by_key, cont, d, "smoothed", tau, FAST)
+
+
+@settings(max_examples=80, deadline=None)
+@given(smoothed_objectives())
+def test_smoothed_gradient_matches_central_differences(drawn):
+    x, args = drawn
+    objective = equipart.solver._objective
+    value, grad = objective(x, *args, jac=True)
+    assume(value < 1e9)  # a degenerate assembly has no gradient
+    assert value == objective(x, *args)
+    h = 1e-6
+    numeric = np.empty_like(x)
+    for c in range(x.size):
+        step = np.zeros_like(x)
+        step[c] = h
+        numeric[c] = (objective(x + step, *args) - objective(x - step, *args)) / (2 * h)
+    assert np.max(np.abs(grad - numeric)) <= 1e-6 + 1e-5 * np.max(np.abs(numeric))
 
 
 def test_solve_bisection_small():

@@ -1,5 +1,6 @@
 """Start-up cost: importing the package and answering certificate queries
-loads no scipy module; only a solve imports scipy.optimize."""
+loads no scipy module and no concurrent.futures module; only a solve
+imports scipy.optimize, and only jobs > 1 a process pool."""
 
 import json
 import os
@@ -7,14 +8,19 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 PROBE = """
 import contextlib, io, json, sys
 import equipart, equipart.cli
 
+def modules(name):
+    return sorted(m for m in sys.modules if m == name or m.startswith(name + "."))
+
 def scipy_modules():
-    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+    return modules("scipy")
 
 imported = scipy_modules()
 codes = []
@@ -29,6 +35,7 @@ with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.St
     ):
         codes.append(equipart.cli.run(argv))
 queried = scipy_modules()
+pools = modules("concurrent.futures")
 mass = equipart.sample_gaussian_mixture(
     [{"mean": [0.0, 0.0], "cov": "I", "weight": 1}], 200, seed=0
 )
@@ -37,11 +44,12 @@ equipart.solve(
     config=equipart.SolverConfig(starts=1, tau_stages=2),
 )
 print(json.dumps({"codes": codes, "imported": imported, "queried": queried,
-                  "solved": scipy_modules()}))
+                  "solved": scipy_modules(), "pools": pools}))
 """
 
 
-def test_scipy_loads_only_when_a_solve_runs():
+@pytest.fixture(scope="module")
+def probe():
     path = os.pathsep.join(p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p)
     proc = subprocess.run(
         [sys.executable, "-c", PROBE],
@@ -51,7 +59,15 @@ def test_scipy_loads_only_when_a_solve_runs():
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    doc = json.loads(proc.stdout.splitlines()[-1])
-    assert doc["codes"] == [0, 0, 0, 0, 0, 0]
-    assert doc["imported"] == [] and doc["queried"] == []
-    assert "scipy.optimize" in doc["solved"]
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_scipy_loads_only_when_a_solve_runs(probe):
+    assert probe["codes"] == [0, 0, 0, 0, 0, 0]
+    assert probe["imported"] == [] and probe["queried"] == []
+    assert "scipy.optimize" in probe["solved"]
+
+
+def test_no_process_pool_module_without_parallel_jobs(probe):
+    # the package import and the jobs=1 queries, atlas included
+    assert probe["pools"] == []
