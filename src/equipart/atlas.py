@@ -19,7 +19,8 @@ from typing import Any, Iterable, Iterator
 
 from . import jsontypes, knownvalues
 from .certify import Certificate, check
-from .exceptions import ConfigurationError, SearchSpaceError
+from .exceptions import ConfigurationError, RangeError, SearchSpaceError
+from .gf2 import RingShape
 from .problems import (
     Classification,
     ConstraintProblem,
@@ -202,9 +203,23 @@ def enumerate_rows(query: AtlasQuery, jobs: int = 1) -> Iterator[AtlasRow]:
         raise ConfigurationError(f"bad d range {query.d_range}")
     if query.mode not in ("strict", "relaxed"):
         raise ConfigurationError(f"bad mode {query.mode!r}")
+    if query.k < 1:
+        raise ConfigurationError(f"k must be >= 1, got {query.k}")
+    try:
+        # every candidate's ring is at least this large; refusing here also
+        # keeps a huge k from building its pairs or counting its box
+        RingShape(query.k, lo)
+    except RangeError as exc:
+        raise SearchSpaceError(f"search space too large: {exc}") from None
     estimate = query.candidate_estimate()
     if estimate > query.candidate_limit:
-        raise SearchSpaceError(estimate, query.candidate_limit)
+        small = estimate.bit_length() <= 64
+        count = f"~{estimate}" if small else f"over 2^{estimate.bit_length() - 1}"
+        raise SearchSpaceError(
+            f"search space too large: {count} candidates exceeds limit "
+            f"{query.candidate_limit}",
+            estimate if small else None,
+        )
 
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor  # only a parallel query needs it

@@ -194,17 +194,17 @@ def transfer_by_domination(
 # closed-form identity verifiers
 # ----------------------------------------------------------------------
 def _permutation_sum(
-    shape: RingShape, variables: list[int], exponents: list[int]
-) -> TruncatedPolynomial:
-    """XOR of monomials u_{sigma(v_1)}^{e_1} * ... over all permutations
-    sigma of `variables` (1-based)."""
-    support = []
+    k: int, variables: list[int], exponents: list[int]
+) -> tuple[tuple[int, ...], ...]:
+    """Sorted support of the XOR of monomials u_{sigma(v_1)}^{e_1} * ...
+    over all permutations sigma of `variables` (1-based)."""
+    support: set[tuple[int, ...]] = set()
     for perm in permutations(variables):
-        exps = [0] * shape.k
+        exps = [0] * k
         for var, e in zip(perm, exponents):
             exps[var - 1] = e
-        support.append(tuple(exps))
-    return TruncatedPolynomial.from_support(shape, support)
+        support ^= {tuple(exps)}
+    return tuple(sorted(support))
 
 
 def verify_vandermonde(k: int, j: int, d: int) -> bool:
@@ -225,7 +225,7 @@ def verify_vandermonde(k: int, j: int, d: int) -> bool:
     lhs = product_of_forms(shape, forms)
     variables = list(range(j, k + 1))
     exponents = list(range(k - j, -1, -1))
-    return lhs == _permutation_sum(shape, variables, exponents)
+    return lhs.support() == _permutation_sum(k, variables, exponents)
 
 
 def verify_dickson(k: int, i: int, d: int) -> bool:
@@ -239,7 +239,7 @@ def verify_dickson(k: int, i: int, d: int) -> bool:
     lhs = product_of_forms(shape, nonzero_vectors_on(k, i))
     variables = list(range(i, k + 1))
     exponents = [2**e for e in range(k - i, -1, -1)]
-    return lhs == _permutation_sum(shape, variables, exponents)
+    return lhs.support() == _permutation_sum(k, variables, exponents)
 
 
 def verify_pki_ortho(k: int, i: int, d: int) -> bool:
@@ -260,4 +260,4 @@ def verify_pki_ortho(k: int, i: int, d: int) -> bool:
     lhs = product_of_forms(shape, forms)
     variables = list(range(i, k + 1))
     exponents = list(range(k - 1, i - 2, -1))
-    return lhs == _permutation_sum(shape, variables, exponents)
+    return lhs.support() == _permutation_sum(k, variables, exponents)

@@ -41,11 +41,10 @@ class ConfigurationError(EquipartError):
 
 
 class SearchSpaceError(EquipartError):
-    """Atlas refusal: the candidate count estimate exceeds the limit."""
+    """Atlas refusal: the query asks for more than can be searched.
+    `estimate` is the candidate count when that was the reason and it
+    fits in 64 bits, else None."""
 
-    def __init__(self, estimate: int, limit: int):
-        super().__init__(
-            f"search space too large: ~{estimate} candidates exceeds limit {limit}"
-        )
+    def __init__(self, message: str, estimate: int | None = None):
+        super().__init__(message)
         self.estimate = estimate
-        self.limit = limit

@@ -1,33 +1,31 @@
 """Exact arithmetic in the truncated polynomial ring Z2[u1..uk] / (u1^{d+1}, ..., uk^{d+1}).
 
-Elements are stored as a dense k-dimensional bit array with one cell per
-exponent tuple in {0..d}^k; axis i-1 carries the exponent of u_i.  Addition
-is XOR.  Values are immutable after construction.
-
-Products of linear forms u_{i1}+...+u_{ij}, the certificates' one hot
-path, are computed by `product_of_forms` without the dense array: a
-product of j forms is homogeneous of degree j, so it is held as a
-(d+1)^(k-1) slice over the exponents of u1..u_{k-1}, the exponent of u_k
-being j minus the cell's exponent sum.  Forms are grouped by
-multiplicity and applied with the Frobenius identity
-l^(2^b) = sum_{i in l} u_i^(2^b) over GF(2): one shift-XOR pass per set
-bit of the multiplicity, with exponents past d dropped eagerly.  Only the
-final product is expanded to a dense element."""
+The one operation the certificates need is the product of linear forms
+u_{i1}+...+u_{ij}, computed by `product_of_forms`.  A product of j forms
+is homogeneous of degree j, so it is held as a (d+1)^(k-1) slice over
+the exponents of u1..u_{k-1}, the exponent of u_k being j minus the
+cell's exponent sum.  Forms are grouped by multiplicity and applied with
+the Frobenius identity l^(2^b) = sum_{i in l} u_i^(2^b) over GF(2): one
+shift-XOR pass per set bit of the multiplicity, with exponents past d
+dropped eagerly.  The result is a `TruncatedPolynomial`: the ring and
+the sorted support read off the final slice."""
 
 from __future__ import annotations
 
 import hashlib
 import json
+import math
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
 from .exceptions import RangeError, ShapeError
 
-# Hard cap on ring size: beyond this a dense representation is hopeless
-# and the request is almost certainly a mistake.
+# Cap on (d+1)^k, the ring's count of exponent tuples: a request past it
+# is almost certainly a mistake.  The product kernel itself holds only a
+# (d+1)^(k-1) slice.
 MAX_RING_CELLS = 1 << 26
 
 
@@ -43,18 +41,20 @@ class RingShape:
             raise RangeError(f"k must be a positive integer, got {self.k!r}")
         if not isinstance(self.d, int) or self.d < 0:
             raise RangeError(f"d must be a non-negative integer, got {self.d!r}")
-        if (self.d + 1) ** self.k > MAX_RING_CELLS:
+        # (d+1)^k >= 2^k past the cap once k reaches the cap's bit length,
+        # so a huge k is refused without forming the power
+        if self.d and (
+            self.k >= MAX_RING_CELLS.bit_length() or self.cells > MAX_RING_CELLS
+        ):
             raise RangeError(
-                f"ring with (d+1)^k = {(self.d + 1) ** self.k} cells exceeds "
-                f"the dense-representation cap {MAX_RING_CELLS}"
+                f"ring with k={self.k}, d={self.d} has (d+1)^k = "
+                f"2^{self.k * math.log2(self.d + 1):.1f} cells, past the cap "
+                f"2^{MAX_RING_CELLS.bit_length() - 1}"
             )
 
     @property
     def cells(self) -> int:
         return (self.d + 1) ** self.k
-
-    def contains_exponent(self, exps: Sequence[int]) -> bool:
-        return len(exps) == self.k and all(0 <= e <= self.d for e in exps)
 
 
 @dataclass(frozen=True)
@@ -119,171 +119,34 @@ def nonzero_vectors_on(k: int, lo: int) -> list[SignVector]:
     return out
 
 
+@dataclass(frozen=True)
 class TruncatedPolynomial:
-    """Immutable element of the truncated ring."""
+    """Immutable ring element, held as its support: the exponent tuples
+    with coefficient 1, in lexicographic order."""
 
-    __slots__ = ("shape", "coeffs")
+    shape: RingShape
+    terms: tuple[tuple[int, ...], ...]
 
-    def __init__(self, shape: RingShape, coeffs: np.ndarray):
-        expected = (shape.d + 1,) * shape.k
-        if coeffs.shape != expected:
-            raise ShapeError(f"coefficient array {coeffs.shape} != {expected}")
-        # always copy: freezing a view of the caller's array would lock it
-        arr = np.array(coeffs, dtype=bool, order="C")
-        arr.flags.writeable = False
-        object.__setattr__(self, "shape", shape)
-        object.__setattr__(self, "coeffs", arr)
-
-    def __setattr__(self, name, value):  # pragma: no cover - defensive
-        raise AttributeError("TruncatedPolynomial is immutable")
-
-    @classmethod
-    def _adopt(cls, shape: RingShape, coeffs: np.ndarray) -> "TruncatedPolynomial":
-        """Freeze and wrap a C-ordered bool array of the ring's shape that
-        the caller has just built and keeps no other reference to.  Skips
-        the copy __init__ makes, which would write every cell of a mostly
-        untouched zeroed array."""
-        coeffs.flags.writeable = False
-        p = object.__new__(cls)
-        object.__setattr__(p, "shape", shape)
-        object.__setattr__(p, "coeffs", coeffs)
-        return p
-
-    # ------------------------------------------------------------------
-    # constructors
-    # ------------------------------------------------------------------
-    @classmethod
-    def zero(cls, shape: RingShape) -> "TruncatedPolynomial":
-        return cls._adopt(shape, np.zeros((shape.d + 1,) * shape.k, dtype=bool))
-
-    @classmethod
-    def one(cls, shape: RingShape) -> "TruncatedPolynomial":
-        return cls.monomial(shape, (0,) * shape.k)
-
-    @classmethod
-    def monomial(cls, shape: RingShape, exps: Sequence[int]) -> "TruncatedPolynomial":
-        if not shape.contains_exponent(exps):
-            raise RangeError(
-                f"exponent tuple {tuple(exps)} outside {{0..{shape.d}}}^{shape.k}"
-            )
-        arr = np.zeros((shape.d + 1,) * shape.k, dtype=bool)
-        arr[tuple(exps)] = True
-        return cls(shape, arr)
-
-    @classmethod
-    def from_support(
-        cls, shape: RingShape, support: Iterable[Sequence[int]]
-    ) -> "TruncatedPolynomial":
-        arr = np.zeros((shape.d + 1,) * shape.k, dtype=bool)
-        for exps in support:
-            if not shape.contains_exponent(exps):
-                raise RangeError(
-                    f"exponent tuple {tuple(exps)} outside {{0..{shape.d}}}^{shape.k}"
-                )
-            arr[tuple(exps)] ^= True
-        return cls(shape, arr)
-
-    # ------------------------------------------------------------------
-    # queries
-    # ------------------------------------------------------------------
     def is_zero(self) -> bool:
-        return not self.coeffs.any()
+        return not self.terms
 
     def is_top(self) -> bool:
         """True iff the element is exactly the generator u1^d * ... * uk^d."""
-        if not self.coeffs[(self.shape.d,) * self.shape.k]:
-            return False
-        return self.monomial_count() == 1
-
-    def monomial_count(self) -> int:
-        return int(np.count_nonzero(self.coeffs))
+        return self.terms == ((self.shape.d,) * self.shape.k,)
 
     def support(self) -> tuple[tuple[int, ...], ...]:
-        """Exponent tuples with coefficient 1, sorted lexicographically
-        (the row-major order of the cells)."""
-        idx = np.unravel_index(np.flatnonzero(self.coeffs), self.coeffs.shape)
-        return tuple(zip(*(axis.tolist() for axis in idx)))
-
-    # ------------------------------------------------------------------
-    # arithmetic
-    # ------------------------------------------------------------------
-    def _require_same_ring(self, other: "TruncatedPolynomial") -> None:
-        if self.shape != other.shape:
-            raise ShapeError(f"ring mismatch: {self.shape} vs {other.shape}")
-
-    def __add__(self, other: "TruncatedPolynomial") -> "TruncatedPolynomial":
-        self._require_same_ring(other)
-        return TruncatedPolynomial(self.shape, self.coeffs ^ other.coeffs)
-
-    def __mul__(self, other: "TruncatedPolynomial") -> "TruncatedPolynomial":
-        self._require_same_ring(other)
-        # Iterate over the sparser support, shifting the denser operand.
-        a, b = self, other
-        if a.monomial_count() > b.monomial_count():
-            a, b = b, a
-        k, d = self.shape.k, self.shape.d
-        acc = np.zeros_like(self.coeffs)
-        for row in np.argwhere(a.coeffs):
-            dst = tuple(slice(int(e), None) for e in row)
-            src = tuple(slice(None, d + 1 - int(e)) for e in row)
-            acc[dst] ^= b.coeffs[src]
-        return TruncatedPolynomial(self.shape, acc)
-
-    def __pow__(self, n: int) -> "TruncatedPolynomial":
-        if n < 0:
-            raise RangeError("negative powers are not defined here")
-        result = TruncatedPolynomial.one(self.shape)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            n >>= 1
-            if n:
-                base = base * base
-        return result
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, TruncatedPolynomial):
-            return NotImplemented
-        return self.shape == other.shape and np.array_equal(self.coeffs, other.coeffs)
-
-    def __hash__(self) -> int:
-        return hash((self.shape, self.support()))
-
-    # ------------------------------------------------------------------
-    # serialization
-    # ------------------------------------------------------------------
-    def to_dict(self) -> dict:
-        return {
-            "k": self.shape.k,
-            "d": self.shape.d,
-            "support": [list(t) for t in self.support()],
-        }
-
-    @classmethod
-    def from_dict(cls, obj: dict) -> "TruncatedPolynomial":
-        shape = RingShape(k=int(obj["k"]), d=int(obj["d"]))
-        return cls.from_support(shape, [tuple(t) for t in obj["support"]])
-
-    def canonical_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
+        return self.terms
 
     def digest(self) -> str:
-        return hashlib.sha256(self.canonical_json().encode("ascii")).hexdigest()
-
-    def __str__(self) -> str:
-        terms = []
-        for exps in self.support():
-            factors = [
-                f"u{i + 1}" if e == 1 else f"u{i + 1}^{e}"
-                for i, e in enumerate(exps)
-                if e
-            ]
-            terms.append("*".join(factors) if factors else "1")
-        return " + ".join(terms) if terms else "0"
-
-    def __repr__(self) -> str:
-        return f"TruncatedPolynomial(k={self.shape.k}, d={self.shape.d}, {self})"
+        """SHA-256 of the canonical JSON {"d", "k", "support"}, sorted keys
+        and compact separators."""
+        doc = {
+            "k": self.shape.k,
+            "d": self.shape.d,
+            "support": [list(t) for t in self.terms],
+        }
+        text = json.dumps(doc, sort_keys=True, separators=(",", ":"))
+        return hashlib.sha256(text.encode("ascii")).hexdigest()
 
 
 def product_of_forms(
@@ -314,7 +177,7 @@ def product_of_forms(
                 continue
             s = 1 << b
             if s > d or not acc.any():
-                return TruncatedPolynomial.zero(shape)
+                return TruncatedPolynomial(shape, ())
             nxt = np.zeros_like(acc)
             # u_i^s for i < k shifts axis i by s; the u_k exponent is unchanged
             for ax in range(k - 1):
@@ -330,7 +193,11 @@ def product_of_forms(
                 nxt ^= acc & (degree >= j + s - d)
             acc = nxt
             j += s
+    # row-major slice cells are the exponent tuples in lexicographic order
     cells = np.flatnonzero(acc)
-    dense = np.zeros((d + 1,) * k, dtype=bool)
-    np.put(dense, cells * (d + 1) + (j - degree.ravel()[cells]), True)
-    return TruncatedPolynomial._adopt(shape, dense)
+    columns = [j - degree.ravel()[cells]]
+    for _ in range(k - 1):
+        cells, e = np.divmod(cells, d + 1)
+        columns.append(e)
+    support = tuple(zip(*(c.tolist() for c in reversed(columns))))
+    return TruncatedPolynomial(shape, support)

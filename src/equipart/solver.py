@@ -64,8 +64,6 @@ class SolverConfig:
     stop_on_success: bool = True
     jobs: int = 1
     eq_weight: float = 1.0
-    ortho_weight: float = 1.0
-    containment_weight: float = 1.0
     tie_eps: float = 1e-12
     min_normal_norm: float = 1e-6
     degenerate_tol: float = 1e-6
@@ -386,7 +384,8 @@ def _evaluate(
     Returns the equipartition deviations per mass "i.j" (orthant masses
     over the mass total, minus the fair share 2^-(k-i+1)), the cosine of
     each orthogonality pair "r-s", (hyperplane, point, signed distance)
-    for each containment point, the weighted sum of their squares, and,
+    for each containment point, the sum of their squares (equipartition
+    terms weighted by `eq_weight`), and,
     with jac=True (smoothed mode), the (k, d+1) gradient of that sum with
     respect to the plane vectors (else None).  The gradient has only the
     equipartition terms: assembly keeps the other residuals at zero.
@@ -408,7 +407,7 @@ def _evaluate(
         a, b = planes[r - 1].normal, planes[s - 1].normal
         cosine = float(a @ b / (np.linalg.norm(a) * np.linalg.norm(b)))
         ortho[f"{r}-{s}"] = cosine
-        objective += cfg.ortho_weight * cosine**2
+        objective += cosine**2
 
     containment: list[tuple] = []
     for i in range(1, problem.k + 1):
@@ -417,7 +416,7 @@ def _evaluate(
         for p in cont[i]:
             r = float((p @ h.normal - h.offset) / scale)
             containment.append((i, p, r))
-            objective += cfg.containment_weight * r**2
+            objective += r**2
     return equip, ortho, containment, objective, grad
 
 

@@ -133,6 +133,13 @@ def test_search_space_refusal():
     with pytest.raises(SearchSpaceError) as err:
         list(enumerate_rows(q))
     assert err.value.estimate > 10_000
+    # past 64 bits the count is named by its size only
+    q = AtlasQuery(k=10, d_range=(2, 2), max_m=10**6)
+    with pytest.raises(SearchSpaceError, match=r"over 2\^244 candidates") as err:
+        list(enumerate_rows(q))
+    assert err.value.estimate is None
+    with pytest.raises(ConfigurationError):  # a bad k is not a search-space refusal
+        list(enumerate_rows(AtlasQuery(k=0, d_range=(2, 2))))
 
 
 def test_parallel_enumeration_matches_sequential():

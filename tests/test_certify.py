@@ -1,4 +1,6 @@
+import importlib
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,7 +21,7 @@ from equipart.exceptions import (
     RangeError,
 )
 from equipart.families import cascade_family, last_ortho_family
-from equipart.gf2 import RingShape, TruncatedPolynomial, product_of_forms
+from equipart.gf2 import RingShape, product_of_forms
 from equipart.problems import (
     ConstraintProblem,
     all_pairs,
@@ -62,9 +64,45 @@ def test_check_strict_cascade_big_ring():
     inst = cascade_family(q=3, t=2, k=4)
     assert inst.d == 70
     cert = check(inst.problem, 70)
-    assert cert.certified and cert.h_is_top
-    top = TruncatedPolynomial.from_support(RingShape(4, 70), [(70,) * 4])
-    assert cert.h_digest == top.digest()
+    assert cert.certified and cert.h_is_top and cert.form_count == 280
+
+
+# h_digest values pinned for these ops in perfbench/expected.json, written
+# out so that a change to the canonical JSON the digest hashes shows here
+PINNED_DIGESTS = {
+    "strict/cascade(q=3,t=2,k=4)": (
+        ConstraintProblem.of(4, m=(14, 2, 10, 26)), 70, "strict",
+        "10c1641cf078211402bc0ffafc7e34e101793ed7fea818a4a06f2cdf608c022d"),
+    "relaxed-1/cascade(q=1,t=2,k=4)": (
+        ConstraintProblem.of(4, m=(2, 2, 4, 7)), 16, "relaxed",
+        "2df2ae3fd0c6c30e0d677b98e6b693486afd0398762a0b2e05c648187491ad5b"),
+    # 54 terms; every relaxed-1 product is a single term
+    "min-d/(m=(2, 1, 0, 0), O=all; k=4)/d_max=30": (
+        ConstraintProblem.of(4, m=(2, 1), ortho=all_pairs(4)), 16, "relaxed",
+        "87eff613066ededa4b51bc0e467fc53fb67ec34a29c3d8a0774ba3a981ca23f7"),
+    "control/(m=(7, 2), O={(1,2)}; k=2)/d=12": (
+        ConstraintProblem.of(2, m=(7, 2), ortho=[(1, 2)]), 12, "relaxed",
+        "aba34c423d9cc66fbc40583a84365741e2413f1a280157030de3999e747a29b3"),
+}
+
+
+@pytest.mark.parametrize("op_id", sorted(PINNED_DIGESTS))
+def test_pinned_digests(op_id):
+    problem, d, mode, digest = PINNED_DIGESTS[op_id]
+    assert check(problem, d, mode).h_digest == digest
+
+
+def test_bench_tracing_finds_the_names_it_wraps(monkeypatch):
+    # the traced bench runs outside this suite and wraps package names;
+    # a renamed one would break it silently
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    tracing = importlib.import_module("tracing")
+    with tracing.installed(tracing.SpanRecorder("t")) as recorder:
+        check(ConstraintProblem.of(3, m=(1, 1, 2)), 4, "strict")
+    spans = {s.name: s for s in recorder.spans}
+    assert spans["gf2.product_of_forms"].attrs == {"zero": False}
+    assert "gf2.digest" in spans
+    assert RingShape(4, 70).cells == 71**4  # the pinned gf2.ring_cells reads (d+1)^k
 
 
 def test_check_relaxed_negative_control():

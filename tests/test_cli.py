@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import tempfile
+import time
 from pathlib import Path
 
 import pytest
@@ -9,6 +10,9 @@ from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from equipart.cli import run
+from equipart.problems import ConstraintProblem, compile_forms
+
+from oracle import product_of_forms_oracle
 
 
 def capture(capsys):
@@ -46,6 +50,14 @@ def test_check_verbose_dumps_polynomial(capsys):
     )
     assert code == 0
     assert doc["h_support"] == [[2, 2]]
+    # a relaxed product of several terms, against the brute-force oracle
+    code, doc, _ = run_json(
+        capsys, ["check", "--k", "3", "--m", "4,2", "--d", "16", "--mode", "relaxed", "-v"]
+    )
+    forms = [f.bits for f in compile_forms(ConstraintProblem.of(3, m=(4, 2)))]
+    expect = product_of_forms_oracle(3, 16, forms).sorted_support()
+    assert code == 0 and len(expect) == 4
+    assert doc["h_support"] == [list(t) for t in expect]
 
 
 def test_check_counting_violation_exit_2(capsys):
@@ -183,6 +195,16 @@ def test_atlas_refusal_exit_2(tmp_path, capsys):
     assert code == 2
     msg = json.loads(err.splitlines()[-1])
     assert msg["kind"] == "search-space" and msg["estimate"] > 1000
+
+
+def test_atlas_huge_k_refused_before_counting(capsys):
+    start = time.perf_counter()
+    code = run(["atlas", "--k", "3000", "--d-lo", "2", "--d-hi", "2"])
+    elapsed = time.perf_counter() - start
+    _, err = capture(capsys)
+    assert code == 2 and elapsed < 1.0
+    msg = json.loads(err.splitlines()[-1])
+    assert msg["kind"] == "search-space" and "k=3000, d=2" in msg["error"]
 
 
 def test_solve_end_to_end(tmp_path, capsys):

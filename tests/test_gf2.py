@@ -1,4 +1,5 @@
-import json
+import dataclasses
+import hashlib
 
 import numpy as np
 import pytest
@@ -6,137 +7,72 @@ from hypothesis import given, settings, strategies as st
 
 from equipart.certify import check
 from equipart.exceptions import RangeError, ShapeError
-from equipart.gf2 import (
-    RingShape,
-    SignVector,
-    TruncatedPolynomial,
-    nonzero_vectors_on,
-    product_of_forms,
-)
+from equipart.gf2 import RingShape, SignVector, nonzero_vectors_on, product_of_forms
 from equipart.problems import ConstraintProblem
 
-from oracle import DictPoly, product_of_forms_oracle
+from oracle import product_of_forms_oracle
+
+
+def forms_of(*bits):
+    return [SignVector(b) for b in bits]
 
 
 # ----------------------------------------------------------------------
-# strategies
+# ring shapes and examples
 # ----------------------------------------------------------------------
-shapes = st.builds(
-    RingShape, k=st.integers(min_value=1, max_value=4), d=st.integers(min_value=0, max_value=6)
-)
-
-
-@st.composite
-def shaped_polys(draw, n=1, max_terms=6):
-    shape = draw(shapes)
-    polys = []
-    for _ in range(n):
-        terms = draw(
-            st.lists(
-                st.tuples(*[st.integers(0, shape.d) for _ in range(shape.k)]),
-                max_size=max_terms,
-            )
-        )
-        polys.append(TruncatedPolynomial.from_support(shape, terms))
-    return (shape, *polys)
-
-
-@st.composite
-def shaped_poly_and_form(draw):
-    shape, p = draw(shaped_polys(n=1))
-    bits = draw(
-        st.lists(st.integers(0, 1), min_size=shape.k, max_size=shape.k).filter(any)
-    )
-    return shape, p, SignVector(tuple(bits))
-
-
-def to_oracle(p: TruncatedPolynomial) -> DictPoly:
-    return DictPoly(p.shape.k, p.shape.d, p.support())
-
-
-# ----------------------------------------------------------------------
-# constructors and trivia
-# ----------------------------------------------------------------------
-def test_constants():
-    assert TruncatedPolynomial.zero(RingShape(2, 2)).support() == ()
-    assert TruncatedPolynomial.one(RingShape(3, 4)).support() == ((0, 0, 0),)
-    shape = RingShape(2, 2)
-    assert TruncatedPolynomial.monomial(shape, (2, 2)).support() == ((2, 2),)
-    shape = RingShape(3, 4)
-    assert TruncatedPolynomial.one(shape) == TruncatedPolynomial.monomial(shape, (0, 0, 0))
-
-
-def test_monomial_out_of_range():
-    with pytest.raises(RangeError):
-        TruncatedPolynomial.monomial(RingShape(2, 2), (3, 0))
-    with pytest.raises(RangeError):
-        TruncatedPolynomial.monomial(RingShape(2, 2), (0, -1))
-
-
 def test_ring_shape_validation_and_cap():
     with pytest.raises(RangeError):
         RingShape(0, 2)
     with pytest.raises(RangeError):
         RingShape(2, -1)
     with pytest.raises(RangeError):
-        RingShape(6, 30)  # 31^6 cells, past the dense-representation cap
+        RingShape(6, 30)  # 31^6 cells, past the ring-size cap of 2^26
+    with pytest.raises(RangeError, match="k=10000, d=2"):
+        RingShape(10000, 2)  # refused without forming 3^10000
+    assert RingShape(4, 70).cells == 71**4
+    assert RingShape(10000, 0).cells == 1
 
 
-def test_add_examples():
-    shape = RingShape(2, 2)
-    u1 = TruncatedPolynomial.monomial(shape, (1, 0))
-    u2 = TruncatedPolynomial.monomial(shape, (0, 1))
-    assert (u1 + u1).is_zero()
-    assert (u1 + u2).support() == ((0, 1), (1, 0))
-    assert ((u1 + u2) + u2) == u1
-
-
-def test_add_shape_mismatch():
-    with pytest.raises(ShapeError):
-        TruncatedPolynomial.one(RingShape(2, 2)) + TruncatedPolynomial.one(RingShape(2, 3))
+def test_product_of_forms_shape_mismatch():
     with pytest.raises(ShapeError):
         product_of_forms(RingShape(2, 2), [SignVector((1, 0, 0))])
 
 
-def test_single_form_product_examples():
-    shape = RingShape(2, 2)
-    p = TruncatedPolynomial.monomial(shape, (1, 1))
-    assert (p * product_of_forms(shape, [SignVector((1, 1))])).support() == ((1, 2), (2, 1))
-
-    shape1 = RingShape(1, 1)
-    u1 = TruncatedPolynomial.monomial(shape1, (1,))
-    assert (u1 * product_of_forms(shape1, [SignVector((1,))])).is_zero()
-
-    shape3 = RingShape(3, 2)
-    assert product_of_forms(shape3, [SignVector((0, 1, 0))]).support() == ((0, 1, 0),)
-
-
-def test_mul_examples():
-    shape = RingShape(2, 3)
-    u1 = TruncatedPolynomial.monomial(shape, (1, 0))
-    u2 = TruncatedPolynomial.monomial(shape, (0, 1))
-    s = u1 + u2
-    assert (s * s).support() == ((0, 2), (2, 0))  # cross terms cancel mod 2
-
-    d2 = RingShape(2, 2)
-    v1 = TruncatedPolynomial.monomial(d2, (1, 0))
-    v2 = TruncatedPolynomial.monomial(d2, (0, 1))
-    assert (TruncatedPolynomial.monomial(d2, (2, 1)) * v1).is_zero()
-    assert (v1 * v2 * (v1 + v2)).support() == ((1, 2), (2, 1))
-
-
-def test_is_top_is_zero():
-    shape = RingShape(2, 3)
-    top = TruncatedPolynomial.monomial(shape, (3, 3))
-    assert top.is_top()
-    z = TruncatedPolynomial.zero(shape)
-    assert z.is_zero() and not z.is_top()
-    assert not (top + TruncatedPolynomial.monomial(shape, (3, 0))).is_top()
+def test_constants():
+    # the empty product is one
+    assert product_of_forms(RingShape(3, 4), []).support() == ((0, 0, 0),)
 
 
 def test_top_of_d0_ring():
     # d = 0: the ring is GF(2) and the unit is also the top class
-    assert TruncatedPolynomial.one(RingShape(2, 0)).is_top()
+    assert product_of_forms(RingShape(2, 0), []).is_top()
+
+
+def test_single_form_product_examples():
+    # u1 * u2 * (u1 + u2)
+    h = product_of_forms(RingShape(2, 2), forms_of((1, 0), (0, 1), (1, 1)))
+    assert h.support() == ((1, 2), (2, 1))
+    assert product_of_forms(RingShape(1, 1), forms_of((1,), (1,))).is_zero()
+    assert product_of_forms(RingShape(3, 2), forms_of((0, 1, 0))).support() == ((0, 1, 0),)
+
+
+def test_mul_examples():
+    # (u1 + u2)^2: the cross terms cancel mod 2
+    h = product_of_forms(RingShape(2, 3), forms_of((1, 1), (1, 1)))
+    assert h.support() == ((0, 2), (2, 0))
+    # u1^2 * u2 * u1 passes u1^2 in a d=2 ring
+    assert product_of_forms(RingShape(2, 2), forms_of((1, 0), (1, 0), (0, 1), (1, 0))).is_zero()
+
+
+def test_is_top_is_zero():
+    shape = RingShape(2, 3)
+    top = product_of_forms(shape, forms_of(*[(1, 0)] * 3, *[(0, 1)] * 3))
+    assert top.is_top() and not top.is_zero()
+    z = product_of_forms(shape, forms_of(*[(1, 1)] * 4))  # u1^4 + u2^4, both past d
+    assert z.is_zero() and not z.is_top()
+    # u1^3 * u2 * (u1 + u2) = u1^3 * u2^2, nonzero below the top class
+    h = product_of_forms(shape, forms_of(*[(1, 0)] * 3, (0, 1), (1, 1)))
+    assert h.support() == ((3, 2),) and not h.is_top()
 
 
 def test_product_of_forms_single_variable():
@@ -169,24 +105,33 @@ def test_product_of_forms_full_ortho_negative_control():
 # ----------------------------------------------------------------------
 # properties against the brute-force oracle
 # ----------------------------------------------------------------------
-@settings(max_examples=60, deadline=None)
-@given(shaped_polys(n=2))
-def test_mul_matches_oracle(data):
-    shape, p, q = data
-    expect = to_oracle(p).mul(to_oracle(q)).sorted_support()
-    assert (p * q).support() == expect
+@st.composite
+def shaped_form(draw):
+    k = draw(st.integers(1, 4))
+    d = draw(st.integers(0, 6))
+    bits = draw(st.lists(st.integers(0, 1), min_size=k, max_size=k).filter(any))
+    return RingShape(k, d), SignVector(tuple(bits))
 
 
 @settings(max_examples=60, deadline=None)
-@given(shaped_poly_and_form())
-def test_single_form_product_matches_oracle_and_general_mul(data):
-    shape, p, form = data
-    expect = to_oracle(p).mul_form(form.bits).sorted_support()
+@given(shaped_form())
+def test_single_form_product_matches_oracle(data):
+    shape, form = data
     h = product_of_forms(shape, [form])
-    assert (p * h).support() == expect
-    # the product of one form is the form itself, u_i for i in its support
-    units = [tuple(int(j == i - 1) for j in range(shape.k)) for i in form.support()]
-    assert h == TruncatedPolynomial.from_support(shape, units if shape.d >= 1 else [])
+    expect = product_of_forms_oracle(shape.k, shape.d, [form.bits]).sorted_support()
+    assert h.support() == expect
+
+
+@settings(max_examples=60, deadline=None)
+@given(shaped_form(), st.integers(0, 3))
+def test_frobenius(data, b):
+    # l^(2^b) = sum of u_i^(2^b) over the support of l, the identity the
+    # kernel's passes rest on; b = 0 says a one-form product is the form
+    shape, form = data
+    s = 1 << b
+    h = product_of_forms(shape, [form] * s)
+    powers = [tuple(s * int(j == i - 1) for j in range(shape.k)) for i in form.support()]
+    assert h.support() == (tuple(sorted(powers)) if s <= shape.d else ())
 
 
 @st.composite
@@ -221,34 +166,6 @@ def test_product_of_forms_matches_oracle(data):
         assert relaxed.h_is_top == (expect == ((dd,) * k,))
         if len(forms) == k * dd:
             assert check(problem, dd, "strict").certified == (expect == ((dd,) * k,))
-
-
-@settings(max_examples=40, deadline=None)
-@given(shaped_polys(n=3))
-def test_ring_axioms(data):
-    shape, p, q, r = data
-    assert p + q == q + p
-    assert (p + q) + r == p + (q + r)
-    assert p * q == q * p
-    assert (p * q) * r == p * (q * r)
-    assert p * (q + r) == p * q + p * r
-    assert (p + p).is_zero()
-    assert TruncatedPolynomial.one(shape) * p == p
-
-
-@settings(max_examples=40, deadline=None)
-@given(shaped_polys(n=1))
-def test_frobenius(data):
-    shape, p = data
-    sq = p * p
-    expect = tuple(
-        sorted(
-            tuple(2 * e for e in exps)
-            for exps in p.support()
-            if all(2 * e <= shape.d for e in exps)
-        )
-    )
-    assert sq.support() == expect
 
 
 @settings(max_examples=30, deadline=None)
@@ -317,28 +234,43 @@ def test_sign_vector_helpers():
 
 
 # ----------------------------------------------------------------------
-# serialization
+# sign vectors
 # ----------------------------------------------------------------------
-def test_json_round_trip_and_digest_stability():
-    shape = RingShape(2, 3)
-    p = TruncatedPolynomial.from_support(shape, [(1, 2), (0, 0), (3, 3)])
-    doc = json.loads(p.canonical_json())
-    assert doc == {"k": 2, "d": 3, "support": [[0, 0], [1, 2], [3, 3]]}
-    assert TruncatedPolynomial.from_dict(doc) == p
-    assert p.digest() == TruncatedPolynomial.from_dict(doc).digest()
-    assert p.digest() != (p + TruncatedPolynomial.one(shape)).digest()
+def test_sign_vector_validation():
+    with pytest.raises(RangeError):
+        SignVector((0, 0))
+    with pytest.raises(RangeError):
+        SignVector((0, 2))
+    with pytest.raises(RangeError):
+        SignVector(())
 
 
-def test_str_form():
-    shape = RingShape(2, 3)
-    p = TruncatedPolynomial.from_support(shape, [(2, 1), (0, 0)])
-    assert str(p) == "1 + u1^2*u2"
-    assert str(TruncatedPolynomial.zero(shape)) == "0"
+def test_sign_vector_helpers():
+    assert SignVector.basis(3, 2).bits == (0, 1, 0)
+    assert SignVector.pair(3, 1, 3).bits == (1, 0, 1)
+    assert (SignVector((1, 1, 0)) + SignVector((0, 1, 1))).bits == (1, 0, 1)
+    assert SignVector((1, 0, 1)).support() == (1, 3)
+    assert nonzero_vectors_on(2, 1) == [
+        SignVector((1, 0)),
+        SignVector((0, 1)),
+        SignVector((1, 1)),
+    ]
+    assert len(nonzero_vectors_on(4, 2)) == 7
+
+
+# ----------------------------------------------------------------------
+# digest and immutability
+# ----------------------------------------------------------------------
+def test_digest_hashes_the_canonical_json():
+    h = product_of_forms(RingShape(2, 3), forms_of((1, 1), (1, 1), (1, 1)))
+    assert h.support() == ((0, 3), (1, 2), (2, 1), (3, 0))
+    canonical = '{"d":3,"k":2,"support":[[0,3],[1,2],[2,1],[3,0]]}'
+    assert h.digest() == hashlib.sha256(canonical.encode("ascii")).hexdigest()
+    zero = product_of_forms(RingShape(2, 3), forms_of(*[(1, 1)] * 4))
+    assert zero.digest() == hashlib.sha256(b'{"d":3,"k":2,"support":[]}').hexdigest()
 
 
 def test_immutability():
-    p = TruncatedPolynomial.one(RingShape(2, 2))
-    with pytest.raises(ValueError):
-        p.coeffs[0, 0] = False
-    with pytest.raises(AttributeError):
-        p.shape = RingShape(2, 3)
+    h = product_of_forms(RingShape(2, 2), [])
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        h.shape = RingShape(2, 3)
