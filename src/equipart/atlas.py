@@ -52,13 +52,7 @@ def _universe_from_spec(value: Any, what: str) -> str | frozenset:
     """A universe name, or a list of [r, s] pairs."""
     if not isinstance(value, list):
         return jsontypes.text(value, what)
-    pairs = [jsontypes.items(p, f"{what}[{i}]") for i, p in enumerate(value)]
-    if any(len(p) != 2 for p in pairs):
-        raise ConfigurationError(f"{what} pairs must be [r, s], got {value!r}")
-    return frozenset(
-        tuple(jsontypes.integer(x, f"{what}[{i}][{j}]") for j, x in enumerate(p))
-        for i, p in enumerate(pairs)
-    )
+    return frozenset(jsontypes.pairs(value, what))
 
 
 @dataclass(frozen=True)
@@ -205,6 +199,8 @@ def enumerate_rows(query: AtlasQuery, jobs: int = 1) -> Iterator[AtlasRow]:
         raise ConfigurationError(f"bad mode {query.mode!r}")
     if query.k < 1:
         raise ConfigurationError(f"k must be >= 1, got {query.k}")
+    if jobs < 1:
+        raise ConfigurationError(f"jobs must be >= 1, got {jobs}")
     try:
         # every candidate's ring is at least this large; refusing here also
         # keeps a huge k from building its pairs or counting its box

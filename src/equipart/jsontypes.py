@@ -1,5 +1,5 @@
-"""JSON type checks for the documents the CLI reads: the atlas query spec
-and the mass spec.
+"""JSON type checks for the documents the CLI reads: the atlas query spec,
+the mass spec and the problem document.
 
 Each check returns the value when it has the expected JSON type and raises
 `ConfigurationError` naming the field otherwise, so a malformed document
@@ -46,6 +46,19 @@ def number(value: Any, what: str) -> float:
 
 def numbers(value: Any, what: str) -> list[float]:
     return [number(x, f"{what}[{i}]") for i, x in enumerate(items(value, what))]
+
+
+def integers(value: Any, what: str) -> list[int]:
+    return [integer(x, f"{what}[{i}]") for i, x in enumerate(items(value, what))]
+
+
+def pairs(value: Any, what: str) -> list[tuple[int, int]]:
+    """An array of [r, s] integer pairs."""
+    out = [tuple(integers(p, f"{what}[{i}]")) for i, p in enumerate(items(value, what))]
+    for i, pair in enumerate(out):
+        if len(pair) != 2:
+            _fail(f"{what}[{i}]", "an [r, s] pair", list(pair))
+    return out
 
 
 def boolean(value: Any, what: str) -> bool:

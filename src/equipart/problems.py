@@ -16,11 +16,11 @@ Instances with C = k*d are called tight.
 
 from __future__ import annotations
 
-import json
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Any, Iterable, Sequence
 
+from . import jsontypes
 from .exceptions import ContradictionError, RangeError, ShapeError
 from .gf2 import SignVector, nonzero_vectors_on
 
@@ -126,19 +126,20 @@ class ConstraintProblem:
         }
 
     @classmethod
-    def from_dict(cls, obj: dict) -> "ConstraintProblem":
-        k = int(obj["k"])
+    def from_dict(cls, doc: Any) -> "ConstraintProblem":
+        """Build a problem from a parsed problem document: {"k": int} plus
+        any of "m" and "a" (integer arrays, zero-padded to length k),
+        "ortho" ([r, s] integer pairs) and "extra" (0/1 integer arrays).
+        Raises ConfigurationError when a field has the wrong JSON type."""
+        doc = jsontypes.obj(doc, "problem")
+        extra = jsontypes.field(doc, "extra", jsontypes.items, default=[])
         return cls.of(
-            k,
-            m=obj.get("m", ()),
-            a=obj.get("a", ()),
-            ortho=obj.get("ortho", ()),
-            extra=obj.get("extra", ()),
+            jsontypes.field(doc, "k", jsontypes.integer),
+            m=jsontypes.field(doc, "m", jsontypes.integers, default=()),
+            a=jsontypes.field(doc, "a", jsontypes.integers, default=()),
+            ortho=jsontypes.field(doc, "ortho", jsontypes.pairs, default=()),
+            extra=[jsontypes.integers(v, f"extra[{i}]") for i, v in enumerate(extra)],
         )
-
-    @classmethod
-    def from_json(cls, text: str) -> "ConstraintProblem":
-        return cls.from_dict(json.loads(text))
 
 
 # ----------------------------------------------------------------------

@@ -15,9 +15,9 @@ gives no construction, so this is a best-effort multi-start optimizer:
     geometrically, and each temperature is one L-BFGS run on the analytic
     gradient (dR/dV from `region_masses`, chained through the squared
     deviations and pulled back through the assembly by `_assembly_vjp`);
-  * a derivative-free Nelder-Mead polish on the hard objective follows
-    (region masses of a point cloud are piecewise constant, so gradient
-    methods get no signal there).
+  * the hard objective is evaluated once, at the last L-BFGS point, to
+    score the start; it is never optimized directly (region masses of a
+    point cloud are piecewise constant, so it has no useful gradient).
 
 Failure to converge is reported via success=False on the witness, never
 as an exception.
@@ -39,6 +39,17 @@ from .problems import ConstraintProblem
 
 SCHEMA_VERSION = 1
 
+# Annealing schedule: tau falls geometrically from TAU_INIT_FACTOR times the
+# data diameter to TAU_FINAL; the last ANNEAL_FULL_TAIL stages rerun on the
+# full sample from TAU_HANDOFF_FACTOR times the diameter, with twice the
+# ANNEAL_MAXITER L-BFGS iterations of a subsample stage.
+TAU_INIT_FACTOR = 0.5
+TAU_FINAL = 1e-3
+TAU_HANDOFF_FACTOR = 0.02
+ANNEAL_FULL_TAIL = 8
+ANNEAL_MAXITER = 25
+DEGENERATE_TOL = 1e-6  # unit plane vectors this close, up to sign, coincide
+
 
 def minimize(fun, x0, args=(), **kwargs):
     """`scipy.optimize.minimize`, imported on the first call: scipy takes
@@ -54,25 +65,19 @@ class SolverConfig:
     starts: int = 32
     tol: float = 1e-3
     tau_stages: int = 40
-    tau_init_factor: float = 0.5
-    tau_final: float = 1e-3
-    anneal_maxiter: int = 25
     anneal_subsample: int = 20_000
-    anneal_full_tail: int = 8
-    tau_handoff_factor: float = 0.02
-    polish_maxiter: int = 400
     stop_on_success: bool = True
     jobs: int = 1
-    eq_weight: float = 1.0
-    tie_eps: float = 1e-12
     min_normal_norm: float = 1e-6
-    degenerate_tol: float = 1e-6
     max_degenerate_restarts: int = 3
-    use_seeded_starts: bool = True
 
     def __post_init__(self) -> None:
         if self.starts < 1:
             raise ConfigurationError(f"starts must be >= 1, got {self.starts}")
+        if self.jobs < 1:
+            raise ConfigurationError(f"jobs must be >= 1, got {self.jobs}")
+        if not math.isfinite(self.tol):
+            raise RangeError(f"tol must be finite, got {self.tol}")
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
@@ -340,10 +345,8 @@ def residuals(
     points: Sequence = (),
     mode: str = "hard",
     tau: float | None = None,
-    config: SolverConfig | None = None,
 ) -> MassArrangementWitness:
     """Evaluate every condition of the instance at a given arrangement."""
-    cfg = config or SolverConfig()
     if len(hyperplanes) != problem.k:
         raise ShapeError(f"expected {problem.k} hyperplanes, got {len(hyperplanes)}")
     by_key = _organize_masses(problem, masses)
@@ -354,7 +357,7 @@ def residuals(
     cont = _organize_points(problem, points, d)
 
     equip, ortho, containment, objective, _ = _evaluate(
-        problem, by_key, cont, hyperplanes, mode, tau, cfg
+        problem, by_key, cont, hyperplanes, mode, tau
     )
     return MassArrangementWitness(
         hyperplanes=tuple(hyperplanes),
@@ -376,7 +379,6 @@ def _evaluate(
     planes: Sequence[HyperplaneParam],
     mode: str,
     tau: float | None,
-    cfg: SolverConfig,
     jac: bool = False,
 ) -> tuple[dict[str, np.ndarray], dict[str, float], list[tuple], float, np.ndarray | None]:
     """The objective evaluator behind both the optimizer and `residuals`.
@@ -384,9 +386,8 @@ def _evaluate(
     Returns the equipartition deviations per mass "i.j" (orthant masses
     over the mass total, minus the fair share 2^-(k-i+1)), the cosine of
     each orthogonality pair "r-s", (hyperplane, point, signed distance)
-    for each containment point, the sum of their squares (equipartition
-    terms weighted by `eq_weight`), and,
-    with jac=True (smoothed mode), the (k, d+1) gradient of that sum with
+    for each containment point, the sum of their squares, and, with
+    jac=True (smoothed mode), the (k, d+1) gradient of that sum with
     respect to the plane vectors (else None).  The gradient has only the
     equipartition terms: assembly keeps the other residuals at zero.
     """
@@ -394,13 +395,13 @@ def _evaluate(
     objective = 0.0
     grad = np.zeros((problem.k, planes[0].dim + 1)) if jac else None
     for (i, j), mass in by_key.items():
-        out = region_masses(mass, planes, i, mode=mode, tau=tau, tie_eps=cfg.tie_eps, jac=jac)
+        out = region_masses(mass, planes, i, mode=mode, tau=tau, jac=jac)
         regions = out[0] if jac else out
         dev = regions / mass.total - 2.0 ** -(problem.k - i + 1)
         equip[f"{i}.{j}"] = dev
-        objective += cfg.eq_weight * float(np.dot(dev, dev))
+        objective += float(np.dot(dev, dev))
         if jac:
-            grad[i - 1 :] += np.tensordot(2 * cfg.eq_weight / mass.total * dev, out[1], axes=1)
+            grad[i - 1 :] += np.tensordot(2 / mass.total * dev, out[1], axes=1)
 
     ortho: dict[str, float] = {}
     for r, s in problem.sorted_ortho():
@@ -440,7 +441,7 @@ def _objective(
     planes = assemble_hyperplanes(raw, problem, cont, cfg.min_normal_norm, tape)
     if planes is None:
         return (1e9, np.zeros_like(x)) if jac else 1e9
-    *_, objective, grad = _evaluate(problem, by_key, cont, planes, mode, tau, cfg, jac)
+    *_, objective, grad = _evaluate(problem, by_key, cont, planes, mode, tau, jac)
     if not jac:
         return objective
     return objective, _assembly_vjp(raw, cont, planes, tape, grad).ravel()
@@ -504,7 +505,7 @@ def _run_start(args) -> tuple[int, float, np.ndarray, int]:
     }
     cont = _organize_points(problem, points, d)
     rng = np.random.default_rng(np.random.SeedSequence(entropy=cfg.seed, spawn_key=(0, start)))
-    seeded = cfg.use_seeded_starts and start % 2 == 0
+    seeded = start % 2 == 0
     restarts = 0
     while True:
         if seeded:
@@ -516,13 +517,13 @@ def _run_start(args) -> tuple[int, float, np.ndarray, int]:
         # Cheap subsampled annealing locates the basin; the tail of the
         # schedule reruns on the full sample, starting back up at the
         # handoff temperature so the smooth landscape can carry the
-        # iterate across the subsample discrepancy before the
-        # derivative-free polish snaps it onto the hard optimum.  Seeded
+        # iterate across the subsample discrepancy, and its last, coldest
+        # stage leaves the iterate that the hard objective scores.  Seeded
         # starts are already structured, so they skip the hot exploration
         # phase that would only wash the seed out.
         head = head_taus[-min(6, len(head_taus)) :] if seeded else head_taus
-        schedule = [(tau, anneal_key, cfg.anneal_maxiter) for tau in head]
-        schedule += [(tau, by_key, 2 * cfg.anneal_maxiter) for tau in tail_taus]
+        schedule = [(tau, anneal_key, ANNEAL_MAXITER) for tau in head]
+        schedule += [(tau, by_key, 2 * ANNEAL_MAXITER) for tau in tail_taus]
         # Each smoothed stage is an L-BFGS run on the analytic gradient,
         # capped at maxiter iterations with the default tolerances: the
         # schedule, not any one temperature, does the converging.
@@ -536,16 +537,8 @@ def _run_start(args) -> tuple[int, float, np.ndarray, int]:
                 options={"maxiter": maxiter},
             )
             x = res.x
-        res = minimize(
-            _objective,
-            x,
-            args=(problem, by_key, cont, d, "hard", None, cfg),
-            method="Nelder-Mead",
-            options={"maxiter": cfg.polish_maxiter, "xatol": 1e-10, "fatol": 1e-14, "adaptive": True},
-        )
-        x = res.x
         planes = assemble_hyperplanes(x.reshape(problem.k, d + 1), problem, cont, cfg.min_normal_norm)
-        if planes is not None and not _coincident(planes, cfg.degenerate_tol):
+        if planes is not None and not _coincident(planes, DEGENERATE_TOL):
             break
         restarts += 1
         if restarts > cfg.max_degenerate_restarts:
@@ -574,43 +567,38 @@ def solve(
     d = masses[0].dim
     cont = _organize_points(problem, points, d)
     diameter = _data_diameter(masses)
-    tau0 = max(cfg.tau_init_factor * diameter, cfg.tau_final)
-    handoff = min(max(cfg.tau_handoff_factor * diameter, cfg.tau_final), tau0)
-    tail_n = min(cfg.anneal_full_tail, cfg.tau_stages)
+    tau0 = max(TAU_INIT_FACTOR * diameter, TAU_FINAL)
+    handoff = min(max(TAU_HANDOFF_FACTOR * diameter, TAU_FINAL), tau0)
+    tail_n = min(ANNEAL_FULL_TAIL, cfg.tau_stages)
     head_n = cfg.tau_stages - tail_n
     head_taus = np.geomspace(tau0, handoff, head_n) if head_n else np.array([])
-    tail_taus = np.geomspace(handoff, cfg.tau_final, tail_n) if tail_n else np.array([])
+    tail_taus = np.geomspace(handoff, TAU_FINAL, tail_n) if tail_n else np.array([])
 
     results: list[tuple[int, float, np.ndarray, int]] = []
-    jobs = max(1, cfg.jobs)
 
     def arg_for(s: int):
         return (s, problem, list(masses), list(points), cfg, d, head_taus, tail_taus)
 
-    if jobs == 1:
-        for s in range(cfg.starts):
-            out = _run_start(arg_for(s))
-            results.append(out)
-            if cfg.stop_on_success and out[1] < cfg.tol:
-                break
+    def run_starts(run_map) -> None:
+        """Run the starts in index order, `jobs` at a time through
+        `run_map`, until one succeeds (with stop_on_success)."""
+        for lo in range(0, cfg.starts, cfg.jobs):
+            chunk = range(lo, min(lo + cfg.jobs, cfg.starts))
+            for out in run_map(_run_start, [arg_for(s) for s in chunk]):
+                results.append(out)
+                if cfg.stop_on_success and out[1] < cfg.tol:
+                    return
+
+    if cfg.jobs == 1:
+        run_starts(map)
     else:
         from concurrent.futures import ProcessPoolExecutor  # only a parallel solve needs it
 
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            stop = False
-            for chunk_lo in range(0, cfg.starts, jobs):
-                chunk = list(range(chunk_lo, min(chunk_lo + jobs, cfg.starts)))
-                for out in pool.map(_run_start, [arg_for(s) for s in chunk]):
-                    results.append(out)
-                    if cfg.stop_on_success and out[1] < cfg.tol:
-                        stop = True
-                        break
-                if stop:
-                    break
+        with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
+            run_starts(pool.map)
 
     # Best objective wins; ties break toward the earlier start index.
-    best = min(results, key=lambda t: (t[1], t[0]))
-    start, value, x, _ = best
+    start, _, x, _ = min(results, key=lambda t: (t[1], t[0]))
     planes = assemble_hyperplanes(
         x.reshape(problem.k, d + 1), problem, cont, cfg.min_normal_norm
     )
@@ -627,7 +615,7 @@ def solve(
                 axis = np.zeros(d + 1)
                 axis[i % d] = 1.0
                 planes.append(HyperplaneParam(axis))
-    witness = residuals(problem, masses, planes, points, mode="hard", config=cfg)
+    witness = residuals(problem, masses, planes, points, mode="hard")
     witness.success = bool(witness.objective < cfg.tol)
     witness.seed = cfg.seed
     witness.config = cfg.to_dict()

@@ -150,6 +150,9 @@ def test_parallel_enumeration_matches_sequential():
     seq = [(r.problem.canonical_key(), r.d) for r in enumerate_rows(q)]
     par = [(r.problem.canonical_key(), r.d) for r in enumerate_rows(q, jobs=2)]
     assert seq == par
+    for jobs in (0, -1):
+        with pytest.raises(ConfigurationError, match="jobs must be >= 1"):
+            list(enumerate_rows(q, jobs=jobs))
 
 
 def test_custom_universe_and_no_ortho():

@@ -282,6 +282,29 @@ def test_solve_zero_starts_exit_2(tmp_path, capsys):
     assert json.loads(lines[0])["error"] == "ConfigurationError: starts must be >= 1, got 0"
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["solve", "--jobs", "0"], "ConfigurationError: jobs must be >= 1, got 0"),
+        (["solve", "--tol", "inf"], "RangeError: tol must be finite, got inf"),
+        (["solve", "--tol", "nan"], "RangeError: tol must be finite, got nan"),
+        (["atlas", "--jobs", "0"], "ConfigurationError: jobs must be >= 1, got 0"),
+    ],
+)
+def test_out_of_range_solver_arguments_exit_2(tmp_path, capsys, argv, message):
+    if argv[0] == "solve":
+        ppath, mpath = tmp_path / "p.json", tmp_path / "m.json"
+        ppath.write_text(json.dumps({"k": 1, "m": [1]}))
+        mpath.write_text(json.dumps({"d": 2, "masses": GOOD_MASSES}))
+        argv = argv + ["--problem", str(ppath), "--masses", str(mpath)]
+    code = run(argv)
+    out, err = capture(capsys)
+    assert code == 2 and out == ""
+    lines = [line for line in err.splitlines() if line.strip()]
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"] == message
+
+
 def run_quiet(argv):
     """Run the CLI in-process; returns (exit code, stdout, stderr)."""
     out, err = io.StringIO(), io.StringIO()
@@ -358,9 +381,21 @@ GOOD_MASSES = [{"label": "1.1", "mixture": [{"mean": [0, 0], "cov": "I", "weight
         ("solve", {"problem": {"k": 1, "m": [1]}, "masses": {"d": 2, "masses": [1]}}, "masses[0]"),
         ("solve", {"problem": {"k": 1, "m": [1], "a": [1]},
                    "masses": {"d": 2, "masses": GOOD_MASSES, "points": [5]}}, "points[0]"),
+        ("solve", {"problem": [1]}, "problem"),
+        ("solve", {"problem": {"k": None}}, "k"),
+        ("solve", {"problem": {"k": 1.9}}, "k"),
+        ("solve", {"problem": {"k": "1"}}, "k"),
+        ("solve", {"problem": {"k": 1, "m": 5}}, "m"),
+        ("solve", {"problem": {"k": 2, "a": [0, True]}}, "a[1]"),
+        ("solve", {"problem": {"k": 2, "ortho": [[1]]}}, "ortho[0]"),
+        ("solve", {"problem": {"k": 2, "ortho": [[1, "2"]]}}, "ortho[0][1]"),
+        ("solve", {"problem": {"k": 2, "extra": [[0, 1.0]]}}, "extra[0][1]"),
+        ("solve", {"problem": {"k": 2, "extra": 1}}, "extra"),
     ],
 )
 def test_malformed_documents_exit_2(command, documents, field):
+    if command == "solve":
+        documents = {"masses": {"d": 2, "masses": GOOD_MASSES}, **documents}
     code, out, err = run_with_documents([command], **documents)
     assert assert_clean_exit(code, out, err) == 2 and out == ""
     assert json.loads(err)["error"].startswith(f"ConfigurationError: {field} must be")
@@ -447,13 +482,20 @@ def mass_specs(draw):
     )))
 
 
+# The problem for the mass spec fuzz: hyperplane 1 bisects mass 1.1 through
+# one prescribed point, each field now and then JSON junk.
+PROBLEMS = maybe(st.fixed_dictionaries(
+    {"k": maybe(st.just(1)), "m": maybe(st.just([1])), "a": maybe(st.just([1]))},
+    optional={"ortho": maybe(st.just([])), "extra": maybe(st.just([[1]]))},
+))
+
+
 @settings(max_examples=100, deadline=None)
-@given(masses=mass_specs())
-def test_mass_spec_fuzz(masses):
-    # hyperplane 1 bisects mass 1.1 through one prescribed point; a
-    # well-formed document runs one solver start on at most 6 points
+@given(problem=PROBLEMS, masses=mass_specs())
+def test_mass_spec_fuzz(problem, masses):
+    # a well-formed pair of documents runs one solver start on at most 6 points
     code, out, err = run_with_documents(
-        ["solve", "--starts", "1"], problem={"k": 1, "m": [1], "a": [1]}, masses=masses
+        ["solve", "--starts", "1"], problem=problem, masses=masses
     )
     assert_clean_exit(code, out, err)
     if code != 2:

@@ -182,7 +182,11 @@ def test_config_to_dict_lists_every_field():
     cfg = dataclasses.replace(FAST, tol=2e-4, jobs=2)
     doc = cfg.to_dict()
     assert doc == dataclasses.asdict(cfg)
-    assert list(doc) == [f.name for f in dataclasses.fields(SolverConfig)]
+    # every knob is one some caller sets; a new one should be a visible change
+    assert list(doc) == [
+        "seed", "starts", "tol", "tau_stages", "anneal_subsample", "stop_on_success",
+        "jobs", "min_normal_norm", "max_degenerate_restarts",
+    ]
     assert doc["tol"] == 2e-4 and doc["jobs"] == 2 and doc["anneal_subsample"] == 4_000
 
 
@@ -190,6 +194,36 @@ def test_config_rejects_fewer_than_one_start():
     for starts in (0, -3):
         with pytest.raises(ConfigurationError, match="starts must be >= 1"):
             SolverConfig(starts=starts)
+
+
+def test_config_rejects_fewer_than_one_job_and_a_non_finite_tol():
+    for jobs in (0, -2):
+        with pytest.raises(ConfigurationError, match="jobs must be >= 1"):
+            SolverConfig(jobs=jobs)
+    for tol in (float("inf"), float("-inf"), float("nan")):
+        with pytest.raises(RangeError, match="tol must be finite"):
+            SolverConfig(tol=tol)
+    assert SolverConfig(tol=-1.0).tol == -1.0  # legal: no arrangement succeeds
+
+
+def test_solver_is_gradient_only(monkeypatch):
+    # every minimize call is one L-BFGS run on the analytic gradient, one
+    # per scheduled tau stage: seeded (even) starts run the last 6 head
+    # stages and the 8 full-sample tail stages, unseeded starts all 20
+    calls = []
+    original = equipart.solver.minimize
+
+    def recording(fun, x0, args=(), **kwargs):
+        calls.append(kwargs)
+        return original(fun, x0, args=args, **kwargs)
+
+    monkeypatch.setattr(equipart.solver, "minimize", recording)
+    m1 = gaussian(1_000, (19,), "1.1")
+    cfg = dataclasses.replace(FAST, starts=3, tau_stages=20, stop_on_success=False)
+    w = solve(ConstraintProblem.of(2, m=(1, 0)), [m1], config=cfg)
+    assert w.diagnostics["starts_run"] == 3 and w.diagnostics["degenerate_restarts"] == 0
+    assert all(c["method"] == "L-BFGS-B" and c["jac"] is True for c in calls)
+    assert len(calls) == (6 + 8) + 20 + (6 + 8)
 
 
 def test_every_objective_evaluation_assembles_and_counts_regions(monkeypatch):
