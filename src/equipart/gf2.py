@@ -4,19 +4,26 @@ The one operation the certificates need is the product of linear forms
 u_{i1}+...+u_{ij}, computed by `product_of_forms`.  A product of j forms
 is homogeneous of degree j, so it is held as a (d+1)^(k-1) slice over
 the exponents of u1..u_{k-1}, the exponent of u_k being j minus the
-cell's exponent sum.  Forms are grouped by multiplicity and applied with
-the Frobenius identity l^(2^b) = sum_{i in l} u_i^(2^b) over GF(2): one
-shift-XOR pass per set bit of the multiplicity, with exponents past d
-dropped eagerly.  The result is a `TruncatedPolynomial`: the ring and
-the sorted support read off the final slice."""
+cell's exponent sum.  The slice is one Python int used as a bitset: bit
+c is row-major cell c.  Forms are grouped by multiplicity and applied
+with the Frobenius identity l^(2^b) = sum_{i in l} u_i^(2^b) over GF(2):
+one shift-XOR pass per set bit of the multiplicity.  Multiplying by
+u_i^s for i < k masks off the cells whose u_i exponent would pass d and
+shifts the rest s strides along axis i; multiplying by u_k^s keeps the
+cells whose exponent sum is high enough for the u_k exponent to stay
+<= d.  The masks are built once per ring and cached.  The result is a
+`TruncatedPolynomial`: the ring and the sorted support read off the
+final bitset."""
 
 from __future__ import annotations
 
 import hashlib
 import json
 import math
-from collections import Counter
+import threading
+from collections import Counter, OrderedDict
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Iterable
 
 import numpy as np
@@ -155,49 +162,104 @@ def product_of_forms(
     """Product of the linear forms named by the sign vectors, starting from 1.
 
     The result depends only on the multiset of forms, not their order.
-    The running product of degree j is a slice over the exponents of
+    The running product of degree j is a bitset over the exponents of
     u1..u_{k-1}, and a form of multiplicity n costs one pass per set bit
     of n (see the module docstring).
     """
-    counts = Counter(forms)
-    for form in counts:
-        if form.k != shape.k:
-            raise ShapeError(f"form of length {form.k} in a k={shape.k} ring")
+    counts = Counter(map(attrgetter("bits"), forms))
+    for bits in counts:
+        if len(bits) != shape.k:
+            raise ShapeError(f"form of length {len(bits)} in a k={shape.k} ring")
     k, d = shape.k, shape.d
-    # exponent sum of u1..u_{k-1} in every slice cell
-    degree = np.zeros((d + 1,) * (k - 1), dtype=np.intp)
-    for ax in range(k - 1):
-        degree += np.arange(d + 1).reshape((-1,) + (1,) * (k - 2 - ax))
-    acc = np.zeros_like(degree, dtype=bool)
-    acc[(0,) * (k - 1)] = True
+    strides = [(d + 1) ** (k - 2 - ax) for ax in range(k - 1)]
+    acc = 1  # the unit: exponent tuple 0, slice cell 0
     j = 0
-    for form, n in counts.items():
+    for bits, n in counts.items():
         for b in range(n.bit_length()):
             if not n >> b & 1:
                 continue
             s = 1 << b
-            if s > d or not acc.any():
+            if s > d or not acc:
                 return TruncatedPolynomial(shape, ())
-            nxt = np.zeros_like(acc)
-            # u_i^s for i < k shifts axis i by s; the u_k exponent is unchanged
+            nxt = 0
+            # u_i^s for i < k moves a cell s strides along axis i, keeping
+            # only the cells whose u_i exponent stays <= d
             for ax in range(k - 1):
-                if form.bits[ax]:
-                    dst = [slice(None)] * (k - 1)
-                    src = [slice(None)] * (k - 1)
-                    dst[ax] = slice(s, None)
-                    src[ax] = slice(None, d + 1 - s)
-                    nxt[tuple(dst)] ^= acc[tuple(src)]
-            if form.bits[k - 1]:
-                # u_k^s keeps the slice cell; its u_k exponent j - degree
-                # grows by s and must stay <= d
-                nxt ^= acc & (degree >= j + s - d)
+                if bits[ax]:
+                    nxt ^= (acc & _masks(_axis_at_most, k, d, ax, d - s)) << s * strides[ax]
+            if bits[k - 1]:
+                # u_k^s keeps the cell; its u_k exponent j - degree grows by
+                # s and must stay <= d
+                t = j + s - d
+                nxt ^= acc if t <= 0 else acc & _masks(_degree_at_least, k, d, t)
             acc = nxt
             j += s
-    # row-major slice cells are the exponent tuples in lexicographic order
-    cells = np.flatnonzero(acc)
-    columns = [j - degree.ravel()[cells]]
+    return TruncatedPolynomial(shape, _support(k, d, j, acc))
+
+
+def _support(k: int, d: int, j: int, acc: int) -> tuple[tuple[int, ...], ...]:
+    """Exponent tuples of the set cells of a degree-j slice bitset, in
+    lexicographic order: the order of row-major slice cells."""
+    n = (d + 1) ** (k - 1)
+    packed = np.frombuffer(acc.to_bytes((n + 7) // 8, "little"), dtype=np.uint8)
+    cells = np.flatnonzero(np.unpackbits(packed, count=n, bitorder="little"))
+    columns = []
     for _ in range(k - 1):
         cells, e = np.divmod(cells, d + 1)
-        columns.append(e)
-    support = tuple(zip(*(c.tolist() for c in reversed(columns))))
-    return TruncatedPolynomial(shape, support)
+        columns.insert(0, e)
+    columns.append(j - sum(columns, np.zeros_like(cells)))
+    return tuple(zip(*(c.tolist() for c in columns)))
+
+
+class _MaskCache:
+    """Masks already built, least recently used first, at most `entries`
+    of them and `bits` bits in all: a certify run revisits the same few
+    rings.  Thread-safe, so products may still run in threads."""
+
+    def __init__(self, entries: int, bits: int) -> None:
+        self.entries, self.bits, self.held = entries, bits, 0
+        self.masks: OrderedDict[tuple, int] = OrderedDict()
+        self.lock = threading.Lock()
+
+    def __call__(self, build, *args) -> int:
+        key = (build, *args)
+        with self.lock:
+            mask = self.masks.get(key)
+            if mask is not None:
+                self.masks.move_to_end(key)
+                return mask
+            mask = self.masks[key] = build(*args)
+            self.held += mask.bit_length()
+            while len(self.masks) > self.entries or self.held > self.bits:
+                self.held -= self.masks.popitem(last=False)[1].bit_length()
+            return mask
+
+
+_masks = _MaskCache(entries=4096, bits=MAX_RING_CELLS)
+
+
+def _axis_at_most(k: int, d: int, ax: int, e: int) -> int:
+    """Slice cells whose exponent of u_{ax+1} is at most e: a run of
+    (e+1) strides of ones in every block of d+1 strides."""
+    stride = (d + 1) ** (k - 2 - ax)
+    period, blocks = (d + 1) * stride, (d + 1) ** ax
+    mask = (1 << (e + 1) * stride) - 1
+    # tile the run over all the blocks by binary doubling: before the
+    # step for `bit`, mask holds blocks >> (bit + 1) of them
+    for bit in reversed(range(blocks.bit_length() - 1)):
+        mask |= mask << period * (blocks >> bit + 1)
+        if blocks >> bit & 1:
+            mask |= mask << period
+    return mask
+
+
+def _degree_at_least(k: int, d: int, t: int) -> int:
+    """Slice cells whose exponent sum over u1..u_{k-1} is at least t."""
+    if t > (k - 1) * d:
+        return 0
+    # so t, like every exponent sum under the ring cap, fits in int16
+    degree = np.zeros((d + 1,) * (k - 1), dtype=np.int16)
+    for ax in range(k - 1):
+        degree += np.arange(d + 1, dtype=np.int16).reshape((-1,) + (1,) * (k - 2 - ax))
+    mask = np.packbits(degree.ravel() >= t, bitorder="little")
+    return int.from_bytes(mask.tobytes(), "little")

@@ -40,6 +40,18 @@ def excluding_first_pair(k: int) -> frozenset[tuple[int, int]]:
     return all_pairs(k) - {(1, 2)}
 
 
+# Largest number of hyperplanes a problem may have.  Each unit of
+# first-stage mass imposes 2^k - 1 conditions, which at k = 1024 already
+# passes the largest float, so a larger k can only be a mistake.  Refusing
+# it up front keeps a huge k from being padded, counted or printed.
+MAX_K = 1024
+
+
+def _check_k(k: int) -> None:
+    if not 1 <= k <= MAX_K:
+        raise RangeError(f"k must be in 1..{MAX_K}, got k={k}")
+
+
 ORTHO_UNIVERSES = {
     "all": all_pairs,
     "last": last_orthogonal,
@@ -56,8 +68,7 @@ class ConstraintProblem:
     extra: tuple[SignVector, ...] = ()
 
     def __post_init__(self) -> None:
-        if self.k < 1:
-            raise RangeError(f"k must be >= 1, got {self.k}")
+        _check_k(self.k)
         if len(self.m) != self.k or len(self.a) != self.k:
             raise ShapeError(
                 f"m and a must have length k={self.k}: m={self.m}, a={self.a}"
@@ -86,6 +97,7 @@ class ConstraintProblem:
         `ortho` takes (r,s) pairs with 1-based indices; `extra` takes sign
         vectors either as SignVector or as 0/1 sequences.
         """
+        _check_k(k)
         mm = tuple(int(x) for x in m) + (0,) * (k - len(tuple(m)))
         aa = tuple(int(x) for x in a) + (0,) * (k - len(tuple(a)))
         oo = frozenset((int(r), int(s)) for r, s in ortho)
@@ -147,10 +159,10 @@ class ConstraintProblem:
 # ----------------------------------------------------------------------
 def constraint_dimension(p: ConstraintProblem) -> int:
     """Total number of scalar conditions the instance imposes."""
-    total = 0
-    for i in range(1, p.k + 1):
-        total += p.m[i - 1] * (2 ** (p.k - i + 1) - 1) + p.a[i - 1]
-    return total + len(p.ortho) + len(p.extra)
+    # stage i imposes m_i (2^(k-i+1) - 1) conditions; skipping empty
+    # stages keeps a large k from forming k powers of two
+    masses = sum(m * (2 ** (p.k - i) - 1) for i, m in enumerate(p.m) if m)
+    return masses + sum(p.a) + len(p.ortho) + len(p.extra)
 
 
 def lower_bound_dim(p: ConstraintProblem) -> int:

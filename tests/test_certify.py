@@ -105,6 +105,19 @@ def test_bench_tracing_finds_the_names_it_wraps(monkeypatch):
     assert RingShape(4, 70).cells == 71**4  # the pinned gf2.ring_cells reads (d+1)^k
 
 
+def test_certify_workload_reproduces_every_pinned_output(monkeypatch):
+    # every check, search and identity of the bench's certify workload
+    # against the fingerprints pinned in perfbench/expected.json
+    bench = Path(__file__).resolve().parents[1] / "perfbench"
+    monkeypatch.syspath_prepend(str(bench))
+    workloads = importlib.import_module("workloads")
+    expected = json.loads((bench / "expected.json").read_text())["ops"]
+    ops = workloads.build_certify(0).ops
+    assert len(ops) > 150 and all(op.pinned for op in ops)
+    for op in ops:
+        assert op.fingerprint(op.call()) == expected[op.id], op.id
+
+
 def test_check_relaxed_negative_control():
     p = ConstraintProblem.of(3, m=(3,), ortho=all_pairs(3))
     cert = check(p, 9, "relaxed")

@@ -86,6 +86,29 @@ def test_bound_document(capsys):
     assert doc["L"] == 4 and doc["U"] == 8 and doc["C"] == 15 and doc["lower_dim"] == 4
 
 
+def test_bound_output_of_a_wide_problem(capsys):
+    code = run(["bound", "--k", "64", "--m", "1"])
+    out, _ = capture(capsys)
+    zeros = ", ".join(["0"] * 63)
+    assert code == 0 and out == (
+        '{"C": 18446744073709551615, "L": 288230376151711744, '
+        '"U": 9223372036854775808, "known": null, "lower_dim": 288230376151711744, '
+        f'"problem": {{"a": [0, {zeros}], "extra": [], "k": 64, "m": [1, {zeros}], '
+        '"ortho": []}, "schema_version": 1}\n'
+    )
+
+
+@pytest.mark.parametrize("k", ["20000", "1000000000"])
+def test_bound_huge_k_exit_2(capsys, k):
+    start = time.perf_counter()
+    code = run(["bound", "--k", k, "--m", "1"])
+    elapsed = time.perf_counter() - start
+    out, err = capture(capsys)
+    assert code == 2 and elapsed < 1.0 and out == ""
+    (line,) = err.splitlines()
+    assert f"k={k}" in json.loads(line)["error"]
+
+
 def test_bound_known_value_with_cite(capsys):
     code = run(["bound", "--k", "3", "--m", "1,1,2", "--cite"])
     out, err = capture(capsys)

@@ -1,11 +1,14 @@
 import dataclasses
 import hashlib
+import sys
+import threading
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from equipart.certify import check
+from equipart import gf2
 from equipart.exceptions import RangeError, ShapeError
 from equipart.gf2 import RingShape, SignVector, nonzero_vectors_on, product_of_forms
 from equipart.problems import ConstraintProblem
@@ -209,28 +212,91 @@ def test_form_products_are_homogeneous(k, d, n_forms, rnd):
 
 
 # ----------------------------------------------------------------------
-# sign vectors
+# closed forms past the oracle's reach
 # ----------------------------------------------------------------------
-def test_sign_vector_validation():
-    with pytest.raises(RangeError):
-        SignVector((0, 0))
-    with pytest.raises(RangeError):
-        SignVector((0, 2))
-    with pytest.raises(RangeError):
-        SignVector(())
+def submasks(n):
+    """Every i whose set bits are a subset of n's."""
+    return [i for i in range(n + 1) if i & n == i]
 
 
-def test_sign_vector_helpers():
-    assert SignVector.basis(3, 2).bits == (0, 1, 0)
-    assert SignVector.pair(3, 1, 3).bits == (1, 0, 1)
-    assert (SignVector((1, 1, 0)) + SignVector((0, 1, 1))).bits == (1, 0, 1)
-    assert SignVector((1, 0, 1)).support() == (1, 3)
-    assert nonzero_vectors_on(2, 1) == [
-        SignVector((1, 0)),
-        SignVector((0, 1)),
-        SignVector((1, 1)),
+def binomial_support(n, d):
+    """(u1+u2)^n mod 2 truncated at d: by Lucas, C(n, i) is odd iff i and
+    n-i share no bit."""
+    return tuple((i, n - i) for i in submasks(n) if max(i, n - i) <= d)
+
+
+def trinomial_support(n, d):
+    """(u1+u2+u3)^n mod 2 truncated at d: the multinomial coefficient is
+    odd iff the three exponents have pairwise disjoint bits, that is, they
+    split the bits of n."""
+    return tuple(
+        (a, b, n - a - b)
+        for a in submasks(n)
+        for b in submasks(n - a)
+        if max(a, b, n - a - b) <= d
+    )
+
+
+@pytest.mark.parametrize("d", [63, 64, 100, 255])
+def test_binomial_powers_match_lucas(d):
+    # slices of d+1 = 64, 65, 101 and 256 cells, whole bytes or not
+    for n in range(2 * d + 2):
+        h = product_of_forms(RingShape(2, d), [SignVector((1, 1))] * n)
+        assert h.support() == binomial_support(n, d), n
+
+
+@pytest.mark.parametrize("d", [63, 64, 100, 255])
+def test_trinomial_powers_match_disjoint_bits(d):
+    # slices of (d+1)^2 cells: 4096, 4225, 10201 and 65536
+    for n in [*range(0, 3 * d + 2, 7), d, d + 1, 2 * d, 3 * d]:
+        h = product_of_forms(RingShape(3, d), [SignVector((1, 1, 1))] * n)
+        assert h.support() == trinomial_support(n, d), n
+
+
+def test_forty_thousand_copies_of_u1_reach_the_top():
+    # the u_k exponent 40,000 is past int16; its column must not wrap
+    h = product_of_forms(RingShape(1, 40_000), [SignVector((1,))] * 40_000)
+    assert h.support() == ((40_000,),) and h.is_top()
+
+
+def test_one_form_in_a_twenty_variable_ring():
+    # a 2^19-cell slice: the form itself, u1 + ... + u20
+    h = product_of_forms(RingShape(20, 1), [SignVector((1,) * 20)])
+    basis = [tuple(int(j == i) for j in range(20)) for i in range(20)]
+    assert h.support() == tuple(sorted(basis))
+
+
+def test_mask_cache_shared_by_threads(monkeypatch):
+    # more threads than cores share one cache small enough to evict on
+    # almost every miss: each must see the serial results, and the cache's
+    # running total must still match the masks it holds
+    cache = gf2._MaskCache(entries=6, bits=1 << 12)
+    monkeypatch.setattr(gf2, "_masks", cache)
+    jobs = [
+        (RingShape(3, d), [SignVector((1, 1, 1))] * n + [SignVector((0, 1, 1))] * 3)
+        for d in (5, 9, 14)
+        for n in (4, 7, 11)
     ]
-    assert len(nonzero_vectors_on(4, 2)) == 7
+    expect = [product_of_forms(shape, forms) for shape, forms in jobs]
+    results = {}
+
+    def work(i):
+        results[i] = [product_of_forms(shape, forms) for shape, forms in jobs * 20]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert all(results[i] == expect * 20 for i in range(8))
+    assert len(cache.masks) <= 6
+    assert cache.held == sum(m.bit_length() for m in cache.masks.values()) <= 1 << 12
 
 
 # ----------------------------------------------------------------------

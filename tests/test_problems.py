@@ -13,6 +13,7 @@ from equipart.problems import (
     dominates,
     excluding_first_pair,
     last_orthogonal,
+    MAX_K,
     lower_bound_dim,
     ramos_L,
     upper_U,
@@ -97,6 +98,17 @@ def test_of_pads_and_validates():
         ConstraintProblem.of(2, m=(-1, 0))
     with pytest.raises(ShapeError):
         ConstraintProblem(k=2, m=(1,), a=(0, 0))
+
+
+def test_huge_k_refused_before_padding():
+    # a k of 10^9 would pad m and a to 10^9 zeros before any other check
+    for k in (0, MAX_K + 1, 10**9):
+        with pytest.raises(RangeError, match=f"k={k}"):
+            ConstraintProblem.of(k, m=(1,))
+        with pytest.raises(RangeError, match=f"k={k}"):
+            ConstraintProblem(k=k, m=(), a=())
+    p = ConstraintProblem.of(MAX_K, m=(1,), a=(0, 2))
+    assert constraint_dimension(p) == 2**MAX_K - 1 + 2
 
 
 def test_universe_builders():
