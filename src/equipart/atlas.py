@@ -114,7 +114,7 @@ class AtlasQuery:
                     f"expected one of {sorted(ORTHO_UNIVERSES)} or an explicit pair set"
                 )
             return tuple(sorted(builder(self.k)))
-        return tuple(sorted(tuple(p) for p in self.ortho_universe))
+        return tuple(sorted({tuple(p) for p in self.ortho_universe}))
 
     def candidate_estimate(self) -> int:
         lo, hi = self.d_range
@@ -235,7 +235,6 @@ def enumerate_rows(query: AtlasQuery, jobs: int = 1) -> Iterator[AtlasRow]:
 
 
 def _filtered_rows(query: AtlasQuery, checked) -> Iterator[AtlasRow]:
-    seen: set[tuple] = set()
     for (p, d), cert in checked:
         if not cert.certified:
             continue
@@ -249,10 +248,6 @@ def _filtered_rows(query: AtlasQuery, checked) -> Iterator[AtlasRow]:
             continue
         if query.require_balanced and not label.balanced:
             continue
-        key = (p.canonical_key(), d)
-        if key in seen:
-            continue
-        seen.add(key)
         yield AtlasRow(
             problem=p,
             d=d,

@@ -7,21 +7,23 @@ the exponents of u1..u_{k-1}, the exponent of u_k being j minus the
 cell's exponent sum.  The slice is one Python int used as a bitset: bit
 c is row-major cell c.  Forms are grouped by multiplicity and applied
 with the Frobenius identity l^(2^b) = sum_{i in l} u_i^(2^b) over GF(2):
-one shift-XOR pass per set bit of the multiplicity.  Multiplying by
-u_i^s for i < k masks off the cells whose u_i exponent would pass d and
-shifts the rest s strides along axis i; multiplying by u_k^s keeps the
-cells whose exponent sum is high enough for the u_k exponent to stay
-<= d.  The masks are built once per ring and cached.  The result is a
-`TruncatedPolynomial`: the ring and the sorted support read off the
-final bitset."""
+one shift-XOR pass per set bit of the multiplicity, the passes of one
+power s = 2^b run together.  Multiplying by u_i^s for i < k masks off
+the cells whose u_i exponent would pass d and shifts the rest s strides
+along axis i; the mask is built when first needed and kept only for the
+passes of that s.  Multiplying by u_k^s keeps the cell as it is: u_k is
+reduced once, when the support is read, which gives the same product
+because (u_k^{d+1}) is an ideal.  A cell whose u_k exponent passed d has
+only such descendants, and it never shares a position with a live cell
+of the same degree.  The result is a `TruncatedPolynomial`: the ring and
+the sorted support read off the final bitset."""
 
 from __future__ import annotations
 
 import hashlib
 import json
 import math
-import threading
-from collections import Counter, OrderedDict
+from collections import Counter
 from dataclasses import dataclass
 from operator import attrgetter
 from typing import Iterable
@@ -174,32 +176,31 @@ def product_of_forms(
     strides = [(d + 1) ** (k - 2 - ax) for ax in range(k - 1)]
     acc = 1  # the unit: exponent tuple 0, slice cell 0
     j = 0
-    for bits, n in counts.items():
-        for b in range(n.bit_length()):
+    for b in range(max(counts.values(), default=0).bit_length()):
+        s = 1 << b
+        keep = {}  # axis -> cells whose exponent stays <= d after u_axis^s
+        for bits, n in counts.items():
             if not n >> b & 1:
                 continue
-            s = 1 << b
             if s > d or not acc:
                 return TruncatedPolynomial(shape, ())
-            nxt = 0
-            # u_i^s for i < k moves a cell s strides along axis i, keeping
-            # only the cells whose u_i exponent stays <= d
+            # u_k^s keeps the cell; u_i^s for i < k moves it s strides
+            # along axis i
+            nxt = acc if bits[k - 1] else 0
             for ax in range(k - 1):
                 if bits[ax]:
-                    nxt ^= (acc & _masks(_axis_at_most, k, d, ax, d - s)) << s * strides[ax]
-            if bits[k - 1]:
-                # u_k^s keeps the cell; its u_k exponent j - degree grows by
-                # s and must stay <= d
-                t = j + s - d
-                nxt ^= acc if t <= 0 else acc & _masks(_degree_at_least, k, d, t)
+                    if ax not in keep:
+                        keep[ax] = _axis_at_most(k, d, ax, d - s)
+                    nxt ^= (acc & keep[ax]) << s * strides[ax]
             acc = nxt
             j += s
     return TruncatedPolynomial(shape, _support(k, d, j, acc))
 
 
 def _support(k: int, d: int, j: int, acc: int) -> tuple[tuple[int, ...], ...]:
-    """Exponent tuples of the set cells of a degree-j slice bitset, in
-    lexicographic order: the order of row-major slice cells."""
+    """Exponent tuples of the live set cells of a degree-j slice bitset, in
+    lexicographic order: the order of row-major slice cells.  A cell is
+    live when its u_k exponent, j minus its exponent sum, is at most d."""
     n = (d + 1) ** (k - 1)
     packed = np.frombuffer(acc.to_bytes((n + 7) // 8, "little"), dtype=np.uint8)
     cells = np.flatnonzero(np.unpackbits(packed, count=n, bitorder="little"))
@@ -208,34 +209,8 @@ def _support(k: int, d: int, j: int, acc: int) -> tuple[tuple[int, ...], ...]:
         cells, e = np.divmod(cells, d + 1)
         columns.insert(0, e)
     columns.append(j - sum(columns, np.zeros_like(cells)))
-    return tuple(zip(*(c.tolist() for c in columns)))
-
-
-class _MaskCache:
-    """Masks already built, least recently used first, at most `entries`
-    of them and `bits` bits in all: a certify run revisits the same few
-    rings.  Thread-safe, so products may still run in threads."""
-
-    def __init__(self, entries: int, bits: int) -> None:
-        self.entries, self.bits, self.held = entries, bits, 0
-        self.masks: OrderedDict[tuple, int] = OrderedDict()
-        self.lock = threading.Lock()
-
-    def __call__(self, build, *args) -> int:
-        key = (build, *args)
-        with self.lock:
-            mask = self.masks.get(key)
-            if mask is not None:
-                self.masks.move_to_end(key)
-                return mask
-            mask = self.masks[key] = build(*args)
-            self.held += mask.bit_length()
-            while len(self.masks) > self.entries or self.held > self.bits:
-                self.held -= self.masks.popitem(last=False)[1].bit_length()
-            return mask
-
-
-_masks = _MaskCache(entries=4096, bits=MAX_RING_CELLS)
+    live = columns[-1] <= d
+    return tuple(zip(*(c[live].tolist() for c in columns)))
 
 
 def _axis_at_most(k: int, d: int, ax: int, e: int) -> int:
@@ -251,15 +226,3 @@ def _axis_at_most(k: int, d: int, ax: int, e: int) -> int:
         if blocks >> bit & 1:
             mask |= mask << period
     return mask
-
-
-def _degree_at_least(k: int, d: int, t: int) -> int:
-    """Slice cells whose exponent sum over u1..u_{k-1} is at least t."""
-    if t > (k - 1) * d:
-        return 0
-    # so t, like every exponent sum under the ring cap, fits in int16
-    degree = np.zeros((d + 1,) * (k - 1), dtype=np.int16)
-    for ax in range(k - 1):
-        degree += np.arange(d + 1, dtype=np.int16).reshape((-1,) + (1,) * (k - 2 - ax))
-    mask = np.packbits(degree.ravel() >= t, bitorder="little")
-    return int.from_bytes(mask.tobytes(), "little")

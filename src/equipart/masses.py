@@ -37,6 +37,10 @@ from .exceptions import ConfigurationError, RangeError, ShapeError
 TIE_EPS = 1e-12
 MIN_NORMAL_NORM = 1e-6
 UNIT_TOL = 1e-12
+# Cap on N * d, the coordinates one sampled mass holds: 10^8 float64
+# values are 800 MB before any work, so a larger spec is refused before
+# anything is drawn.
+MAX_SAMPLE_VALUES = 10**8
 
 
 @dataclass(frozen=True)
@@ -192,6 +196,11 @@ def sample_gaussian_mixture(
     d = means[0].size
     if any(m.size != d for m in means):
         raise ConfigurationError("all component means must share a dimension")
+    if n * d > MAX_SAMPLE_VALUES:
+        raise RangeError(
+            f"a mass of N={n} points in R^{d} holds {n * d} coordinates, "
+            f"past the cap {MAX_SAMPLE_VALUES}"
+        )
     comp_w = np.array([float(c.get("weight", 1.0)) for c in mixture])
     if not (comp_w > 0).all():
         raise ConfigurationError("component weights must be positive")

@@ -67,6 +67,17 @@ def test_rows_recheck_and_dedup():
         assert r.certificate.tight and r.certificate.form_count == r.certificate.kd
 
 
+@pytest.mark.parametrize(
+    "universe", ["all", frozenset({(1, 3), (2, 3)}), [(1, 2), (1, 2), (2, 3)]]
+)
+def test_relaxed_rows_are_unique(universe):
+    # every candidate is yielded once, so no row repeats without any
+    # de-duplication, also for a universe that lists a pair twice
+    q = AtlasQuery(k=3, d_range=(2, 4), mode="relaxed", max_m=2, ortho_universe=universe)
+    rows = [(r.problem.canonical_key(), r.d) for r in enumerate_rows(q)]
+    assert len(rows) > 50 and len(set(rows)) == len(rows)
+
+
 def test_matches_brute_force_small_box():
     q = AtlasQuery(
         k=2, d_range=(2, 3), mode="strict", max_m=4, max_a=2,

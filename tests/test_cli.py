@@ -287,6 +287,20 @@ def test_solve_non_finite_containment_point_exit_2(tmp_path, capsys):
     assert json.loads(lines[0])["error"].startswith("RangeError: containment point")
 
 
+def test_solve_oversized_mass_exit_2(tmp_path, capsys):
+    # 10^12 points in R^2 would be 16 TB of coordinates: one JSON line, no sampling
+    masses = {"d": 2, "masses": [{"mixture": [{"mean": [0, 0]}], "N": 10**12}]}
+    ppath, mpath = tmp_path / "p.json", tmp_path / "m.json"
+    ppath.write_text(json.dumps({"k": 1, "m": [1]}))
+    mpath.write_text(json.dumps(masses))
+    code = run(["solve", "--problem", str(ppath), "--masses", str(mpath)])
+    out, err = capture(capsys)
+    assert code == 2 and not out
+    lines = [line for line in err.splitlines() if line.strip()]
+    assert len(lines) == 1 and "Traceback" not in err
+    assert json.loads(lines[0])["error"].startswith("RangeError: a mass of N=1000000000000")
+
+
 def test_solve_zero_starts_exit_2(tmp_path, capsys):
     masses = {
         "d": 2,

@@ -1,6 +1,7 @@
 import pytest
 
-from equipart.exceptions import FamilyDomainError
+from equipart.certify import check
+from equipart.exceptions import FamilyDomainError, RangeError
 from equipart.families import (
     FAMILIES,
     cascade_family,
@@ -9,6 +10,7 @@ from equipart.families import (
     last_ortho_family,
     near_full_ortho_family,
 )
+from equipart.gf2 import MAX_RING_CELLS
 from equipart.problems import all_pairs, constraint_dimension, last_orthogonal
 
 
@@ -89,46 +91,64 @@ def test_ham_sandwich_cascade():
     assert inst.problem.m == (4, 4, 8, 16) and inst.d == 32
 
 
-def test_all_generators_tight_on_stated_box():
-    # q <= 3, k <= 5, a = 0 (and small a for the affine-capable families):
-    # every generated instance satisfies C = k*d
-    checked = 0
+def stated_box():
+    """Every family instance of the stated box: q <= 3, k <= 5, a = 0 (and
+    small a for the affine-capable families), the hs-cascade included."""
     for q in range(4):
+        for k in range(1, 6):
+            yield ham_sandwich_cascade(q, k)
         for t in range(1, 2**q + 1):
             for k in range(1, 6):
-                inst = cascade_family(q, t, k)
-                assert constraint_dimension(inst.problem) == k * inst.d
-                checked += 1
+                yield cascade_family(q, t, k)
                 for a1 in range(3):
-                    a = (a1,) * k
                     try:
-                        inst = cascade_family(q, t, k, a=a)
+                        yield cascade_family(q, t, k, a=(a1,) * k)
                     except FamilyDomainError:
                         continue
-                    assert constraint_dimension(inst.problem) == k * inst.d
-                    checked += 1
                 if k >= 2 and t >= 2:
                     try:
-                        inst = full_ortho_family(q, t, k)
+                        yield full_ortho_family(q, t, k)
                     except FamilyDomainError:
                         pass
-                    else:
-                        assert constraint_dimension(inst.problem) == k * inst.d
-                        checked += 1
                 if k >= 3:
                     if 2**q >= t + k - 3:
-                        inst = near_full_ortho_family(q, t, k)
-                        assert constraint_dimension(inst.problem) == k * inst.d
-                        checked += 1
+                        yield near_full_ortho_family(q, t, k)
                     for j in range(1, k):
                         pairs = sorted(last_orthogonal(k))[:j]
                         try:
-                            inst = last_ortho_family(q, t, k, ortho=pairs)
+                            yield last_ortho_family(q, t, k, ortho=pairs)
                         except FamilyDomainError:
                             continue
-                        assert constraint_dimension(inst.problem) == k * inst.d
-                        checked += 1
+
+
+def test_all_generators_tight_on_stated_box():
+    # every generated instance satisfies C = k*d
+    checked = 0
+    for inst in stated_box():
+        assert constraint_dimension(inst.problem) == inst.problem.k * inst.d
+        checked += 1
     assert checked > 200
+
+
+def test_every_instance_of_the_stated_box_certifies_strict():
+    # the paper's claim: each instance is tight and certified.  The ones
+    # whose ring (d+1)^k passes MAX_RING_CELLS, all at k = 5, are refused
+    # loudly rather than left unchecked.
+    box = {(inst.problem.canonical_key(), inst.d): inst for inst in stated_box()}
+    certified, refused = 0, []
+    for inst in box.values():
+        problem, d = inst
+        if (d + 1) ** problem.k > MAX_RING_CELLS:
+            with pytest.raises(RangeError, match="past the cap"):
+                check(problem, d, "strict")
+            refused.append((problem.k, d))
+            continue
+        cert = check(problem, d, "strict")
+        assert cert.certified and cert.h_is_top, inst.provenance()
+        certified += 1
+    assert (len(box), certified, len(refused)) == (370, 278, 92)
+    assert {k for k, _ in refused} == {5}
+    assert {d for _, d in refused} <= {*range(64, 68), *range(128, 136)}
 
 
 def test_family_registry_and_provenance():

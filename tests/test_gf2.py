@@ -1,14 +1,11 @@
 import dataclasses
 import hashlib
-import sys
-import threading
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from equipart.certify import check
-from equipart import gf2
 from equipart.exceptions import RangeError, ShapeError
 from equipart.gf2 import RingShape, SignVector, nonzero_vectors_on, product_of_forms
 from equipart.problems import ConstraintProblem
@@ -254,7 +251,7 @@ def test_trinomial_powers_match_disjoint_bits(d):
 
 
 def test_forty_thousand_copies_of_u1_reach_the_top():
-    # the u_k exponent 40,000 is past int16; its column must not wrap
+    # the u_k exponent 40,000 must come through its column unchanged
     h = product_of_forms(RingShape(1, 40_000), [SignVector((1,))] * 40_000)
     assert h.support() == ((40_000,),) and h.is_top()
 
@@ -264,39 +261,6 @@ def test_one_form_in_a_twenty_variable_ring():
     h = product_of_forms(RingShape(20, 1), [SignVector((1,) * 20)])
     basis = [tuple(int(j == i) for j in range(20)) for i in range(20)]
     assert h.support() == tuple(sorted(basis))
-
-
-def test_mask_cache_shared_by_threads(monkeypatch):
-    # more threads than cores share one cache small enough to evict on
-    # almost every miss: each must see the serial results, and the cache's
-    # running total must still match the masks it holds
-    cache = gf2._MaskCache(entries=6, bits=1 << 12)
-    monkeypatch.setattr(gf2, "_masks", cache)
-    jobs = [
-        (RingShape(3, d), [SignVector((1, 1, 1))] * n + [SignVector((0, 1, 1))] * 3)
-        for d in (5, 9, 14)
-        for n in (4, 7, 11)
-    ]
-    expect = [product_of_forms(shape, forms) for shape, forms in jobs]
-    results = {}
-
-    def work(i):
-        results[i] = [product_of_forms(shape, forms) for shape, forms in jobs * 20]
-
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        threads = [threading.Thread(target=work, args=(i,)) for i in range(8)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=60)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(t.is_alive() for t in threads)
-    assert all(results[i] == expect * 20 for i in range(8))
-    assert len(cache.masks) <= 6
-    assert cache.held == sum(m.bit_length() for m in cache.masks.values()) <= 1 << 12
 
 
 # ----------------------------------------------------------------------

@@ -306,3 +306,11 @@ def test_load_mass_spec():
     assert np.array_equal(masses[0].points, again[0].points)
     with pytest.raises(ConfigurationError):
         load_mass_spec({"masses": []}, 0)
+
+
+@pytest.mark.parametrize("n", [10**12, 10**30])
+def test_load_mass_spec_refuses_oversized_mass_before_sampling(n):
+    # N * d past MAX_SAMPLE_VALUES is refused before any array is allocated
+    spec = {"d": 2, "masses": [{"mixture": [{"mean": [0, 0]}], "N": n}]}
+    with pytest.raises(RangeError, match=f"N={n} points in R\\^2"):
+        load_mass_spec(spec, master_seed=0)

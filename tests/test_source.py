@@ -21,3 +21,35 @@ def test_no_top_level_name_is_defined_twice(path):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
     )
     assert not [name for name, n in names.items() if n > 1]
+
+
+PACKAGE = sorted(ROOT.glob("src/equipart/*.py"))
+
+
+def names_used(node):
+    """Every name a subtree reads: bare names, attributes and imports."""
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            yield sub.id
+        elif isinstance(sub, ast.Attribute):
+            yield sub.attr
+        elif isinstance(sub, ast.alias):
+            yield sub.name
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: str(p.relative_to(ROOT)))
+def test_every_private_definition_is_used(path):
+    # a private helper nothing in the package refers to is dead code left
+    # behind by a rewrite; uses inside its own body (recursion) do not count
+    used = Counter()
+    for source in PACKAGE:
+        used.update(names_used(ast.parse(source.read_text(), filename=str(source))))
+    tree = ast.parse(path.read_text(), filename=str(path))
+    dead = [
+        node.name
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and node.name.startswith("_")
+        and used[node.name] <= Counter(names_used(node))[node.name]
+    ]
+    assert not dead
