@@ -70,6 +70,14 @@ class AtlasQuery:
     require_balanced: bool = False
     candidate_limit: int = 2_000_000
 
+    def __post_init__(self) -> None:
+        # a negative bound would leave an empty box and an empty report
+        # that looks like an answer
+        for name in ("max_m", "max_a"):
+            value = getattr(self, name)
+            if value < 0:
+                raise ConfigurationError(f"{name} must be >= 0, got {value}")
+
     @classmethod
     def from_spec(cls, doc: Any) -> "AtlasQuery":
         """Build a query from a parsed query-spec document: {"k": int,

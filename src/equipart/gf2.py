@@ -10,13 +10,17 @@ with the Frobenius identity l^(2^b) = sum_{i in l} u_i^(2^b) over GF(2):
 one shift-XOR pass per set bit of the multiplicity, the passes of one
 power s = 2^b run together.  Multiplying by u_i^s for i < k masks off
 the cells whose u_i exponent would pass d and shifts the rest s strides
-along axis i; the mask is built when first needed and kept only for the
-passes of that s.  Multiplying by u_k^s keeps the cell as it is: u_k is
-reduced once, when the support is read, which gives the same product
-because (u_k^{d+1}) is an ideal.  A cell whose u_k exponent passed d has
-only such descendants, and it never shares a position with a live cell
-of the same degree.  The result is a `TruncatedPolynomial`: the ring and
-the sorted support read off the final bitset."""
+along axis i; the mask is built when first needed and dropped after
+its last use among the passes of that s.  Multiplying by u_k^s keeps
+the cell as it is: u_k is reduced once, when the support is read, which
+gives the same product because (u_k^{d+1}) is an ideal.  A cell whose
+u_k exponent passed d has only such descendants, and it never shares a
+position with a live cell of the same degree.  The live cells of a
+degree-j slice have exponent sums in [j-d, j], so the support is read
+from the window of bits between the first and the last cell with such a
+sum: one bit for a product of kd forms.  The result is a
+`TruncatedPolynomial`: the ring and the sorted support read off that
+window."""
 
 from __future__ import annotations
 
@@ -27,8 +31,6 @@ from collections import Counter
 from dataclasses import dataclass
 from operator import attrgetter
 from typing import Iterable
-
-import numpy as np
 
 from .exceptions import RangeError, ShapeError
 
@@ -178,10 +180,11 @@ def product_of_forms(
     j = 0
     for b in range(max(counts.values(), default=0).bit_length()):
         s = 1 << b
+        group = [bits for bits, n in counts.items() if n >> b & 1]
+        # axis -> index in the group of the last form that moves along it
+        last = {ax: g for g, bits in enumerate(group) for ax in range(k - 1) if bits[ax]}
         keep = {}  # axis -> cells whose exponent stays <= d after u_axis^s
-        for bits, n in counts.items():
-            if not n >> b & 1:
-                continue
+        for g, bits in enumerate(group):
             if s > d or not acc:
                 return TruncatedPolynomial(shape, ())
             # u_k^s keeps the cell; u_i^s for i < k moves it s strides
@@ -189,28 +192,53 @@ def product_of_forms(
             nxt = acc if bits[k - 1] else 0
             for ax in range(k - 1):
                 if bits[ax]:
-                    if ax not in keep:
-                        keep[ax] = _axis_at_most(k, d, ax, d - s)
-                    nxt ^= (acc & keep[ax]) << s * strides[ax]
+                    mask = keep.pop(ax) if ax in keep else _axis_at_most(k, d, ax, d - s)
+                    nxt ^= (acc & mask) << s * strides[ax]
+                    if last[ax] > g:
+                        keep[ax] = mask
+                    del mask  # freed before the next axis builds its own
             acc = nxt
             j += s
-    return TruncatedPolynomial(shape, _support(k, d, j, acc))
+    return TruncatedPolynomial(shape, _support(d, strides, j, acc))
 
 
-def _support(k: int, d: int, j: int, acc: int) -> tuple[tuple[int, ...], ...]:
+def _support(
+    d: int, strides: list[int], j: int, acc: int
+) -> tuple[tuple[int, ...], ...]:
     """Exponent tuples of the live set cells of a degree-j slice bitset, in
     lexicographic order: the order of row-major slice cells.  A cell is
-    live when its u_k exponent, j minus its exponent sum, is at most d."""
-    n = (d + 1) ** (k - 1)
-    packed = np.frombuffer(acc.to_bytes((n + 7) // 8, "little"), dtype=np.uint8)
-    cells = np.flatnonzero(np.unpackbits(packed, count=n, bitorder="little"))
-    columns = []
-    for _ in range(k - 1):
-        cells, e = np.divmod(cells, d + 1)
-        columns.insert(0, e)
-    columns.append(j - sum(columns, np.zeros_like(cells)))
-    live = columns[-1] <= d
-    return tuple(zip(*(c[live].tolist() for c in columns)))
+    live when its u_k exponent, j minus its exponent sum, is at most d.
+
+    Every set cell has an exponent sum of at most j, so a live one has a
+    sum in [j-d, j] and lies between two row-major bounds: the smallest
+    tuple with sum >= j-d, filled from the last axis, and the largest with
+    sum <= j, filled from the first.  Only that window of bits is read;
+    its set bits are found in the binary string of the window and decoded
+    one by one.  `strides` are the row-major strides of u1..u_{k-1}."""
+    lo, rest = 0, max(0, j - d)
+    for stride in reversed(strides):
+        e = min(d, rest)
+        lo, rest = lo + e * stride, rest - e
+    if rest:
+        return ()  # no cell can hold a u_k exponent of at most d
+    hi, rest = 0, j
+    for stride in strides:
+        e = min(d, rest)
+        hi, rest = hi + e * stride, rest - e
+    window = format((acc >> lo) & ((1 << (hi - lo + 1)) - 1), "b")
+    top = lo + len(window) - 1  # the cell of the window's first character
+    terms = []
+    at = window.rfind("1")
+    while at >= 0:  # from the last character: ascending cells
+        c, es = top - at, []
+        for stride in strides:
+            e, c = divmod(c, stride)
+            es.append(e)
+        last = j - sum(es)
+        if last <= d:
+            terms.append((*es, last))
+        at = window.rfind("1", 0, at)
+    return tuple(terms)
 
 
 def _axis_at_most(k: int, d: int, ax: int, e: int) -> int:

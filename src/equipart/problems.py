@@ -16,6 +16,7 @@ Instances with C = k*d are called tight.
 
 from __future__ import annotations
 
+import functools
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Sequence
@@ -207,8 +208,7 @@ def compile_forms(p: ConstraintProblem) -> list[SignVector]:
     forms: list[SignVector] = []
     for i in range(1, p.k + 1):
         if p.m[i - 1]:
-            stage_vectors = nonzero_vectors_on(p.k, i)
-            forms.extend(stage_vectors * p.m[i - 1])
+            forms.extend(_stage_vectors(p.k, i) * p.m[i - 1])
     for i in range(1, p.k + 1):
         if p.a[i - 1]:
             forms.extend([SignVector.basis(p.k, i)] * p.a[i - 1])
@@ -216,6 +216,13 @@ def compile_forms(p: ConstraintProblem) -> list[SignVector]:
         forms.append(SignVector.pair(p.k, r, s))
     forms.extend(p.extra)
     return forms
+
+
+@functools.cache
+def _stage_vectors(k: int, i: int) -> tuple[SignVector, ...]:
+    """The forms of one unit of stage-i mass, built and validated once per
+    (k, i); a tuple, so no caller can change what the next one reads."""
+    return tuple(nonzero_vectors_on(k, i))
 
 
 # ----------------------------------------------------------------------

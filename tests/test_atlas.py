@@ -153,6 +153,17 @@ def test_search_space_refusal():
         list(enumerate_rows(AtlasQuery(k=0, d_range=(2, 2))))
 
 
+def test_negative_bounds_refused():
+    # an empty box would print an empty report that reads as an answer
+    for bounds in ({"max_m": -1}, {"max_a": -1}, {"max_a": -1, "allow_affine": True}):
+        with pytest.raises(ConfigurationError, match="must be >= 0, got -1"):
+            AtlasQuery(k=2, d_range=(2, 3), **bounds)
+    with pytest.raises(ConfigurationError, match="max_m must be >= 0"):
+        AtlasQuery.from_spec({"k": 2, "d_range": [2, 3], "max_m": -1})
+    # a zero bound is a box of one point: only m = 0, which never certifies
+    assert list(enumerate_rows(AtlasQuery(k=2, d_range=(2, 3), max_m=0))) == []
+
+
 def test_parallel_enumeration_matches_sequential():
     q = AtlasQuery(
         k=2, d_range=(2, 3), mode="strict", max_m=4, max_a=2,

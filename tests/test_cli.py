@@ -220,6 +220,22 @@ def test_atlas_refusal_exit_2(tmp_path, capsys):
     assert msg["kind"] == "search-space" and msg["estimate"] > 1000
 
 
+@pytest.mark.parametrize("flag", ["--max-m", "--max-a"])
+def test_atlas_negative_bound_flag_exit_2(flag):
+    code, out, err = run_quiet(["atlas", "--k", "2", "--d-lo", "2", "--d-hi", "3", flag, "-1"])
+    assert assert_clean_exit(code, out, err) == 2 and out == ""
+    name = flag[2:].replace("-", "_")
+    assert json.loads(err)["error"] == f"ConfigurationError: {name} must be >= 0, got -1"
+
+
+@pytest.mark.parametrize("field", ["max_m", "max_a"])
+def test_atlas_negative_bound_in_spec_exit_2(field):
+    spec = {"k": 2, "d_range": [2, 3], field: -1}
+    code, out, err = run_with_documents(["atlas"], spec=spec)
+    assert assert_clean_exit(code, out, err) == 2 and out == ""
+    assert json.loads(err)["error"] == f"ConfigurationError: {field} must be >= 0, got -1"
+
+
 def test_atlas_huge_k_refused_before_counting(capsys):
     start = time.perf_counter()
     code = run(["atlas", "--k", "3000", "--d-lo", "2", "--d-hi", "2"])

@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -107,8 +108,8 @@ def test_product_of_forms_full_ortho_negative_control():
 # ----------------------------------------------------------------------
 @st.composite
 def shaped_form(draw):
-    k = draw(st.integers(1, 4))
-    d = draw(st.integers(0, 6))
+    k = draw(st.integers(1, 5))
+    d = draw(st.integers(0, 6 if k < 5 else 3))
     bits = draw(st.lists(st.integers(0, 1), min_size=k, max_size=k).filter(any))
     return RingShape(k, d), SignVector(tuple(bits))
 
@@ -137,9 +138,10 @@ def test_frobenius(data, b):
 @st.composite
 def form_multisets(draw):
     """(k, d, forms): up to 4 distinct forms, each repeated 1..9 times, so
-    that the Frobenius passes see every bit of a multiplicity up to 9."""
-    k = draw(st.integers(1, 4))
-    d = draw(st.integers(0, 6))
+    that the Frobenius passes see every bit of a multiplicity up to 9.
+    Five variables get d <= 3, which keeps the oracle fast."""
+    k = draw(st.integers(1, 5))
+    d = draw(st.integers(0, 6 if k < 5 else 3))
     distinct = draw(
         st.lists(
             st.tuples(*[st.integers(0, 1)] * k).filter(any), max_size=4, unique=True
@@ -157,7 +159,7 @@ def test_product_of_forms_matches_oracle(data):
     assert h.support() == product_of_forms_oracle(k, d, forms).sorted_support()
     # check's verdicts at every d' that fits the forms agree with the oracle
     problem = ConstraintProblem.of(k, extra=forms)
-    for dd in range(1, 7):
+    for dd in range(1, 7 if k < 5 else 4):
         if len(forms) > k * dd:
             continue
         expect = product_of_forms_oracle(k, dd, forms).sorted_support()
@@ -166,6 +168,34 @@ def test_product_of_forms_matches_oracle(data):
         assert relaxed.h_is_top == (expect == ((dd,) * k,))
         if len(forms) == k * dd:
             assert check(problem, dd, "strict").certified == (expect == ((dd,) * k,))
+
+
+# Products whose live window sits at an edge of the slice.  The live cells
+# of a degree-j product have exponent sums in [j-d, j] over u1..u_{k-1}.
+WINDOW_EDGES = {
+    # j < d: the window starts at cell 0, here the live cell u3^2
+    "below-d": (3, 5, [(0, 0, 1)] * 2, ((0, 0, 2),)),
+    "below-d-mixed": (3, 5, [(1, 1, 0), (0, 1, 1)], ((0, 1, 1), (0, 2, 0), (1, 0, 1), (1, 1, 0))),
+    # j = kd: a one-cell window, the last cell
+    "top": (3, 2, [(1, 0, 0)] * 2 + [(0, 1, 1)] * 2 + [(1, 1, 1), (0, 0, 1)], ((2, 2, 2),)),
+    "top-zero": (2, 2, [(1, 1)] * 4, ()),
+    # j = kd - 1: the window of a drop-one relaxed product
+    "drop-one": (3, 2, [(1, 1, 1)] * 3 + [(0, 1, 0), (1, 0, 0)], ((1, 2, 2), (2, 1, 2))),
+    # more forms than kd: no cell can be live, though the slice is not empty
+    "past-kd": (3, 2, [(0, 0, 1), (0, 1, 1), (1, 0, 1), (1, 1, 1), (0, 1, 0), (1, 0, 0), (1, 1, 0)],
+                ()),
+    # k = 1: a one-cell slice, the u1 exponent read off j
+    "k1": (1, 4, [(1,)] * 3, ((3,),)),
+    "k1-top": (1, 4, [(1,)] * 4, ((4,),)),
+    "k1-past-d": (1, 2, [(1,)] * 3, ()),
+}
+
+
+@pytest.mark.parametrize("case", sorted(WINDOW_EDGES))
+def test_support_window_edges(case):
+    k, d, forms, expect = WINDOW_EDGES[case]
+    h = product_of_forms(RingShape(k, d), [SignVector(bits) for bits in forms])
+    assert h.support() == expect == product_of_forms_oracle(k, d, forms).sorted_support()
 
 
 @settings(max_examples=30, deadline=None)
@@ -261,6 +291,19 @@ def test_one_form_in_a_twenty_variable_ring():
     h = product_of_forms(RingShape(20, 1), [SignVector((1,) * 20)])
     basis = [tuple(int(j == i) for j in range(20)) for i in range(20)]
     assert h.support() == tuple(sorted(basis))
+
+
+def test_wide_one_form_product_holds_one_axis_mask():
+    # a 2^25-cell slice (4 MB) and 25 axis masks as large; each mask is
+    # dropped after its last use, so they are never all held at once
+    tracemalloc.start()
+    try:
+        h = product_of_forms(RingShape(26, 1), [SignVector((1,) * 26)])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(h.support()) == 26
+    assert peak < 64 * 2**20
 
 
 # ----------------------------------------------------------------------

@@ -3,7 +3,9 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from equipart.certify import check
 from equipart.exceptions import ContradictionError, RangeError, ShapeError
+from equipart.gf2 import SignVector, nonzero_vectors_on
 from equipart.problems import (
     ConstraintProblem,
     all_pairs,
@@ -163,6 +165,36 @@ def test_compile_forms_fully_constrained_k4():
     )
     forms = compile_forms(p)
     assert len(forms) == 32 == constraint_dimension(p)
+
+
+def test_compiled_lists_are_fresh():
+    # the stage vectors are cached; a caller that changes its list must
+    # not change what the next call returns
+    p = ConstraintProblem.of(3, m=(2, 1, 0))
+    expect = [f.bits for f in compile_forms(p)]
+    forms = compile_forms(p)
+    forms.clear()
+    assert [f.bits for f in compile_forms(p)] == expect
+    vectors = nonzero_vectors_on(3, 2)
+    vectors[0] = SignVector((1, 1, 1))
+    del vectors[1:]
+    assert [v.bits for v in nonzero_vectors_on(3, 2)] == [(0, 1, 0), (0, 0, 1), (0, 1, 1)]
+    assert [f.bits for f in compile_forms(p)] == expect
+
+
+def test_second_check_builds_no_stage_vector(monkeypatch):
+    p = ConstraintProblem.of(3, m=(1, 1, 2))
+    first = check(p, 4)
+    built = []
+    validate = SignVector.__post_init__
+
+    def counting(self):
+        built.append(self.bits)
+        validate(self)
+
+    monkeypatch.setattr(SignVector, "__post_init__", counting)
+    assert check(p, 4) == first
+    assert built == []
 
 
 @settings(max_examples=80, deadline=None)
