@@ -220,13 +220,13 @@ def _cmd_solve(args) -> int:
         problem = ConstraintProblem.from_dict(json.load(fh))
     with open(args.masses, "r", encoding="utf-8") as fh:
         spec = json.load(fh)
-    _, masses, points = load_mass_spec(spec, args.seed)
     config = SolverConfig(
         seed=args.seed,
         starts=args.starts,
         tol=args.tol,
         jobs=args.jobs,
     )
+    _, masses, points = load_mass_spec(spec, args.seed)
     witness = solve(problem, masses, points, config)
     print(witness.to_json())
     return EXIT_OK if witness.success else EXIT_INCONCLUSIVE

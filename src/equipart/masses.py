@@ -17,11 +17,21 @@ memory gives every signed distance as S = V[:, :d] @ coords - offset, an
 bit into an orthant index and takes one weighted bincount; points on a
 plane take the even tie split only when some |s| <= tie_eps.  Smoothed
 mode turns S into side-0 fractions 0.5 + 0.5 tanh(S / 2 tau) =
-expit(S / tau) and reduces them with a binary product tree over the rows,
-ending in one matrix-vector product; on request it also returns dR/dV,
-the derivative of the orthant masses with respect to the plane vectors,
-at one (2^(n-1), N) @ (N, d) product per plane.  No copy of the points is
-made or cached.
+expit(S / tau) and reduces them with a binary product tree over the rows;
+on request it also returns dR/dV, the derivative of the orthant masses
+with respect to the plane vectors, at one (2^(n-1), N) @ (N, d) product
+per plane.  No copy of the points is made or cached.
+
+No reduction over the point axis goes through BLAS level 1 or 2 (a dot
+product or a matrix-vector product): OpenBLAS splits such a sum over N
+between its threads, so its result, and every witness built on it, would
+depend on the thread count, and on a small machine the woken threads cost
+more than the sum.  Those reductions are `np.einsum` loops or `sum`s,
+which never enter BLAS and add in a fixed order.  That includes the
+gradient product when one plane is in play: its table is then one row,
+and numpy would make the product a gemv.  BLAS keeps the matrix-matrix
+products, which OpenBLAS never splits along the summed axis, and the
+signed distances, which sum over the d coordinates only.
 """
 
 from __future__ import annotations
@@ -358,8 +368,9 @@ def _smoothed_region_masses(
 ) -> np.ndarray | tuple[np.ndarray, np.ndarray]:
     """Orthant weights with side-0 fractions F = expit(S / tau), evaluated
     as 0.5 + 0.5 tanh(S / (2 tau)), which stays finite for any tau > 0.
-    The product tree over all planes but the last is finished by one
-    matrix-vector product with the last plane's fractions.
+    The product tree over all planes but the last is finished by summing
+    each row of its table times the last plane's fractions in an einsum
+    loop, not a matrix-vector product (see the module docstring).
 
     Given the (d, N) coordinates, also returns J (2^n, n, d+1), the
     derivative of each orthant weight with respect to each plane vector
@@ -367,7 +378,7 @@ def _smoothed_region_masses(
     orthants with bit j set to those with it clear, where T_j is the
     product table of the other planes and F'_j = F_j (1 - F_j) / tau the
     slope of its side-0 fraction: one (2^(n-1), N) @ (N, d) product per
-    plane."""
+    plane, an einsum loop when n = 1."""
     with np.errstate(over="ignore"):  # |S / 2tau| = inf saturates tanh, as it should
         F = np.divide(S, 2 * tau, out=S)
     np.tanh(F, out=F)
@@ -384,7 +395,7 @@ def _smoothed_region_masses(
     for j in range(n) if coords is not None else [n - 1]:
         table = _orthant_table((f for l, f in enumerate(F) if l != j), weights)
         if j == n - 1:
-            side0 = table @ F[j]
+            side0 = np.einsum("ij,j->i", table, F[j])
             regions = np.concatenate([side0, table.sum(axis=1) - side0])
             if coords is None:
                 return regions
@@ -401,7 +412,9 @@ def _smoothed_region_masses(
         A = np.multiply(table, slope, out=table if n > 1 else None)
         low = rows & ((1 << j) - 1)
         clear = low | (rows - low) << 1  # insert a clear bit j into each row index
-        J[clear, j, :d] = A @ coords.T
+        # with n = 1, A is one row, and numpy would hand A @ coords.T to a
+        # gemv over the points
+        J[clear, j, :d] = A @ coords.T if n > 1 else np.einsum("ij,kj->ik", A, coords)
         J[clear, j, d] = -A.sum(axis=1)
         J[clear | 1 << j, j] = -J[clear, j]
         del table, A, slope

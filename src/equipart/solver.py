@@ -72,12 +72,25 @@ class SolverConfig:
     max_degenerate_restarts: int = 3
 
     def __post_init__(self) -> None:
+        # anneal_subsample <= 0 is legal: it means no subsample
+        if self.seed < 0:
+            raise ConfigurationError(f"seed must be >= 0, got {self.seed}")
         if self.starts < 1:
             raise ConfigurationError(f"starts must be >= 1, got {self.starts}")
+        if self.tau_stages < 0:
+            raise ConfigurationError(f"tau_stages must be >= 0, got {self.tau_stages}")
         if self.jobs < 1:
             raise ConfigurationError(f"jobs must be >= 1, got {self.jobs}")
+        if self.max_degenerate_restarts < 0:
+            raise ConfigurationError(
+                f"max_degenerate_restarts must be >= 0, got {self.max_degenerate_restarts}"
+            )
         if not math.isfinite(self.tol):
             raise RangeError(f"tol must be finite, got {self.tol}")
+        # a unit plane vector's normal part has norm at most 1, so a floor
+        # of 1 or more (or NaN) refuses every assembly
+        if not (math.isfinite(self.min_normal_norm) and self.min_normal_norm < 1):
+            raise RangeError(f"min_normal_norm must be finite and < 1, got {self.min_normal_norm}")
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)

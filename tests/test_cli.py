@@ -342,6 +342,7 @@ def test_solve_zero_starts_exit_2(tmp_path, capsys):
         (["solve", "--tol", "inf"], "RangeError: tol must be finite, got inf"),
         (["solve", "--tol", "nan"], "RangeError: tol must be finite, got nan"),
         (["atlas", "--jobs", "0"], "ConfigurationError: jobs must be >= 1, got 0"),
+        (["solve", "--seed", "-1"], "ConfigurationError: seed must be >= 0, got -1"),
     ],
 )
 def test_out_of_range_solver_arguments_exit_2(tmp_path, capsys, argv, message):

@@ -185,17 +185,19 @@ def test_smoothed_approaches_hard():
 def reference_region_masses(mass, hyperplanes, stage, mode, tau=None):
     """The documented rule, one point at a time: a point of weight w puts
     w * prod_j (f_j if bit j is clear else 1 - f_j) in each orthant, where
-    f_j is its `side_fractions` value for hyperplane stage+j."""
+    f_j is its `side_fractions` value for hyperplane stage+j.  The rule
+    gives each point's fractions on its own; they are taken for all
+    points at once only so that a full-size cloud stays quick."""
     planes = hyperplanes[stage - 1 :]
-    out = np.zeros(2 ** len(planes))
-    for x, w in zip(mass.points, mass.weights):
-        f = side_fractions(np.array([h.signed_distances(x) for h in planes]), mode, tau)
-        for o in range(out.size):
+    f = side_fractions(np.array([h.signed_distances(mass.points) for h in planes]), mode, tau)
+    out = [0.0] * 2 ** len(planes)
+    for fs, w in zip(f.T.tolist(), mass.weights.tolist()):
+        for o in range(len(out)):
             share = w
-            for j, fj in enumerate(f):
+            for j, fj in enumerate(fs):
                 share *= 1.0 - fj if o >> j & 1 else fj
             out[o] += share
-    return out
+    return np.array(out)
 
 
 @st.composite
@@ -220,6 +222,15 @@ def cut_clouds(draw):
     return mass, planes
 
 
+TAUS = (1e-3, 0.05, 0.5, 3.0)
+
+
+def assert_smoothed_matches_reference(mass, planes, stage, tau):
+    got = region_masses(mass, planes, stage, mode="smoothed", tau=tau)
+    want = reference_region_masses(mass, planes, stage, "smoothed", tau)
+    assert np.max(np.abs(got - want)) <= 1e-12 * mass.total
+
+
 @settings(max_examples=150, deadline=None)
 @given(cut_clouds(), st.data())
 def test_region_masses_match_per_point_reference(cloud, data):
@@ -229,14 +240,22 @@ def test_region_masses_match_per_point_reference(cloud, data):
         got = region_masses(mass, planes, stage)
         want = reference_region_masses(mass, planes, stage, "hard")
         assert np.max(np.abs(got - want)) <= tol
-        tau = data.draw(st.sampled_from([1e-3, 0.05, 0.5, 3.0]))
-        got = region_masses(mass, planes, stage, mode="smoothed", tau=tau)
-        want = reference_region_masses(mass, planes, stage, "smoothed", tau)
-        assert np.max(np.abs(got - want)) <= tol
+        assert_smoothed_matches_reference(mass, planes, stage, data.draw(st.sampled_from(TAUS)))
         # at a tiny tau a planted tie's side turns on the rounding of its
         # signed distance, so only finiteness and conservation are checked
         got = region_masses(mass, planes, stage, mode="smoothed", tau=1e-300)
         assert np.isfinite(got).all() and abs(got.sum() - mass.total) <= tol
+
+
+@pytest.mark.parametrize("n_planes", [1, 3])
+def test_smoothed_region_masses_match_reference_on_a_full_size_cloud(n_planes):
+    # the witness workload's shapes: 100,000 points cut by one plane or by
+    # three, past the size where a threaded BLAS would split the point axis
+    rng = np.random.default_rng(21)
+    mass = SampledMass(rng.standard_normal((100_000, 3)), rng.uniform(0.1, 2.0, 100_000), "1.1")
+    planes = [HyperplaneParam.of(rng.standard_normal(3), rng.normal(0.0, 0.3)) for _ in range(3)]
+    for tau in TAUS:
+        assert_smoothed_matches_reference(mass, planes[:n_planes], 1, tau)
 
 
 def test_region_masses_tie_on_several_planes_matches_reference():

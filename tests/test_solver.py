@@ -1,5 +1,9 @@
 import dataclasses
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,12 +16,14 @@ from equipart.masses import HyperplaneParam, sample_gaussian_mixture
 from equipart.problems import ConstraintProblem
 from equipart.solver import (
     SolverConfig,
+    _subsample,
     assemble_hyperplanes,
     residuals,
     solve,
 )
 
 FAST = SolverConfig(seed=0, starts=4, tau_stages=10, anneal_subsample=4_000)
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def gaussian(n, key, label, mean=(0.0, 0.0), cov="I"):
@@ -206,6 +212,40 @@ def test_config_rejects_fewer_than_one_job_and_a_non_finite_tol():
     assert SolverConfig(tol=-1.0).tol == -1.0  # legal: no arrangement succeeds
 
 
+def test_config_rejects_a_negative_seed():
+    # SeedSequence would refuse it only once the first start runs
+    with pytest.raises(ConfigurationError, match="seed must be >= 0"):
+        SolverConfig(seed=-1)
+
+
+def test_config_rejects_negative_tau_stages():
+    # np.geomspace would refuse it only once the schedule is built
+    with pytest.raises(ConfigurationError, match="tau_stages must be >= 0"):
+        SolverConfig(tau_stages=-1)
+    assert SolverConfig(tau_stages=0).tau_stages == 0  # legal: no annealing
+
+
+def test_config_rejects_negative_max_degenerate_restarts():
+    with pytest.raises(ConfigurationError, match="max_degenerate_restarts must be >= 0"):
+        SolverConfig(max_degenerate_restarts=-1)
+    assert SolverConfig(max_degenerate_restarts=0).max_degenerate_restarts == 0
+
+
+def test_config_rejects_a_min_normal_norm_no_plane_can_meet():
+    # the normal part of a unit plane vector is at most 1 long
+    for floor in (float("nan"), float("inf"), float("-inf"), 1.0, 2.0):
+        with pytest.raises(RangeError, match="min_normal_norm must be finite and < 1"):
+            SolverConfig(min_normal_norm=floor)
+    # a floor below HyperplaneParam's own is legal: assembly raises it
+    assert SolverConfig(min_normal_norm=0.0).min_normal_norm == 0.0
+
+
+def test_config_keeps_a_non_positive_anneal_subsample_as_no_subsample():
+    mass = gaussian(300, (20,), "1.1")
+    for cap in (0, -5):
+        assert _subsample(mass, SolverConfig(anneal_subsample=cap).anneal_subsample) is mass
+
+
 def test_solver_is_gradient_only(monkeypatch):
     # every minimize call is one L-BFGS run on the analytic gradient, one
     # per scheduled tau stage: seeded (even) starts run the last 6 head
@@ -334,6 +374,43 @@ def test_solve_determinism_bit_identical():
     assert w1.to_json() == w2.to_json()
     w3 = solve(problem, [m1, m2], config=dataclasses.replace(FAST, seed=123))
     assert w1.to_json() != w3.to_json()
+
+
+THREAD_COUNT_SOLVES = """
+from equipart.masses import sample_gaussian_mixture
+from equipart.problems import ConstraintProblem
+from equipart.solver import SolverConfig, solve
+
+config = SolverConfig(seed=5, starts=1, tau_stages=8)
+for mean, mass_seed in (([0.0, 0.0], 3), ([0.0], 2)):
+    mass = sample_gaussian_mixture(
+        [{"mean": mean, "cov": "I", "weight": 1}], 20_000, mass_seed, label="1.1"
+    )
+    print(solve(ConstraintProblem.of(1, m=(1,)), [mass], config=config).to_json())
+"""
+
+
+def test_solve_does_not_depend_on_the_blas_thread_count():
+    # 20,000 points are past the size where OpenBLAS splits a reduction
+    # over them between its threads, and so sums in an order that depends
+    # on the thread count; the witnesses must come out the same regardless.
+    # With one plane the smoothed masses end in such a reduction, and in
+    # R^1 so does the gradient, whose product is then (1, N) @ (N, 1)
+    path = os.pathsep.join(p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p)
+    runs = []
+    for threads in ("1", "2"):
+        proc = subprocess.run(
+            [sys.executable, "-c", THREAD_COUNT_SOLVES],
+            env={**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": threads},
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        runs.append(proc.stdout.splitlines())
+    assert len(runs[0]) == 2
+    assert all(json.loads(doc)["success"] is True for doc in runs[0])
+    assert runs[0] == runs[1]
 
 
 def test_solve_parallel_matches_sequential():
