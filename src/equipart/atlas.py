@@ -18,7 +18,7 @@ from itertools import combinations, product
 from typing import Any, Iterable, Iterator
 
 from . import jsontypes, knownvalues
-from .certify import Certificate, check
+from .certify import MODES, Certificate, check
 from .exceptions import ConfigurationError, RangeError, SearchSpaceError
 from .gf2 import RingShape
 from .problems import (
@@ -46,6 +46,8 @@ REPORT_COLUMNS = (
     "tight",
     "known_ref",
 )
+
+REPORT_FORMATS = ("json", "csv", "markdown")
 
 
 def _universe_from_spec(value: Any, what: str) -> str | frozenset:
@@ -166,7 +168,11 @@ def _ortho_subsets(pairs: tuple[tuple[int, int], ...]) -> list[tuple[tuple[int, 
 
 
 def _candidates(query: AtlasQuery) -> Iterator[tuple[ConstraintProblem, int]]:
-    """Counting-feasible candidates in deterministic output order."""
+    """Counting-feasible candidates in deterministic output order.
+
+    Each (m, a, ortho) problem is built and counted once per query; only
+    those that fit some d of the range are kept, and each d then takes
+    the ones whose count fits it, in (m, a, ortho) order."""
     m_values = list(product(range(query.max_m + 1), repeat=query.k))
     a_values = (
         list(product(range(query.max_a + 1), repeat=query.k))
@@ -175,18 +181,19 @@ def _candidates(query: AtlasQuery) -> Iterator[tuple[ConstraintProblem, int]]:
     )
     ortho_subsets = _ortho_subsets(query.universe_pairs())
     lo, hi = query.d_range
+    counted = []
+    for m in m_values:
+        for a in a_values:
+            for ortho in ortho_subsets:
+                p = ConstraintProblem.of(query.k, m=m, a=a, ortho=ortho)
+                c = constraint_dimension(p)
+                if c <= query.k * hi:  # else counting rules it out at every d
+                    counted.append((p, c))
     for d in range(lo, hi + 1):
         kd = query.k * d
-        for m in m_values:
-            for a in a_values:
-                for ortho in ortho_subsets:
-                    p = ConstraintProblem.of(query.k, m=m, a=a, ortho=ortho)
-                    c = constraint_dimension(p)
-                    if c > kd:
-                        continue  # counting already rules it out
-                    if query.mode == "strict" and c != kd:
-                        continue
-                    yield p, d
+        for p, c in counted:
+            if c == kd or (c < kd and query.mode != "strict"):
+                yield p, d
 
 
 def _check_candidate(args) -> Certificate:
@@ -203,7 +210,7 @@ def enumerate_rows(query: AtlasQuery, jobs: int = 1) -> Iterator[AtlasRow]:
     lo, hi = query.d_range
     if lo < 1 or hi < lo:
         raise ConfigurationError(f"bad d range {query.d_range}")
-    if query.mode not in ("strict", "relaxed"):
+    if query.mode not in MODES:
         raise ConfigurationError(f"bad mode {query.mode!r}")
     if query.k < 1:
         raise ConfigurationError(f"k must be >= 1, got {query.k}")
@@ -288,14 +295,15 @@ def _row_cells(row: AtlasRow) -> list[str]:
 
 
 def emit_report(rows: Iterable[AtlasRow], fmt: str = "json") -> str:
-    """Render rows as a json / csv / markdown document.
+    """Render rows as a document in one of REPORT_FORMATS: json, csv or
+    markdown.
 
     Output is a pure function of the row list, so identical inputs give
     bit-identical documents.
     """
     rows = list(rows)
     if fmt == "json":
-        doc = {"schema_version": 1, "rows": [r.to_dict() for r in rows]}
+        doc = {"schema_version": jsontypes.SCHEMA_VERSION, "rows": [r.to_dict() for r in rows]}
         return json.dumps(doc, sort_keys=True)
     if fmt == "csv":
         buf = io.StringIO()

@@ -16,7 +16,9 @@ the instance fails at d.
 
 The verify_* functions independently cross-check the closed-form
 expansions this machinery relies on (Vandermonde products, Dickson
-invariants, and their shifted product).
+invariants, and their shifted product).  Each identity's left side is the
+product of the compiled forms of the instance it describes, so it runs
+through the same compile step and kernel as `check`.
 """
 
 from __future__ import annotations
@@ -31,15 +33,10 @@ from .exceptions import (
     InfeasibleByCountingError,
     RangeError,
 )
-from .gf2 import (
-    RingShape,
-    SignVector,
-    TruncatedPolynomial,
-    nonzero_vectors_on,
-    product_of_forms,
-)
+from .gf2 import RingShape, TruncatedPolynomial, product_of_forms
 from .problems import (
     ConstraintProblem,
+    all_pairs,
     compile_forms,
     constraint_dimension,
     dominates,
@@ -207,57 +204,72 @@ def _permutation_sum(
     return tuple(sorted(support))
 
 
+def _matches_permutation_sum(
+    shape: RingShape, p: ConstraintProblem, exponents: list[int]
+) -> bool:
+    """The product of compile_forms(p) in the ring equals the permutation
+    sum over u_i..u_k, with i = k + 1 - len(exponents)."""
+    lhs = product_of_forms(shape, compile_forms(p))
+    variables = list(range(p.k + 1 - len(exponents), p.k + 1))
+    return lhs.support() == _permutation_sum(p.k, variables, exponents)
+
+
 def verify_vandermonde(k: int, j: int, d: int) -> bool:
-    """Product of the pair forms u_r + u_s over j <= r < s <= k equals the
-    permutation sum with exponents k-j, k-j-1, ..., 0.  Both sides are
-    computed independently (linear-form folding vs direct monomial
-    insertion)."""
+    """Product of the pair forms u_r + u_s over j <= r < s <= k, the forms
+    of hyperplanes j..k pairwise orthogonal, equals the permutation sum
+    with exponents k-j, k-j-1, ..., 0.  Both sides are computed
+    independently (linear-form folding vs direct monomial insertion)."""
     if not 1 <= j <= k - 1:
         raise RangeError(f"need 1 <= j <= k-1, got j={j}, k={k}")
     if d < k - j:
         raise RangeError(f"need d >= k-j = {k - j}, got d={d}")
-    shape = RingShape(k, d)
-    forms = [
-        SignVector.pair(k, r, s)
-        for r in range(j, k + 1)
-        for s in range(r + 1, k + 1)
-    ]
-    lhs = product_of_forms(shape, forms)
-    variables = list(range(j, k + 1))
-    exponents = list(range(k - j, -1, -1))
-    return lhs.support() == _permutation_sum(k, variables, exponents)
+    shape = RingShape(k, d)  # refuses a huge ring before any form is built
+    p = ConstraintProblem.of(k, ortho=[(r, s) for r, s in all_pairs(k) if r >= j])
+    return _matches_permutation_sum(shape, p, list(range(k - j, -1, -1)))
 
 
 def verify_dickson(k: int, i: int, d: int) -> bool:
-    """Product of all nonzero linear forms in u_i..u_k equals the
-    permutation sum with exponents 2^(k-i), 2^(k-i-1), ..., 1."""
+    """Product of all nonzero linear forms in u_i..u_k, the forms of one
+    unit of stage-i mass, equals the permutation sum with exponents
+    2^(k-i), 2^(k-i-1), ..., 1."""
     if not 1 <= i <= k:
         raise RangeError(f"need 1 <= i <= k, got i={i}, k={k}")
     if d < 2 ** (k - i):
         raise RangeError(f"need d >= 2^(k-i) = {2 ** (k - i)}, got d={d}")
     shape = RingShape(k, d)
-    lhs = product_of_forms(shape, nonzero_vectors_on(k, i))
-    variables = list(range(i, k + 1))
-    exponents = [2**e for e in range(k - i, -1, -1)]
-    return lhs.support() == _permutation_sum(k, variables, exponents)
+    p = ConstraintProblem.of(k, m=[0] * (i - 1) + [1])
+    return _matches_permutation_sum(shape, p, [2**e for e in range(k - i, -1, -1)])
 
 
 def verify_pki_ortho(k: int, i: int, d: int) -> bool:
     """Shifted Vandermonde: u_i^(i-1)*...*u_k^(i-1) times the pair-form
-    product over i <= r < s <= k equals the permutation sum with exponents
-    k-1, k-2, ..., i-1."""
+    product over i <= r < s <= k, the forms of hyperplanes i..k each
+    containing i-1 points and pairwise orthogonal, equals the permutation
+    sum with exponents k-1, k-2, ..., i-1."""
     if not 1 <= i <= k:
         raise RangeError(f"need 1 <= i <= k, got i={i}, k={k}")
     if d < k - 1:
         raise RangeError(f"need d >= k-1 = {k - 1}, got d={d}")
     shape = RingShape(k, d)
-    forms: list[SignVector] = []
-    for r in range(i, k + 1):
-        forms.extend([SignVector.basis(k, r)] * (i - 1))
-    for r in range(i, k + 1):
-        for s in range(r + 1, k + 1):
-            forms.append(SignVector.pair(k, r, s))
-    lhs = product_of_forms(shape, forms)
-    variables = list(range(i, k + 1))
-    exponents = list(range(k - 1, i - 2, -1))
-    return lhs.support() == _permutation_sum(k, variables, exponents)
+    a = [0] * (i - 1) + [i - 1] * (k - i + 1)
+    p = ConstraintProblem.of(k, a=a, ortho=[(r, s) for r, s in all_pairs(k) if r >= i])
+    return _matches_permutation_sum(shape, p, list(range(k - 1, i - 2, -1)))
+
+
+def verify_identities(k: int, d: int) -> dict[str, dict[str, bool]]:
+    """The verdict of every identity above whose precondition holds at
+    (k, d), by family and index.  k < 1 or d < 1 is refused: no identity
+    applies there, so a verdict over them would pass vacuously."""
+    if k < 1 or d < 1:
+        raise RangeError(f"identities need k >= 1 and d >= 1, got k={k}, d={d}")
+    return {
+        "vandermonde": {
+            f"j={j}": verify_vandermonde(k, j, d) for j in range(1, k) if d >= k - j
+        },
+        "dickson": {
+            f"i={i}": verify_dickson(k, i, d) for i in range(1, k + 1) if d >= 2 ** (k - i)
+        },
+        "pair_shift": {
+            f"i={i}": verify_pki_ortho(k, i, d) for i in range(1, k + 1) if d >= k - 1
+        },
+    }

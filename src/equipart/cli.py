@@ -13,10 +13,11 @@ import json
 import sys
 
 from . import knownvalues
-from .atlas import AtlasQuery, emit_report, enumerate_rows
-from .certify import check, verify_dickson, verify_pki_ortho, verify_vandermonde
-from .exceptions import EquipartError, InternalConsistencyError, RangeError, SearchSpaceError
+from .atlas import REPORT_FORMATS, AtlasQuery, emit_report, enumerate_rows
+from .certify import MODES, check, verify_identities
+from .exceptions import EquipartError, InternalConsistencyError, SearchSpaceError
 from .families import FAMILIES
+from .jsontypes import SCHEMA_VERSION
 from .masses import load_mass_spec
 from .problems import (
     ConstraintProblem,
@@ -26,8 +27,6 @@ from .problems import (
     upper_U,
 )
 from .solver import SolverConfig, solve
-
-SCHEMA_VERSION = 1
 
 EXIT_OK = 0
 EXIT_INCONCLUSIVE = 1
@@ -175,19 +174,7 @@ def _cmd_families(args) -> int:
 
 def _cmd_identities(args) -> int:
     k, d = args.k, args.d
-    if k < 1 or d < 1:
-        # with no identity in range the verdict would pass vacuously
-        raise RangeError(f"identities need k >= 1 and d >= 1, got k={k}, d={d}")
-    results: dict[str, dict[str, bool]] = {"vandermonde": {}, "dickson": {}, "pair_shift": {}}
-    for j in range(1, k):
-        if d >= k - j:
-            results["vandermonde"][f"j={j}"] = verify_vandermonde(k, j, d)
-    for i in range(1, k + 1):
-        if d >= 2 ** (k - i):
-            results["dickson"][f"i={i}"] = verify_dickson(k, i, d)
-    for i in range(1, k + 1):
-        if d >= k - 1:
-            results["pair_shift"][f"i={i}"] = verify_pki_ortho(k, i, d)
+    results = verify_identities(k, d)
     all_passed = all(v for group in results.values() for v in group.values())
     _emit({"k": k, "d": d, "results": results, "all_passed": all_passed})
     return EXIT_OK if all_passed else EXIT_INTERNAL
@@ -244,7 +231,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("check", help="run the certification criterion", parents=[common])
     _add_problem_flags(p)
     p.add_argument("--d", type=int, required=True)
-    p.add_argument("--mode", choices=("strict", "relaxed"), default="strict")
+    p.add_argument("--mode", choices=MODES, default="strict")
     p.set_defaults(func=_cmd_check)
 
     p = sub.add_parser("bound", parents=[common], help="condition count and dimension bounds")
@@ -275,20 +262,20 @@ def build_parser() -> _Parser:
     p.add_argument("--k", type=int, default=2)
     p.add_argument("--d-lo", type=int, default=2)
     p.add_argument("--d-hi", type=int, default=2)
-    p.add_argument("--mode", choices=("strict", "relaxed"), default="strict")
+    p.add_argument("--mode", choices=MODES, default="strict")
     p.add_argument("--max-m", type=int, default=2)
     p.add_argument("--max-a", type=int, default=0)
     p.add_argument("--no-ortho", action="store_true")
     p.add_argument("--universe", default="all", help="ortho universe: all/last/not12")
-    p.add_argument("--format", choices=("json", "csv", "markdown"), default="json")
+    p.add_argument("--format", choices=REPORT_FORMATS, default="json")
     p.add_argument("--jobs", type=int, default=1)
     p.set_defaults(func=_cmd_atlas)
 
     p = sub.add_parser("solve", parents=[common], help="construct a witness arrangement")
     p.add_argument("--problem", required=True, help="problem JSON file")
     p.add_argument("--masses", required=True, help="mass spec JSON file")
-    p.add_argument("--starts", type=int, default=32)
-    p.add_argument("--tol", type=float, default=1e-3)
+    p.add_argument("--starts", type=int, default=SolverConfig.starts)
+    p.add_argument("--tol", type=float, default=SolverConfig.tol)
     p.add_argument("--jobs", type=int, default=1)
     p.set_defaults(func=_cmd_solve)
 

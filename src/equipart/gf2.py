@@ -1,9 +1,11 @@
 """Exact arithmetic in the truncated polynomial ring Z2[u1..uk] / (u1^{d+1}, ..., uk^{d+1}).
 
 The one operation the certificates need is the product of linear forms
-u_{i1}+...+u_{ij}, computed by `product_of_forms`.  A product of j forms
-is homogeneous of degree j, so it is held as a (d+1)^(k-1) slice over
-the exponents of u1..u_{k-1}, the exponent of u_k being j minus the
+u_{i1}+...+u_{ij}, computed by `product_of_forms`, which takes each form
+as a plain 0/1 tuple of length k; `SignVector` is the validated type of
+the forms a problem lists as `extra`.  A product of j forms is
+homogeneous of degree j, so it is held as a (d+1)^(k-1) slice over the
+exponents of u1..u_{k-1}, the exponent of u_k being j minus the
 cell's exponent sum.  The slice is one Python int used as a bitset: bit
 c is row-major cell c.  Forms are grouped by multiplicity and applied
 with the Frobenius identity l^(2^b) = sum_{i in l} u_i^(2^b) over GF(2):
@@ -29,7 +31,6 @@ import json
 import math
 from collections import Counter
 from dataclasses import dataclass
-from operator import attrgetter
 from typing import Iterable
 
 from .exceptions import RangeError, ShapeError
@@ -71,7 +72,8 @@ class RingShape:
 @dataclass(frozen=True)
 class SignVector:
     """Nonzero element of Z2^k, read both as a character and as the
-    linear form bits[0]*u1 + ... + bits[k-1]*uk."""
+    linear form bits[0]*u1 + ... + bits[k-1]*uk: the validated type of a
+    problem's `extra` forms.  The kernel itself takes the bare 0/1 tuples."""
 
     bits: tuple[int, ...]
 
@@ -83,20 +85,6 @@ class SignVector:
         if not any(self.bits):
             raise RangeError("sign vector must be nonzero")
 
-    @classmethod
-    def basis(cls, k: int, i: int) -> "SignVector":
-        """Standard basis vector e_i (i is 1-based)."""
-        if not 1 <= i <= k:
-            raise RangeError(f"basis index {i} out of range 1..{k}")
-        return cls(tuple(1 if j == i - 1 else 0 for j in range(k)))
-
-    @classmethod
-    def pair(cls, k: int, r: int, s: int) -> "SignVector":
-        """e_r + e_s (1-based, r != s)."""
-        if r == s or not (1 <= r <= k and 1 <= s <= k):
-            raise RangeError(f"invalid pair ({r},{s}) for k={k}")
-        return cls(tuple(1 if j in (r - 1, s - 1) else 0 for j in range(k)))
-
     @property
     def k(self) -> int:
         return len(self.bits)
@@ -105,29 +93,8 @@ class SignVector:
         """1-based coordinates where the vector is 1."""
         return tuple(i + 1 for i, b in enumerate(self.bits) if b)
 
-    def __add__(self, other: "SignVector") -> "SignVector":
-        if self.k != other.k:
-            raise ShapeError("sign vectors of different length")
-        return SignVector(tuple(a ^ b for a, b in zip(self.bits, other.bits)))
-
     def __str__(self) -> str:
         return " + ".join(f"u{i}" for i in self.support())
-
-
-def nonzero_vectors_on(k: int, lo: int) -> list[SignVector]:
-    """All nonzero sign vectors supported on coordinates lo..k (1-based),
-    in fixed mask order: bit j of the mask maps to coordinate lo+j."""
-    if not 1 <= lo <= k:
-        raise RangeError(f"coordinate window {lo}..{k} is empty")
-    n = k - lo + 1
-    out = []
-    for mask in range(1, 1 << n):
-        bits = [0] * k
-        for j in range(n):
-            if mask >> j & 1:
-                bits[lo - 1 + j] = 1
-        out.append(SignVector(tuple(bits)))
-    return out
 
 
 @dataclass(frozen=True)
@@ -161,19 +128,25 @@ class TruncatedPolynomial:
 
 
 def product_of_forms(
-    shape: RingShape, forms: Iterable[SignVector]
+    shape: RingShape, forms: Iterable[tuple[int, ...]]
 ) -> TruncatedPolynomial:
-    """Product of the linear forms named by the sign vectors, starting from 1.
+    """Product of the linear forms, starting from 1.  A form is a 0/1 tuple
+    of length k, the form bits[0]*u1 + ... + bits[k-1]*uk.
 
     The result depends only on the multiset of forms, not their order.
     The running product of degree j is a bitset over the exponents of
     u1..u_{k-1}, and a form of multiplicity n costs one pass per set bit
-    of n (see the module docstring).
+    of n (see the module docstring).  Each distinct form is checked once:
+    a wrong length raises ShapeError, a zero form or an entry other than
+    0 or 1 raises RangeError.
     """
-    counts = Counter(map(attrgetter("bits"), forms))
+    counts = Counter(forms)
     for bits in counts:
         if len(bits) != shape.k:
             raise ShapeError(f"form of length {len(bits)} in a k={shape.k} ring")
+        ones = bits.count(1)  # nonzero 0/1: some entries 1, all others 0
+        if not ones or ones + bits.count(0) != shape.k:
+            raise RangeError(f"a form must be a nonzero 0/1 tuple, got {bits!r}")
     k, d = shape.k, shape.d
     strides = [(d + 1) ** (k - 2 - ax) for ax in range(k - 1)]
     acc = 1  # the unit: exponent tuple 0, slice cell 0

@@ -5,6 +5,9 @@ Each check returns the value when it has the expected JSON type and raises
 `ConfigurationError` naming the field otherwise, so a malformed document
 exits 2 with one error line instead of failing deep inside the
 computation.  Booleans are not accepted as numbers.
+
+`SCHEMA_VERSION` is the schema version every JSON document the package
+writes carries.
 """
 
 from __future__ import annotations
@@ -12,6 +15,8 @@ from __future__ import annotations
 from typing import Any, Callable, NoReturn
 
 from .exceptions import ConfigurationError
+
+SCHEMA_VERSION = 1
 
 _REQUIRED = object()
 

@@ -4,7 +4,8 @@ An instance asks for k hyperplanes in R^d such that, for each stage i,
 hyperplanes i..k equipartition m_i given masses (a "cascade"), hyperplane i
 contains a prescribed (a_i - 1)-dimensional flat, and the pairs listed in
 `ortho` are orthogonal.  `extra` holds any further characters imposed
-directly as sign vectors.
+directly as sign vectors, typed as `SignVector`.  `compile_forms` turns an
+instance into the plain 0/1 tuples the product kernel multiplies.
 
 Every scalar condition consumes one of the k*d degrees of freedom of the
 arrangement, which gives the counting bound  k * Delta >= C  with
@@ -23,7 +24,7 @@ from typing import Any, Iterable, Sequence
 
 from . import jsontypes
 from .exceptions import ContradictionError, RangeError, ShapeError
-from .gf2 import SignVector, nonzero_vectors_on
+from .gf2 import SignVector
 
 
 def all_pairs(k: int) -> frozenset[tuple[int, int]]:
@@ -197,32 +198,47 @@ def upper_U(m: int, k: int) -> int:
 # ----------------------------------------------------------------------
 # compilation into linear forms
 # ----------------------------------------------------------------------
-def compile_forms(p: ConstraintProblem) -> list[SignVector]:
-    """Translate the instance into its multiset of GF(2) linear forms.
+def compile_forms(p: ConstraintProblem) -> list[tuple[int, ...]]:
+    """Translate the instance into its multiset of GF(2) linear forms, each
+    a 0/1 tuple of length k, the input of `product_of_forms`.
 
     Stage i contributes m_i copies of every nonzero vector supported on
     coordinates i..k; containment contributes a_i copies of e_i;
     each orthogonal pair contributes e_r + e_s; extra forms pass through.
-    The output length always equals constraint_dimension(p).
+    The output is a fresh list whose length always equals
+    constraint_dimension(p).
     """
-    forms: list[SignVector] = []
-    for i in range(1, p.k + 1):
-        if p.m[i - 1]:
-            forms.extend(_stage_vectors(p.k, i) * p.m[i - 1])
-    for i in range(1, p.k + 1):
-        if p.a[i - 1]:
-            forms.extend([SignVector.basis(p.k, i)] * p.a[i - 1])
+    forms: list[tuple[int, ...]] = []
+    for i, m in enumerate(p.m, 1):
+        if m:
+            forms.extend(_stage_forms(p.k, i) * m)
+    for i, a in enumerate(p.a, 1):
+        if a:
+            forms.extend([_indicator(p.k, i)] * a)
     for r, s in sorted(p.ortho):
-        forms.append(SignVector.pair(p.k, r, s))
-    forms.extend(p.extra)
+        forms.append(_indicator(p.k, r, s))
+    forms.extend(v.bits for v in p.extra)
     return forms
 
 
+def _indicator(k: int, *coords: int) -> tuple[int, ...]:
+    """The 0/1 tuple of length k that is 1 at the 1-based coords."""
+    bits = [0] * k
+    for c in coords:
+        bits[c - 1] = 1
+    return tuple(bits)
+
+
 @functools.cache
-def _stage_vectors(k: int, i: int) -> tuple[SignVector, ...]:
-    """The forms of one unit of stage-i mass, built and validated once per
-    (k, i); a tuple, so no caller can change what the next one reads."""
-    return tuple(nonzero_vectors_on(k, i))
+def _stage_forms(k: int, i: int) -> tuple[tuple[int, ...], ...]:
+    """The forms of one unit of stage-i mass, every nonzero vector on
+    coordinates i..k in mask order (bit j of the mask is coordinate i+j),
+    built once per (k, i)."""
+    n = k - i + 1
+    return tuple(
+        (0,) * (i - 1) + tuple(mask >> j & 1 for j in range(n))
+        for mask in range(1, 1 << n)
+    )
 
 
 # ----------------------------------------------------------------------
@@ -249,12 +265,6 @@ class Classification:
     balanced: bool
     tight: bool
 
-    @property
-    def fully_maximal(self) -> bool:
-        return self.j_maximal > 0 and all(
-            i in self.maximal_stages for i in range(1, self.j_maximal + 1)
-        )
-
     def to_dict(self) -> dict:
         return {
             "lower_dim": self.lower_dim,
@@ -275,6 +285,8 @@ def _bumped_stage(p: ConstraintProblem, i: int) -> ConstraintProblem:
 
 def classify(p: ConstraintProblem, d: int) -> Classification:
     """Label an instance known (or claimed) to hold at dimension d."""
+    if d < 1:
+        raise RangeError(f"d must be >= 1, got {d}")
     c = constraint_dimension(p)
     lower = lower_bound_dim(p)
     if d < lower:

@@ -34,10 +34,9 @@ from typing import Sequence
 import numpy as np
 
 from .exceptions import ConfigurationError, EquipartError, RangeError, ShapeError
+from .jsontypes import SCHEMA_VERSION
 from .masses import MIN_NORMAL_NORM, HyperplaneParam, SampledMass, parse_label, region_masses
 from .problems import ConstraintProblem
-
-SCHEMA_VERSION = 1
 
 # Annealing schedule: tau falls geometrically from TAU_INIT_FACTOR times the
 # data diameter to TAU_FINAL; the last ANNEAL_FULL_TAIL stages rerun on the

@@ -11,6 +11,7 @@ from equipart.certify import (
     find_min_certified_d,
     transfer_by_domination,
     verify_dickson,
+    verify_identities,
     verify_pki_ortho,
     verify_vandermonde,
 )
@@ -301,6 +302,25 @@ def test_pair_shift_small():
     assert verify_pki_ortho(2, 1, 2)
     assert verify_pki_ortho(3, 1, 3)
     assert verify_pki_ortho(4, 2, 4)
+
+
+@pytest.mark.parametrize(
+    "k, d, indices",
+    [
+        # (Vandermonde j, Dickson i, shifted Vandermonde i) whose
+        # preconditions d >= k-j, d >= 2^(k-i) and d >= k-1 hold
+        (1, 1, ([], [1], [1])),
+        (4, 1, ([3], [4], [])),
+        (4, 2, ([2, 3], [3, 4], [])),
+        (4, 3, ([1, 2, 3], [3, 4], [1, 2, 3, 4])),
+        (4, 8, ([1, 2, 3], [1, 2, 3, 4], [1, 2, 3, 4])),
+    ],
+)
+def test_verify_identities_runs_each_identity_in_range(k, d, indices):
+    results = verify_identities(k, d)
+    keys = [[f"j={j}" for j in indices[0]], *[[f"i={i}" for i in ix] for ix in indices[1:]]]
+    assert [list(results[name]) for name in ("vandermonde", "dickson", "pair_shift")] == keys
+    assert all(v for group in results.values() for v in group.values())
 
 
 @settings(max_examples=20, deadline=None)

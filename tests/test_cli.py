@@ -9,6 +9,7 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
+from equipart.certify import verify_identities
 from equipart.cli import run
 from equipart.problems import ConstraintProblem, compile_forms
 
@@ -54,7 +55,7 @@ def test_check_verbose_dumps_polynomial(capsys):
     code, doc, _ = run_json(
         capsys, ["check", "--k", "3", "--m", "4,2", "--d", "16", "--mode", "relaxed", "-v"]
     )
-    forms = [f.bits for f in compile_forms(ConstraintProblem.of(3, m=(4, 2)))]
+    forms = compile_forms(ConstraintProblem.of(3, m=(4, 2)))
     expect = product_of_forms_oracle(3, 16, forms).sorted_support()
     assert code == 0 and len(expect) == 4
     assert doc["h_support"] == [list(t) for t in expect]
@@ -164,6 +165,29 @@ def test_identities_all_pass(capsys):
     assert code == 0
     assert doc["all_passed"] is True
     assert doc["results"]["dickson"]["i=1"] is True
+
+
+@pytest.mark.parametrize("k, d", [(1, 1), (1, 4), (2, 1), (3, 2), (4, 8), (5, 3)])
+def test_identities_document_is_the_library_result(capsys, k, d):
+    code, doc, _ = run_json(capsys, ["identities", "--k", str(k), "--d", str(d)])
+    results = verify_identities(k, d)
+    assert code == 0
+    assert doc == {"schema_version": 1, "k": k, "d": d, "results": results,
+                   "all_passed": True}
+    if k == 1:
+        assert results == {"vandermonde": {}, "dickson": {"i=1": True},
+                           "pair_shift": {"i=1": True}}
+
+
+def test_identities_refuse_a_huge_ring_before_building_forms(capsys):
+    # the first identity in range, j = k-1, already needs a 2^2000-cell ring
+    start = time.perf_counter()
+    code = run(["identities", "--k", "2000", "--d", "1"])
+    elapsed = time.perf_counter() - start
+    out, err = capture(capsys)
+    assert code == 2 and out == "" and elapsed < 1.0
+    (line,) = err.splitlines()
+    assert json.loads(line)["error"].startswith("RangeError: ring with k=2000, d=1")
 
 
 @pytest.mark.parametrize("k, d", [("0", "3"), ("3", "-2")])
@@ -343,6 +367,7 @@ def test_solve_zero_starts_exit_2(tmp_path, capsys):
         (["solve", "--tol", "nan"], "RangeError: tol must be finite, got nan"),
         (["atlas", "--jobs", "0"], "ConfigurationError: jobs must be >= 1, got 0"),
         (["solve", "--seed", "-1"], "ConfigurationError: seed must be >= 0, got -1"),
+        (["classify", "--k", "2", "--d", "0"], "RangeError: d must be >= 1, got 0"),
     ],
 )
 def test_out_of_range_solver_arguments_exit_2(tmp_path, capsys, argv, message):

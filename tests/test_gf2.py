@@ -8,14 +8,14 @@ from hypothesis import given, settings, strategies as st
 
 from equipart.certify import check
 from equipart.exceptions import RangeError, ShapeError
-from equipart.gf2 import RingShape, SignVector, nonzero_vectors_on, product_of_forms
-from equipart.problems import ConstraintProblem
+from equipart.gf2 import RingShape, SignVector, product_of_forms
+from equipart.problems import ConstraintProblem, all_pairs, compile_forms
 
 from oracle import product_of_forms_oracle
 
 
 def forms_of(*bits):
-    return [SignVector(b) for b in bits]
+    return list(bits)
 
 
 # ----------------------------------------------------------------------
@@ -36,7 +36,15 @@ def test_ring_shape_validation_and_cap():
 
 def test_product_of_forms_shape_mismatch():
     with pytest.raises(ShapeError):
-        product_of_forms(RingShape(2, 2), [SignVector((1, 0, 0))])
+        product_of_forms(RingShape(2, 2), [(1, 0, 0)])
+    with pytest.raises(ShapeError):
+        product_of_forms(RingShape(2, 2), [(1, 1), ()])
+
+
+@pytest.mark.parametrize("form", [(0, 0, 0), (0, 1, 2), (1, 1, -1)])
+def test_product_of_forms_refuses_a_form_that_is_not_nonzero_0_1(form):
+    with pytest.raises(RangeError):
+        product_of_forms(RingShape(3, 2), [(1, 0, 0), form, form])
 
 
 def test_constants():
@@ -78,28 +86,21 @@ def test_is_top_is_zero():
 
 def test_product_of_forms_single_variable():
     shape = RingShape(1, 1)
-    assert product_of_forms(shape, [SignVector((1,))]).is_top()
+    assert product_of_forms(shape, [(1,)]).is_top()
 
 
 def test_product_of_forms_cascade_instance():
     # 12 forms of the (1,1,2)-cascade over 3 hyperplanes hit the top class
-    forms = (
-        nonzero_vectors_on(3, 1)
-        + nonzero_vectors_on(3, 2)
-        + [SignVector.basis(3, 3)] * 2
-    )
-    assert len(forms) == 12
+    forms = compile_forms(ConstraintProblem.of(3, m=(1, 1, 2)))
+    assert len(forms) == 12 and forms[-2:] == [(0, 0, 1)] * 2
     h = product_of_forms(RingShape(3, 4), forms)
     assert h.support() == ((4, 4, 4),)
 
 
 def test_product_of_forms_full_ortho_negative_control():
     # 3 copies of all 7 nonzero vectors plus the 3 pair forms vanish at d=9
-    forms = nonzero_vectors_on(3, 1) * 3 + [
-        SignVector.pair(3, 1, 2),
-        SignVector.pair(3, 1, 3),
-        SignVector.pair(3, 2, 3),
-    ]
+    forms = compile_forms(ConstraintProblem.of(3, m=(3,), ortho=all_pairs(3)))
+    assert forms[-3:] == [(1, 1, 0), (1, 0, 1), (0, 1, 1)]
     assert product_of_forms(RingShape(3, 9), forms).is_zero()
 
 
@@ -111,7 +112,7 @@ def shaped_form(draw):
     k = draw(st.integers(1, 5))
     d = draw(st.integers(0, 6 if k < 5 else 3))
     bits = draw(st.lists(st.integers(0, 1), min_size=k, max_size=k).filter(any))
-    return RingShape(k, d), SignVector(tuple(bits))
+    return RingShape(k, d), tuple(bits)
 
 
 @settings(max_examples=60, deadline=None)
@@ -119,7 +120,7 @@ def shaped_form(draw):
 def test_single_form_product_matches_oracle(data):
     shape, form = data
     h = product_of_forms(shape, [form])
-    expect = product_of_forms_oracle(shape.k, shape.d, [form.bits]).sorted_support()
+    expect = product_of_forms_oracle(shape.k, shape.d, [form]).sorted_support()
     assert h.support() == expect
 
 
@@ -131,7 +132,7 @@ def test_frobenius(data, b):
     shape, form = data
     s = 1 << b
     h = product_of_forms(shape, [form] * s)
-    powers = [tuple(s * int(j == i - 1) for j in range(shape.k)) for i in form.support()]
+    powers = [tuple(s * int(j == i) for j in range(shape.k)) for i, bit in enumerate(form) if bit]
     assert h.support() == (tuple(sorted(powers)) if s <= shape.d else ())
 
 
@@ -155,7 +156,7 @@ def form_multisets(draw):
 @given(form_multisets())
 def test_product_of_forms_matches_oracle(data):
     k, d, forms = data
-    h = product_of_forms(RingShape(k, d), [SignVector(bits) for bits in forms])
+    h = product_of_forms(RingShape(k, d), forms)
     assert h.support() == product_of_forms_oracle(k, d, forms).sorted_support()
     # check's verdicts at every d' that fits the forms agree with the oracle
     problem = ConstraintProblem.of(k, extra=forms)
@@ -194,7 +195,7 @@ WINDOW_EDGES = {
 @pytest.mark.parametrize("case", sorted(WINDOW_EDGES))
 def test_support_window_edges(case):
     k, d, forms, expect = WINDOW_EDGES[case]
-    h = product_of_forms(RingShape(k, d), [SignVector(bits) for bits in forms])
+    h = product_of_forms(RingShape(k, d), forms)
     assert h.support() == expect == product_of_forms_oracle(k, d, forms).sorted_support()
 
 
@@ -209,7 +210,7 @@ def test_product_of_forms_order_independent(k, d, n_forms, rnd):
     forms = []
     for _ in range(n_forms):
         bits = tuple(rnd.randint(0, 1) for _ in range(k))
-        forms.append(SignVector(bits if any(bits) else (1,) * k))
+        forms.append(bits if any(bits) else (1,) * k)
     shape = RingShape(k, d)
     base = product_of_forms(shape, forms)
     for _ in range(4):
@@ -218,7 +219,7 @@ def test_product_of_forms_order_independent(k, d, n_forms, rnd):
 
 
 def test_product_of_forms_hundred_shuffles():
-    forms = nonzero_vectors_on(3, 1) + nonzero_vectors_on(3, 2)
+    forms = compile_forms(ConstraintProblem.of(3, m=(1, 1)))
     shape = RingShape(3, 5)
     base = product_of_forms(shape, forms)
     rng = np.random.default_rng(42)
@@ -233,7 +234,7 @@ def test_form_products_are_homogeneous(k, d, n_forms, rnd):
     forms = []
     for _ in range(n_forms):
         bits = tuple(rnd.randint(0, 1) for _ in range(k))
-        forms.append(SignVector(bits if any(bits) else (1,) * k))
+        forms.append(bits if any(bits) else (1,) * k)
     h = product_of_forms(RingShape(k, d), forms)
     assert h.is_zero() or {sum(e) for e in h.support()} == {n_forms}
 
@@ -268,7 +269,7 @@ def trinomial_support(n, d):
 def test_binomial_powers_match_lucas(d):
     # slices of d+1 = 64, 65, 101 and 256 cells, whole bytes or not
     for n in range(2 * d + 2):
-        h = product_of_forms(RingShape(2, d), [SignVector((1, 1))] * n)
+        h = product_of_forms(RingShape(2, d), [(1, 1)] * n)
         assert h.support() == binomial_support(n, d), n
 
 
@@ -276,19 +277,19 @@ def test_binomial_powers_match_lucas(d):
 def test_trinomial_powers_match_disjoint_bits(d):
     # slices of (d+1)^2 cells: 4096, 4225, 10201 and 65536
     for n in [*range(0, 3 * d + 2, 7), d, d + 1, 2 * d, 3 * d]:
-        h = product_of_forms(RingShape(3, d), [SignVector((1, 1, 1))] * n)
+        h = product_of_forms(RingShape(3, d), [(1, 1, 1)] * n)
         assert h.support() == trinomial_support(n, d), n
 
 
 def test_forty_thousand_copies_of_u1_reach_the_top():
     # the u_k exponent 40,000 must come through its column unchanged
-    h = product_of_forms(RingShape(1, 40_000), [SignVector((1,))] * 40_000)
+    h = product_of_forms(RingShape(1, 40_000), [(1,)] * 40_000)
     assert h.support() == ((40_000,),) and h.is_top()
 
 
 def test_one_form_in_a_twenty_variable_ring():
     # a 2^19-cell slice: the form itself, u1 + ... + u20
-    h = product_of_forms(RingShape(20, 1), [SignVector((1,) * 20)])
+    h = product_of_forms(RingShape(20, 1), [(1,) * 20])
     basis = [tuple(int(j == i) for j in range(20)) for i in range(20)]
     assert h.support() == tuple(sorted(basis))
 
@@ -298,7 +299,7 @@ def test_wide_one_form_product_holds_one_axis_mask():
     # dropped after its last use, so they are never all held at once
     tracemalloc.start()
     try:
-        h = product_of_forms(RingShape(26, 1), [SignVector((1,) * 26)])
+        h = product_of_forms(RingShape(26, 1), [(1,) * 26])
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -319,16 +320,8 @@ def test_sign_vector_validation():
 
 
 def test_sign_vector_helpers():
-    assert SignVector.basis(3, 2).bits == (0, 1, 0)
-    assert SignVector.pair(3, 1, 3).bits == (1, 0, 1)
-    assert (SignVector((1, 1, 0)) + SignVector((0, 1, 1))).bits == (1, 0, 1)
-    assert SignVector((1, 0, 1)).support() == (1, 3)
-    assert nonzero_vectors_on(2, 1) == [
-        SignVector((1, 0)),
-        SignVector((0, 1)),
-        SignVector((1, 1)),
-    ]
-    assert len(nonzero_vectors_on(4, 2)) == 7
+    v = SignVector((1, 0, 1))
+    assert v.k == 3 and v.support() == (1, 3) and str(v) == "u1 + u3"
 
 
 # ----------------------------------------------------------------------

@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from equipart.certify import check
 from equipart.exceptions import ContradictionError, RangeError, ShapeError
-from equipart.gf2 import SignVector, nonzero_vectors_on
+from equipart.gf2 import SignVector
 from equipart.problems import (
     ConstraintProblem,
     all_pairs,
@@ -135,12 +135,12 @@ def test_json_round_trip():
 # compilation
 # ----------------------------------------------------------------------
 def test_compile_forms_examples():
-    assert [f.bits for f in compile_forms(ConstraintProblem.of(2, m=(1, 0)))] == [
+    assert compile_forms(ConstraintProblem.of(2, m=(1, 0))) == [
         (1, 0),
         (0, 1),
         (1, 1),
     ]
-    assert [f.bits for f in compile_forms(ConstraintProblem.of(2, m=(1, 1)))] == [
+    assert compile_forms(ConstraintProblem.of(2, m=(1, 1))) == [
         (1, 0),
         (0, 1),
         (1, 1),
@@ -165,26 +165,36 @@ def test_compile_forms_fully_constrained_k4():
     )
     forms = compile_forms(p)
     assert len(forms) == 32 == constraint_dimension(p)
+    # stage-1 forms, then 2 e3 and 3 e4, the 6 pairs in order, the extras
+    assert forms[15:20] == [(0, 0, 1, 0)] * 2 + [(0, 0, 0, 1)] * 3
+    assert forms[20:26] == [
+        (1, 1, 0, 0), (1, 0, 1, 0), (1, 0, 0, 1), (0, 1, 1, 0), (0, 1, 0, 1), (0, 0, 1, 1)
+    ]
+    assert forms[26:] == [v.bits for v in p.extra]
 
 
 def test_compiled_lists_are_fresh():
-    # the stage vectors are cached; a caller that changes its list must
+    # the stage forms are cached; a caller that changes its list must
     # not change what the next call returns
     p = ConstraintProblem.of(3, m=(2, 1, 0))
-    expect = [f.bits for f in compile_forms(p)]
+    expect = compile_forms(p)
+    assert expect[-3:] == [(0, 1, 0), (0, 0, 1), (0, 1, 1)]
     forms = compile_forms(p)
+    forms[0] = (1, 1, 1)
+    del forms[1:]
+    assert compile_forms(p) == expect
     forms.clear()
-    assert [f.bits for f in compile_forms(p)] == expect
-    vectors = nonzero_vectors_on(3, 2)
-    vectors[0] = SignVector((1, 1, 1))
-    del vectors[1:]
-    assert [v.bits for v in nonzero_vectors_on(3, 2)] == [(0, 1, 0), (0, 0, 1), (0, 1, 1)]
-    assert [f.bits for f in compile_forms(p)] == expect
+    assert compile_forms(p) == expect
 
 
-def test_second_check_builds_no_stage_vector(monkeypatch):
-    p = ConstraintProblem.of(3, m=(1, 1, 2))
-    first = check(p, 4)
+def test_check_without_extra_builds_no_sign_vector(monkeypatch):
+    # the forms reach the kernel as tuples: only `extra` is typed as
+    # SignVector, so no check of a problem without it builds one, the
+    # first check of a new (k, i) stage included
+    problems = [
+        ConstraintProblem.of(3, m=(1, 1, 2)),
+        ConstraintProblem.of(7, m=(0, 0, 0, 0, 1), a=(1,) * 7, ortho=all_pairs(7)),
+    ]
     built = []
     validate = SignVector.__post_init__
 
@@ -193,7 +203,8 @@ def test_second_check_builds_no_stage_vector(monkeypatch):
         validate(self)
 
     monkeypatch.setattr(SignVector, "__post_init__", counting)
-    assert check(p, 4) == first
+    first = [check(p, lower_bound_dim(p), "relaxed") for p in problems]
+    assert [check(p, lower_bound_dim(p), "relaxed") for p in problems] == first
     assert built == []
 
 
@@ -235,10 +246,19 @@ def test_classify_below_lower_bound_raises():
         classify(ConstraintProblem.of(3, m=(1, 1, 2)), 3)
 
 
+@pytest.mark.parametrize("d", [0, -3])
+def test_classify_refuses_d_below_one(d):
+    # with no conditions the counting bound is 0, so only this check
+    # keeps d = 0 from being labelled like a real dimension
+    for p in (ConstraintProblem.of(2), ConstraintProblem.of(2, m=(1, 1))):
+        with pytest.raises(RangeError, match=f"d must be >= 1, got {d}"):
+            classify(p, d)
+
+
 @settings(max_examples=40, deadline=None)
 @given(problems(max_k=4, max_entry=3), st.integers(0, 3))
 def test_classify_ignores_listing_order(p, bump):
-    d = lower_bound_dim(p) + bump
+    d = max(lower_bound_dim(p), 1) + bump
     base = classify(p, d)
     shuffled = ConstraintProblem(
         k=p.k,

@@ -53,3 +53,28 @@ def test_every_private_definition_is_used(path):
         and used[node.name] <= Counter(names_used(node))[node.name]
     ]
     assert not dead
+
+
+@pytest.fixture(scope="module")
+def named():
+    """Every name that a file under src/, tests/ or perfbench/ reads."""
+    used = Counter()
+    for pattern in ("src/**/*.py", "tests/**/*.py", "perfbench/**/*.py"):
+        for source in ROOT.glob(pattern):
+            used.update(names_used(ast.parse(source.read_text(), filename=str(source))))
+    return used
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: str(p.relative_to(ROOT)))
+def test_every_definition_is_named_somewhere(path, named):
+    # a function, class, method or property that no source, test or bench
+    # file names is dead code, public or not; dunders are called by Python
+    # itself, and uses inside a definition's own body do not count
+    dead = [
+        f"{node.name} (line {node.lineno})"
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and not (node.name.startswith("__") and node.name.endswith("__"))
+        and named[node.name] <= Counter(names_used(node))[node.name]
+    ]
+    assert not dead
