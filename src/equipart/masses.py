@@ -302,26 +302,6 @@ def load_mass_spec(
     return d, masses, points
 
 
-def side_fractions(
-    s: np.ndarray, mode: str = "hard", tau: float | None = None, tie_eps: float = TIE_EPS
-) -> np.ndarray:
-    """Per-point fraction of weight landing on side 0 of a hyperplane.
-
-    Hard mode: 1 on side 0, 0 on side 1, 0.5 on a tie (|s| <= tie_eps).
-    Smoothed mode: logistic(s / tau).
-    """
-    if mode == "hard":
-        return np.where(s > tie_eps, 1.0, np.where(s < -tie_eps, 0.0, 0.5))
-    if mode == "smoothed":
-        if tau is None or tau <= 0:
-            raise ConfigurationError("smoothed mode needs tau > 0")
-        # scipy costs about 0.3 s to import and only this reference needs it
-        from scipy.special import expit
-
-        return expit(s / tau)
-    raise ConfigurationError(f"unknown evaluation mode {mode!r}")
-
-
 def _hard_region_masses(
     S: np.ndarray, weights: np.ndarray, tie_eps: float
 ) -> np.ndarray:
@@ -435,7 +415,9 @@ def region_masses(
     Returns 2^(k-stage+1) values summing to the mass total.  Orthant index:
     bit j is the side of hyperplane stage+j, so index 0 is the all-side-0
     region and flipping one hyperplane's orientation flips one bit.  Hard
-    mode follows `side_fractions`' hard rule; smoothed mode its logistic.
+    mode puts a point on side 0 when s > tie_eps, on side 1 when
+    s < -tie_eps and half on each side otherwise; smoothed mode gives side
+    0 the fraction expit(s / tau).
     With jac=True (smoothed mode only) also returns dR/dV, shape
     (2^(k-stage+1), k-stage+1, d+1): the derivative of each orthant mass
     with respect to each plane vector of hyperplanes stage..k.

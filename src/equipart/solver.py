@@ -35,6 +35,7 @@ import numpy as np
 
 from .exceptions import ConfigurationError, EquipartError, RangeError, ShapeError
 from .jsontypes import SCHEMA_VERSION
+from .lbfgs import DEGENERATE_SCORE, minimize
 from .masses import MIN_NORMAL_NORM, HyperplaneParam, SampledMass, parse_label, region_masses
 from .problems import ConstraintProblem
 
@@ -48,14 +49,6 @@ TAU_HANDOFF_FACTOR = 0.02
 ANNEAL_FULL_TAIL = 8
 ANNEAL_MAXITER = 25
 DEGENERATE_TOL = 1e-6  # unit plane vectors this close, up to sign, coincide
-
-
-def minimize(fun, x0, args=(), **kwargs):
-    """`scipy.optimize.minimize`, imported on the first call: scipy takes
-    about 0.3 s to import, and nothing but a solve needs it."""
-    from scipy.optimize import minimize as scipy_minimize
-
-    return scipy_minimize(fun, x0, args=args, **kwargs)
 
 
 @dataclass(frozen=True)
@@ -447,12 +440,12 @@ def _objective(
     """The objective at raw parameters x: assembly, then `_evaluate`.
     With jac=True returns (objective, gradient with respect to x), the
     gradient pulled back through the assembly; a degenerate assembly
-    scores 1e9 with a zero gradient."""
+    scores DEGENERATE_SCORE with a zero gradient."""
     raw = x.reshape(problem.k, d + 1)
     tape: list | None = [] if jac else None
     planes = assemble_hyperplanes(raw, problem, cont, cfg.min_normal_norm, tape)
     if planes is None:
-        return (1e9, np.zeros_like(x)) if jac else 1e9
+        return (DEGENERATE_SCORE, np.zeros_like(x)) if jac else DEGENERATE_SCORE
     *_, objective, grad = _evaluate(problem, by_key, cont, planes, mode, tau, jac)
     if not jac:
         return objective
@@ -544,9 +537,7 @@ def _run_start(args) -> tuple[int, float, np.ndarray, int]:
                 _objective,
                 x,
                 args=(problem, keys, cont, d, "smoothed", float(tau), cfg, True),
-                method="L-BFGS-B",
-                jac=True,
-                options={"maxiter": maxiter},
+                maxiter=maxiter,
             )
             x = res.x
         planes = assemble_hyperplanes(x.reshape(problem.k, d + 1), problem, cont, cfg.min_normal_norm)

@@ -1,13 +1,21 @@
-"""Independent brute-force model of the truncated GF(2) ring.
+"""Independent brute-force references that tests compute expected values
+with.
 
-Deliberately naive: support sets of exponent tuples, quadratic-time
-products, no shared code with the package's array implementation.  Tests
-use it to compute expected values.
+The truncated GF(2) ring: deliberately naive support sets of exponent
+tuples and quadratic-time products, no shared code with the package's
+implementation.  The side rule of the region masses: per-point side
+fractions, the logistic taken from scipy rather than from the kernel's
+tanh form.
 """
 
 from __future__ import annotations
 
 from itertools import product
+
+import numpy as np
+
+from equipart.exceptions import ConfigurationError
+from equipart.masses import TIE_EPS
 
 
 class DictPoly:
@@ -64,3 +72,23 @@ def all_polynomials(k, d):
     cells = list(product(range(d + 1), repeat=k))
     for mask in range(1 << len(cells)):
         yield DictPoly(k, d, [c for i, c in enumerate(cells) if mask >> i & 1])
+
+
+def side_fractions(
+    s: np.ndarray, mode: str = "hard", tau: float | None = None, tie_eps: float = TIE_EPS
+) -> np.ndarray:
+    """Per-point fraction of weight landing on side 0 of a hyperplane.
+
+    Hard mode: 1 on side 0, 0 on side 1, 0.5 on a tie (|s| <= tie_eps).
+    Smoothed mode: logistic(s / tau).
+    """
+    if mode == "hard":
+        return np.where(s > tie_eps, 1.0, np.where(s < -tie_eps, 0.0, 0.5))
+    if mode == "smoothed":
+        if tau is None or tau <= 0:
+            raise ConfigurationError("smoothed mode needs tau > 0")
+        # scipy costs about 0.3 s to import and only this reference needs it
+        from scipy.special import expit
+
+        return expit(s / tau)
+    raise ConfigurationError(f"unknown evaluation mode {mode!r}")

