@@ -1,6 +1,13 @@
 """Exception hierarchy shared across the package."""
 
 
+def int_text(n: int) -> str:
+    """n for an error message: in decimal, or by its bit length once the
+    decimal would be long (Python refuses to print an int past 4300
+    digits, and a message must never fail to form)."""
+    return str(n) if n.bit_length() <= 64 else f"<{n.bit_length()}-bit integer>"
+
+
 class EquipartError(Exception):
     """Base class for all errors raised by this package."""
 

@@ -16,8 +16,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .exceptions import FamilyDomainError, InternalConsistencyError
+from .exceptions import FamilyDomainError, InternalConsistencyError, int_text
+from .gf2 import MAX_RING_CELLS
 from .problems import (
+    MAX_K,
     ConstraintProblem,
     all_pairs,
     constraint_dimension,
@@ -49,11 +51,27 @@ class FamilyInstance:
         }
 
 
-def _check_qt(q: int, t: int) -> None:
+def _check_sizes(q: int, k: int) -> None:
+    """Refuse a negative q, and a q or k no instance could have, before
+    2^q or the k cascade entries are built (for a huge q or k, gigabytes):
+    every family's d is at least 2^q, which puts the ring (d+1)^k past
+    `gf2.MAX_RING_CELLS` from q = 27 on, and a problem has at most
+    `problems.MAX_K` hyperplanes."""
     if q < 0:
         raise FamilyDomainError(f"q must be >= 0, got {q}")
+    if q >= MAX_RING_CELLS.bit_length():
+        raise FamilyDomainError(
+            f"q must be < {MAX_RING_CELLS.bit_length()}, got {int_text(q)}: d >= 2^q "
+            f"puts the instance's ring past the cap 2^{MAX_RING_CELLS.bit_length() - 1} cells"
+        )
+    if k > MAX_K:
+        raise FamilyDomainError(f"k must be <= {MAX_K}, got {int_text(k)}")
+
+
+def _check_qt(q: int, t: int, k: int) -> None:
+    _check_sizes(q, k)
     if not 1 <= t <= 2**q:
-        raise FamilyDomainError(f"t must satisfy 1 <= t <= 2^q = {2 ** q}, got {t}")
+        raise FamilyDomainError(f"t must satisfy 1 <= t <= 2^q = {2 ** q}, got {int_text(t)}")
 
 
 def _normalize_a(a: Sequence[int] | None, k: int) -> tuple[int, ...]:
@@ -102,7 +120,7 @@ def cascade_family(
     a_{k-1} <= 2^q - t.  Produces m1 = 2^(q+1) - t - a1 and
     m_i = 2^q*(2^(i-2) - 1) + t + 2*a_{i-1} - a_i for i >= 2.
     """
-    _check_qt(q, t)
+    _check_qt(q, t, k)
     if k < 1:
         raise FamilyDomainError(f"k must be >= 1, got {k}")
     aa = _normalize_a(a, k)
@@ -130,7 +148,7 @@ def full_ortho_family(
     """
     if t < 2:
         raise FamilyDomainError(f"full orthogonality needs t >= 2, got {t}")
-    _check_qt(q, t)
+    _check_qt(q, t, k)
     if k < 2:
         raise FamilyDomainError(f"orthogonality needs k >= 2, got {k}")
     aa = _normalize_a(a, k)
@@ -165,7 +183,7 @@ def near_full_ortho_family(q: int, t: int, k: int) -> FamilyInstance:
     m = (2^(q+1)-t, t, 2^q+t-2, ...) with m_i = 2^q*(2^(i-2)-1)+t+i-3
     for i >= 4.
     """
-    _check_qt(q, t)
+    _check_qt(q, t, k)
     if k < 3:
         raise FamilyDomainError(f"this family needs k >= 3, got {k}")
     if 2**q < t + k - 3:
@@ -195,7 +213,7 @@ def last_ortho_family(
     pairs (r,k).  Produces m = (2^(q+1)-t, t, 2^q+t, 3*2^q+t, ...) with
     the last entry lowered by j = |ortho|.
     """
-    _check_qt(q, t)
+    _check_qt(q, t, k)
     if k < 3:
         raise FamilyDomainError(f"this family needs k >= 3, got {k}")
     universe = last_orthogonal(k)
@@ -227,8 +245,7 @@ def ham_sandwich_cascade(q: int, k: int) -> FamilyInstance:
     """The t = 2^q cascade: in dimension 2^(q+k-1), hyperplanes i..k
     equipartition 2^(q+i-1) masses at every stage; the last hyperplane
     alone bisects 2^(q+k-2) of them."""
-    if q < 0:
-        raise FamilyDomainError(f"q must be >= 0, got {q}")
+    _check_sizes(q, k)
     if k < 1:
         raise FamilyDomainError(f"k must be >= 1, got {k}")
     inner = cascade_family(q, 2**q, k)

@@ -33,7 +33,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable
 
-from .exceptions import RangeError, ShapeError
+from .exceptions import RangeError, ShapeError, int_text
 
 # Cap on (d+1)^k, the ring's count of exponent tuples: a request past it
 # is almost certainly a mistake.  The product kernel itself holds only a
@@ -53,15 +53,21 @@ class RingShape:
             raise RangeError(f"k must be a positive integer, got {self.k!r}")
         if not isinstance(self.d, int) or self.d < 0:
             raise RangeError(f"d must be a non-negative integer, got {self.d!r}")
-        # (d+1)^k >= 2^k past the cap once k reaches the cap's bit length,
-        # so a huge k is refused without forming the power
+        # (d+1)^k >= 2^(k b) with b = floor(log2(d+1)), past the cap once
+        # k b reaches the cap's bit length, so a huge k or d is refused on
+        # bit lengths, without forming the power
         if self.d and (
-            self.k >= MAX_RING_CELLS.bit_length() or self.cells > MAX_RING_CELLS
+            self.k * ((self.d + 1).bit_length() - 1) >= MAX_RING_CELLS.bit_length()
+            or self.cells > MAX_RING_CELLS
         ):
+            size = (
+                f"2^{self.k * math.log2(self.d + 1):.1f}"
+                if self.k.bit_length() <= 64
+                else "at least 2^k"
+            )
             raise RangeError(
-                f"ring with k={self.k}, d={self.d} has (d+1)^k = "
-                f"2^{self.k * math.log2(self.d + 1):.1f} cells, past the cap "
-                f"2^{MAX_RING_CELLS.bit_length() - 1}"
+                f"ring with k={int_text(self.k)}, d={int_text(self.d)} has (d+1)^k = "
+                f"{size} cells, past the cap 2^{MAX_RING_CELLS.bit_length() - 1}"
             )
 
     @property

@@ -15,7 +15,7 @@ in play are stacked into V (n, d+1), and one matmul over contiguous
 memory gives every signed distance as S = V[:, :d] @ coords - offset, an
 (n, N) array whose rows are contiguous.  Hard mode ORs each row's side-1
 bit into an orthant index and takes one weighted bincount; points on a
-plane take the even tie split only when some |s| <= tie_eps.  Smoothed
+plane take the even tie split only when some |s| <= TIE_EPS.  Smoothed
 mode turns S into side-0 fractions 0.5 + 0.5 tanh(S / 2 tau) =
 expit(S / tau) and reduces them with a binary product tree over the rows;
 on request it also returns dR/dV, the derivative of the orthant masses
@@ -125,7 +125,6 @@ class SampledMass:
     points: np.ndarray
     weights: np.ndarray
     label: str
-    generator: dict | None = field(default=None)
     coords: np.ndarray = field(init=False, repr=False, compare=False)
     total: float = field(init=False, repr=False, compare=False)
 
@@ -152,7 +151,7 @@ class SampledMass:
     def __reduce__(self):
         # pickle (for worker processes) the coordinates once; unpickling
         # rebuilds the read-only coordinate-major layout and the total
-        return (SampledMass, (self.points, self.weights, self.label, self.generator))
+        return (SampledMass, (self.points, self.weights, self.label))
 
     @property
     def dim(self) -> int:
@@ -229,12 +228,7 @@ def sample_gaussian_mixture(
     chol_arr = np.stack(chols)
     points = mean_arr[idx] + np.einsum("nij,nj->ni", chol_arr[idx], z)
     weights = np.full(n, total / n)
-    return SampledMass(
-        points=points,
-        weights=weights,
-        label=label,
-        generator={"mixture": list(mixture), "N": n, "seed_repr": repr(seed)},
-    )
+    return SampledMass(points=points, weights=weights, label=label)
 
 
 # ----------------------------------------------------------------------
@@ -302,23 +296,21 @@ def load_mass_spec(
     return d, masses, points
 
 
-def _hard_region_masses(
-    S: np.ndarray, weights: np.ndarray, tie_eps: float
-) -> np.ndarray:
+def _hard_region_masses(S: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """Orthant weights from signed distances S of shape (n, N).  Bit j of a
     point's orthant index is set when it lies strictly on side 1 of plane
     j; the tie-free case is one bincount over the points in input order.
-    A point on a plane (|s| <= tie_eps) splits its weight evenly between
+    A point on a plane (|s| <= TIE_EPS) splits its weight evenly between
     the two sides of every plane it lies on."""
     n = S.shape[0]
-    side1 = S < -tie_eps
+    side1 = S < -TIE_EPS
     idx = side1[0].astype(np.intp)
     for j in range(1, n):
         idx |= side1[j] << j
-    # a point is tied on a plane when s <= tie_eps but not s < -tie_eps
-    if np.count_nonzero(S <= tie_eps) == np.count_nonzero(side1):
+    # a point is tied on a plane when s <= TIE_EPS but not s < -TIE_EPS
+    if np.count_nonzero(S <= TIE_EPS) == np.count_nonzero(side1):
         return np.bincount(idx, weights=weights, minlength=2**n)
-    tied = np.abs(S) <= tie_eps
+    tied = np.abs(S) <= TIE_EPS
     has_tie = tied.any(axis=0)
     # an empty bincount comes back as int, hence the cast
     out = np.bincount(
@@ -407,7 +399,6 @@ def region_masses(
     stage: int,
     mode: str = "hard",
     tau: float | None = None,
-    tie_eps: float = TIE_EPS,
     jac: bool = False,
 ) -> np.ndarray | tuple[np.ndarray, np.ndarray]:
     """Mass of each orthant cut out by hyperplanes stage..k.
@@ -415,8 +406,8 @@ def region_masses(
     Returns 2^(k-stage+1) values summing to the mass total.  Orthant index:
     bit j is the side of hyperplane stage+j, so index 0 is the all-side-0
     region and flipping one hyperplane's orientation flips one bit.  Hard
-    mode puts a point on side 0 when s > tie_eps, on side 1 when
-    s < -tie_eps and half on each side otherwise; smoothed mode gives side
+    mode puts a point on side 0 when s > TIE_EPS, on side 1 when
+    s < -TIE_EPS and half on each side otherwise; smoothed mode gives side
     0 the fraction expit(s / tau).
     With jac=True (smoothed mode only) also returns dR/dV, shape
     (2^(k-stage+1), k-stage+1, d+1): the derivative of each orthant mass
@@ -439,5 +430,5 @@ def region_masses(
     S = V[:, :-1] @ mass.coords
     S -= V[:, -1:]
     if mode == "hard":
-        return _hard_region_masses(S, mass.weights, tie_eps)
+        return _hard_region_masses(S, mass.weights)
     return _smoothed_region_masses(S, mass.weights, tau, mass.coords if jac else None)

@@ -17,7 +17,14 @@ gives no construction, so this is a best-effort multi-start optimizer:
     deviations and pulled back through the assembly by `_assembly_vjp`);
   * the hard objective is evaluated once, at the last L-BFGS point, to
     score the start; it is never optimized directly (region masses of a
-    point cloud are piecewise constant, so it has no useful gradient).
+    point cloud are piecewise constant, so it has no useful gradient);
+  * starts run in index order and the search stops at the first start
+    whose hard objective is below `tol`.
+
+`SolverConfig` holds only what a caller chooses: the seed, the number of
+starts, `tol`, the number of tau stages and the number of worker
+processes.  The schedule's shape, the anneal subsample size and the
+degenerate-restart limit are module constants.
 
 Failure to converge is reported via success=False on the witness, never
 as an exception.
@@ -48,7 +55,13 @@ TAU_FINAL = 1e-3
 TAU_HANDOFF_FACTOR = 0.02
 ANNEAL_FULL_TAIL = 8
 ANNEAL_MAXITER = 25
+# Each mass is strided down to at most ANNEAL_SUBSAMPLE points for the
+# head stages of the schedule.
+ANNEAL_SUBSAMPLE = 20_000
 DEGENERATE_TOL = 1e-6  # unit plane vectors this close, up to sign, coincide
+# A start whose final planes degenerate or coincide is redrawn from its own
+# RNG stream at most this many times.
+MAX_DEGENERATE_RESTARTS = 3
 
 
 @dataclass(frozen=True)
@@ -57,14 +70,9 @@ class SolverConfig:
     starts: int = 32
     tol: float = 1e-3
     tau_stages: int = 40
-    anneal_subsample: int = 20_000
-    stop_on_success: bool = True
     jobs: int = 1
-    min_normal_norm: float = 1e-6
-    max_degenerate_restarts: int = 3
 
     def __post_init__(self) -> None:
-        # anneal_subsample <= 0 is legal: it means no subsample
         if self.seed < 0:
             raise ConfigurationError(f"seed must be >= 0, got {self.seed}")
         if self.starts < 1:
@@ -73,16 +81,8 @@ class SolverConfig:
             raise ConfigurationError(f"tau_stages must be >= 0, got {self.tau_stages}")
         if self.jobs < 1:
             raise ConfigurationError(f"jobs must be >= 1, got {self.jobs}")
-        if self.max_degenerate_restarts < 0:
-            raise ConfigurationError(
-                f"max_degenerate_restarts must be >= 0, got {self.max_degenerate_restarts}"
-            )
         if not math.isfinite(self.tol):
             raise RangeError(f"tol must be finite, got {self.tol}")
-        # a unit plane vector's normal part has norm at most 1, so a floor
-        # of 1 or more (or NaN) refuses every assembly
-        if not (math.isfinite(self.min_normal_norm) and self.min_normal_norm < 1):
-            raise RangeError(f"min_normal_norm must be finite and < 1, got {self.min_normal_norm}")
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
@@ -102,7 +102,6 @@ class MassArrangementWitness:
     orthogonality: dict[str, float]
     containment: tuple[dict, ...]
     objective: float
-    evaluation_mode: str
     success: bool | None = None
     seed: int | None = None
     config: dict | None = None
@@ -131,7 +130,7 @@ class MassArrangementWitness:
                 "containment": [dict(c) for c in self.containment],
             },
             "objective": self.objective,
-            "evaluation_mode": self.evaluation_mode,
+            "evaluation_mode": "hard",
             "success": self.success,
             "seed": self.seed,
             "config": self.config,
@@ -245,14 +244,13 @@ def assemble_hyperplanes(
     raw: np.ndarray,
     problem: ConstraintProblem,
     cont_points: dict[int, list[np.ndarray]],
-    min_normal_norm: float = 1e-6,
     tape: list | None = None,
 ) -> list[HyperplaneParam] | None:
     """Turn raw (k, d+1) parameters into hyperplanes satisfying every
     orthogonality pair and containment point exactly.  Returns None when a
     projection collapses the normal (degenerate raw input) or the normal
-    part of a unit plane falls below max(min_normal_norm, MIN_NORMAL_NORM),
-    so every plane returned is a valid `HyperplaneParam`.
+    part of a unit plane falls below MIN_NORMAL_NORM, so every plane
+    returned is a valid `HyperplaneParam`.
 
     Plane i's raw normal is projected onto the orthogonal complement of its
     constraints: the unit normals of its earlier orthogonality partners and
@@ -262,7 +260,6 @@ def assemble_hyperplanes(
     per plane is appended for `_assembly_vjp`."""
     k = problem.k
     d = raw.shape[1] - 1
-    min_normal_norm = max(min_normal_norm, MIN_NORMAL_NORM)
     unit_normals: list[np.ndarray] = []
     planes: list[HyperplaneParam] = []
     for i in range(1, k + 1):
@@ -280,7 +277,7 @@ def assemble_hyperplanes(
         w_norm = _norm(v)
         v /= w_norm
         normal_norm = _norm(v[:d])
-        if not normal_norm >= min_normal_norm:  # also catches NaN from non-finite raw input
+        if not normal_norm >= MIN_NORMAL_NORM:  # also catches NaN from non-finite raw input
             return None
         unit_normals.append(v[:d] / normal_norm)
         planes.append(HyperplaneParam._adopt(v))
@@ -348,10 +345,9 @@ def residuals(
     masses: Sequence[SampledMass],
     hyperplanes: Sequence[HyperplaneParam],
     points: Sequence = (),
-    mode: str = "hard",
-    tau: float | None = None,
 ) -> MassArrangementWitness:
-    """Evaluate every condition of the instance at a given arrangement."""
+    """Evaluate every condition of the instance at a given arrangement,
+    with hard region masses."""
     if len(hyperplanes) != problem.k:
         raise ShapeError(f"expected {problem.k} hyperplanes, got {len(hyperplanes)}")
     by_key = _organize_masses(problem, masses)
@@ -362,7 +358,7 @@ def residuals(
     cont = _organize_points(problem, points, d)
 
     equip, ortho, containment, objective, _ = _evaluate(
-        problem, by_key, cont, hyperplanes, mode, tau
+        problem, by_key, cont, hyperplanes, "hard", None
     )
     return MassArrangementWitness(
         hyperplanes=tuple(hyperplanes),
@@ -373,7 +369,6 @@ def residuals(
             for i, p, r in containment
         ),
         objective=objective,
-        evaluation_mode=mode,
     )
 
 
@@ -434,7 +429,6 @@ def _objective(
     d: int,
     mode: str,
     tau: float | None,
-    cfg: SolverConfig,
     jac: bool = False,
 ) -> float | tuple[float, np.ndarray]:
     """The objective at raw parameters x: assembly, then `_evaluate`.
@@ -443,7 +437,7 @@ def _objective(
     scores DEGENERATE_SCORE with a zero gradient."""
     raw = x.reshape(problem.k, d + 1)
     tape: list | None = [] if jac else None
-    planes = assemble_hyperplanes(raw, problem, cont, cfg.min_normal_norm, tape)
+    planes = assemble_hyperplanes(raw, problem, cont, tape)
     if planes is None:
         return (DEGENERATE_SCORE, np.zeros_like(x)) if jac else DEGENERATE_SCORE
     *_, objective, grad = _evaluate(problem, by_key, cont, planes, mode, tau, jac)
@@ -458,19 +452,17 @@ def _data_diameter(masses: Sequence[SampledMass]) -> float:
     return max(float(np.linalg.norm(hi - lo)), 1e-6)
 
 
-def _subsample(mass: SampledMass, cap: int) -> SampledMass:
-    """Deterministic stride subsample for the annealing phase.  The points
-    are exchangeable, so striding is an unbiased reduction; every reported
-    residual is still computed on the full sample."""
+def _subsample(mass: SampledMass) -> SampledMass:
+    """Deterministic stride subsample, to at most ANNEAL_SUBSAMPLE points,
+    for the annealing phase.  The points are exchangeable, so striding is
+    an unbiased reduction; every reported residual is still computed on
+    the full sample."""
     n = mass.points.shape[0]
-    if cap <= 0 or n <= cap:
+    if n <= ANNEAL_SUBSAMPLE:
         return mass
-    stride = -(-n // cap)
+    stride = -(-n // ANNEAL_SUBSAMPLE)
     return SampledMass(
-        points=mass.points[::stride],
-        weights=mass.weights[::stride],
-        label=mass.label,
-        generator=mass.generator,
+        points=mass.points[::stride], weights=mass.weights[::stride], label=mass.label
     )
 
 
@@ -503,13 +495,11 @@ def _seeded_raw(
 def _run_start(args) -> tuple[int, float, np.ndarray, int]:
     """One multi-start trajectory; returns (start index, hard objective,
     final raw parameters, degenerate-restart count)."""
-    (start, problem, masses, points, cfg, d, head_taus, tail_taus) = args
+    (start, problem, masses, points, seed, d, head_taus, tail_taus) = args
     by_key = _organize_masses(problem, masses)
-    anneal_key = {
-        key: _subsample(mass, cfg.anneal_subsample) for key, mass in by_key.items()
-    }
+    anneal_key = {key: _subsample(mass) for key, mass in by_key.items()}
     cont = _organize_points(problem, points, d)
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=cfg.seed, spawn_key=(0, start)))
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(0, start)))
     seeded = start % 2 == 0
     restarts = 0
     while True:
@@ -536,17 +526,17 @@ def _run_start(args) -> tuple[int, float, np.ndarray, int]:
             res = minimize(
                 _objective,
                 x,
-                args=(problem, keys, cont, d, "smoothed", float(tau), cfg, True),
+                args=(problem, keys, cont, d, "smoothed", float(tau), True),
                 maxiter=maxiter,
             )
             x = res.x
-        planes = assemble_hyperplanes(x.reshape(problem.k, d + 1), problem, cont, cfg.min_normal_norm)
+        planes = assemble_hyperplanes(x.reshape(problem.k, d + 1), problem, cont)
         if planes is not None and not _coincident(planes, DEGENERATE_TOL):
             break
         restarts += 1
-        if restarts > cfg.max_degenerate_restarts:
+        if restarts > MAX_DEGENERATE_RESTARTS:
             break
-    value = _objective(x, problem, by_key, cont, d, "hard", None, cfg)
+    value = _objective(x, problem, by_key, cont, d, "hard", None)
     return (start, float(value), x, restarts)
 
 
@@ -561,7 +551,9 @@ def solve(
     Multi-start annealed optimization; starts are tried in index order with
     independent RNG streams derived from the master seed, so a fixed
     (seed, config) reproduces the identical witness, with or without
-    parallelism.  success means the hard objective beat config.tol.
+    parallelism.  The search stops at the first start whose hard objective
+    is below config.tol; tol=-1.0 runs every start.  success means the hard
+    objective of the best start beat config.tol.
     """
     cfg = config or SolverConfig()
     if not masses:
@@ -580,16 +572,17 @@ def solve(
     results: list[tuple[int, float, np.ndarray, int]] = []
 
     def arg_for(s: int):
-        return (s, problem, list(masses), list(points), cfg, d, head_taus, tail_taus)
+        return (s, problem, list(masses), list(points), cfg.seed, d, head_taus, tail_taus)
 
     def run_starts(run_map) -> None:
         """Run the starts in index order, `jobs` at a time through
-        `run_map`, until one succeeds (with stop_on_success)."""
+        `run_map`, until one scores below tol.  Results after that start
+        are dropped, so `jobs` does not change the witness."""
         for lo in range(0, cfg.starts, cfg.jobs):
             chunk = range(lo, min(lo + cfg.jobs, cfg.starts))
             for out in run_map(_run_start, [arg_for(s) for s in chunk]):
                 results.append(out)
-                if cfg.stop_on_success and out[1] < cfg.tol:
+                if out[1] < cfg.tol:
                     return
 
     if cfg.jobs == 1:
@@ -602,9 +595,7 @@ def solve(
 
     # Best objective wins; ties break toward the earlier start index.
     start, _, x, _ = min(results, key=lambda t: (t[1], t[0]))
-    planes = assemble_hyperplanes(
-        x.reshape(problem.k, d + 1), problem, cont, cfg.min_normal_norm
-    )
+    planes = assemble_hyperplanes(x.reshape(problem.k, d + 1), problem, cont)
     if planes is None:
         # Fall back to the unprojected raw parameters (axis planes where
         # even those degenerate) so a witness always exists; its residuals
@@ -618,7 +609,7 @@ def solve(
                 axis = np.zeros(d + 1)
                 axis[i % d] = 1.0
                 planes.append(HyperplaneParam(axis))
-    witness = residuals(problem, masses, planes, points, mode="hard")
+    witness = residuals(problem, masses, planes, points)
     witness.success = bool(witness.objective < cfg.tol)
     witness.seed = cfg.seed
     witness.config = cfg.to_dict()

@@ -151,6 +151,29 @@ def test_families_domain_error_exit_2(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("family", ["cascade", "ortho-full", "ortho-not12", "ortho-last",
+                                    "hs-cascade"])
+@pytest.mark.parametrize("q, k, error", [
+    ("100000000", "3", "q must be < 27, got 100000000"),
+    pytest.param("1" * 4000, "3", "q must be < 27, got <13285-bit integer>", id="4000-digits"),
+    ("27", "3", "q must be < 27, got 27"),
+    ("1", "1000000000", "k must be <= 1024, got 1000000000"),
+])
+def test_families_refuse_a_huge_q_or_k_before_forming_2_to_the_q(capsys, family, q, k, error):
+    # every family's d is at least 2^q, so from q = 27 its ring is past the
+    # 2^26-cell cap; the refusal must come before 2^q or the k cascade
+    # entries are built, and it names a q past 64 bits by its bit length
+    start = time.perf_counter()
+    code = run(["families", family, "--q", q, "--t", "2", "--k", k])
+    elapsed = time.perf_counter() - start
+    out, err = capture(capsys)
+    assert code == 2 and out == "" and elapsed < 1.0
+    (line,) = err.splitlines()
+    assert json.loads(line)["error"] == f"FamilyDomainError: {error}" + (
+        "" if error.startswith("k") else ": d >= 2^q puts the instance's ring past the cap 2^26 cells"
+    )
+
+
 def test_families_ortho_last_subset(capsys):
     code, doc, _ = run_json(
         capsys,

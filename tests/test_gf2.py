@@ -1,5 +1,7 @@
 import dataclasses
 import hashlib
+import re
+import time
 import tracemalloc
 
 import numpy as np
@@ -32,6 +34,21 @@ def test_ring_shape_validation_and_cap():
         RingShape(10000, 2)  # refused without forming 3^10000
     assert RingShape(4, 70).cells == 71**4
     assert RingShape(10000, 0).cells == 1
+
+
+@pytest.mark.parametrize("k, d, named", [
+    (3, 10**5000, "k=3, d=<16610-bit integer>"),
+    (10**5000, 3, "k=<16610-bit integer>, d=3"),
+    (3, 2**1_000_000, "k=3, d=<1000001-bit integer>"),
+], ids=["d=10^5000", "k=10^5000", "d=2^1000000"])
+def test_ring_shape_refuses_huge_integers_by_bit_length(k, d, named):
+    # past 4300 digits Python refuses to print an int, so the message names
+    # such a k or d by its bit length; the refusal comes from bit lengths,
+    # before (d+1)^k is formed
+    start = time.perf_counter()
+    with pytest.raises(RangeError, match=re.escape(f"ring with {named} has (d+1)^k = ")):
+        RingShape(k, d)
+    assert time.perf_counter() - start < 0.5
 
 
 def test_product_of_forms_shape_mismatch():

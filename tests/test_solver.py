@@ -16,6 +16,8 @@ from equipart.exceptions import ConfigurationError, RangeError, ShapeError
 from equipart.masses import HyperplaneParam, sample_gaussian_mixture
 from equipart.problems import ConstraintProblem
 from equipart.solver import (
+    ANNEAL_SUBSAMPLE,
+    MAX_DEGENERATE_RESTARTS,
     SolverConfig,
     _subsample,
     assemble_hyperplanes,
@@ -23,7 +25,7 @@ from equipart.solver import (
     solve,
 )
 
-FAST = SolverConfig(seed=0, starts=4, tau_stages=10, anneal_subsample=4_000)
+FAST = SolverConfig(seed=0, starts=4, tau_stages=10)
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
@@ -99,10 +101,10 @@ def test_assembly_non_finite_raw_returns_none():
 
 def test_min_normal_norm_below_the_hyperplane_floor_reports_failure():
     # a plane through a far point has a normal part of about 1e-7; assembly
-    # must refuse it at HyperplaneParam's own floor (1e-6) instead of
-    # accepting it at the configured 1e-9 and letting HyperplaneParam raise
+    # must refuse it at HyperplaneParam's own floor (MIN_NORMAL_NORM, 1e-6)
+    # and the solve report failure, instead of HyperplaneParam raising
     mass = gaussian(500, (18,), "1.1")
-    cfg = SolverConfig(starts=2, tau_stages=4, min_normal_norm=1e-9)
+    cfg = SolverConfig(starts=2, tau_stages=4)
     w = solve(ConstraintProblem.of(1, m=(1,), a=(1,)), [mass], [(1, [1e7, 1e7])], cfg)
     assert w.success is False
     assert w.diagnostics["starts_run"] == 2
@@ -189,12 +191,11 @@ def test_config_to_dict_lists_every_field():
     cfg = dataclasses.replace(FAST, tol=2e-4, jobs=2)
     doc = cfg.to_dict()
     assert doc == dataclasses.asdict(cfg)
-    # every knob is one some caller sets; a new one should be a visible change
-    assert list(doc) == [
-        "seed", "starts", "tol", "tau_stages", "anneal_subsample", "stop_on_success",
-        "jobs", "min_normal_norm", "max_degenerate_restarts",
-    ]
-    assert doc["tol"] == 2e-4 and doc["jobs"] == 2 and doc["anneal_subsample"] == 4_000
+    # the CLI and the benchmark set seed, starts, tol and jobs; tau_stages
+    # is set only by tests, and is kept because it keeps their solves
+    # short.  A new knob should be a visible change
+    assert list(doc) == ["seed", "starts", "tol", "tau_stages", "jobs"]
+    assert doc["tol"] == 2e-4 and doc["jobs"] == 2 and doc["tau_stages"] == 10
 
 
 def test_config_rejects_fewer_than_one_start():
@@ -226,25 +227,17 @@ def test_config_rejects_negative_tau_stages():
     assert SolverConfig(tau_stages=0).tau_stages == 0  # legal: no annealing
 
 
-def test_config_rejects_negative_max_degenerate_restarts():
-    with pytest.raises(ConfigurationError, match="max_degenerate_restarts must be >= 0"):
-        SolverConfig(max_degenerate_restarts=-1)
-    assert SolverConfig(max_degenerate_restarts=0).max_degenerate_restarts == 0
-
-
-def test_config_rejects_a_min_normal_norm_no_plane_can_meet():
-    # the normal part of a unit plane vector is at most 1 long
-    for floor in (float("nan"), float("inf"), float("-inf"), 1.0, 2.0):
-        with pytest.raises(RangeError, match="min_normal_norm must be finite and < 1"):
-            SolverConfig(min_normal_norm=floor)
-    # a floor below HyperplaneParam's own is legal: assembly raises it
-    assert SolverConfig(min_normal_norm=0.0).min_normal_norm == 0.0
-
-
-def test_config_keeps_a_non_positive_anneal_subsample_as_no_subsample():
-    mass = gaussian(300, (20,), "1.1")
-    for cap in (0, -5):
-        assert _subsample(mass, SolverConfig(anneal_subsample=cap).anneal_subsample) is mass
+def test_subsample_strides_a_mass_down_to_anneal_subsample():
+    # a mass of at most ANNEAL_SUBSAMPLE points anneals whole; a larger one
+    # keeps every stride-th point and weight, at most ANNEAL_SUBSAMPLE of them
+    small = gaussian(ANNEAL_SUBSAMPLE, (20,), "1.1")
+    assert _subsample(small) is small
+    for n, stride in ((ANNEAL_SUBSAMPLE + 1, 2), (3 * ANNEAL_SUBSAMPLE + 7, 4)):
+        mass = gaussian(n, (21,), "2.1")
+        sub = _subsample(mass)
+        assert sub.points.shape[0] <= ANNEAL_SUBSAMPLE and sub.label == "2.1"
+        assert np.array_equal(sub.points, mass.points[::stride])
+        assert np.array_equal(sub.weights, mass.weights[::stride])
 
 
 def test_solver_is_gradient_only(monkeypatch):
@@ -262,7 +255,7 @@ def test_solver_is_gradient_only(monkeypatch):
 
     monkeypatch.setattr(equipart.solver, "minimize", recording)
     m1 = gaussian(1_000, (19,), "1.1")
-    cfg = dataclasses.replace(FAST, starts=3, tau_stages=20, stop_on_success=False)
+    cfg = dataclasses.replace(FAST, starts=3, tau_stages=20, tol=-1.0)
     w = solve(ConstraintProblem.of(2, m=(1, 0)), [m1], config=cfg)
     assert w.diagnostics["starts_run"] == 3 and w.diagnostics["degenerate_restarts"] == 0
     assert all(fun is equipart.solver._objective and jac is True for fun, jac, _ in calls)
@@ -333,7 +326,7 @@ def smoothed_objectives(draw):
     by_key = equipart.solver._organize_masses(problem, masses)
     cont = equipart.solver._organize_points(problem, points, d)
     tau = draw(st.sampled_from([1e-2, 0.1, 1.0]))
-    return rng.standard_normal(k * (d + 1)), (problem, by_key, cont, d, "smoothed", tau, FAST)
+    return rng.standard_normal(k * (d + 1)), (problem, by_key, cont, d, "smoothed", tau)
 
 
 @settings(max_examples=80, deadline=None)
@@ -495,7 +488,7 @@ def test_solve_bisection_small():
     w = solve(ConstraintProblem.of(1, m=(2,)), [m1, m2], config=FAST)
     assert w.success
     assert w.max_equipartition_residual() < 5e-3
-    assert w.evaluation_mode == "hard"
+    assert w.to_dict()["evaluation_mode"] == "hard"
 
 
 def test_solve_witness_residuals_recompute_in_hard_mode():
@@ -503,7 +496,7 @@ def test_solve_witness_residuals_recompute_in_hard_mode():
     m2 = gaussian(5_000, (7,), "2.1", mean=(1.5, -0.5), cov=0.6)
     problem = ConstraintProblem.of(2, m=(1, 1))
     w = solve(problem, [m1, m2], config=FAST)
-    again = residuals(problem, [m1, m2], w.hyperplanes, mode="hard")
+    again = residuals(problem, [m1, m2], w.hyperplanes)
     assert again.objective == pytest.approx(w.objective, abs=1e-9)
     for key, vals in w.equipartition.items():
         assert np.allclose(again.equipartition[key], vals, atol=1e-9)
@@ -571,7 +564,7 @@ def test_solve_parallel_matches_sequential():
 def test_solve_reports_failure_honestly():
     # unreachable tolerance: the solver returns success=False, no exception
     m1 = gaussian(500, (12,), "1.1")
-    cfg = dataclasses.replace(FAST, starts=1, tol=-1.0, stop_on_success=False)
+    cfg = dataclasses.replace(FAST, starts=1, tol=-1.0)
     w = solve(ConstraintProblem.of(2, m=(1, 0), ortho=[(1, 2)]), [m1], config=cfg)
     assert w.success is False
     assert w.objective >= 0
@@ -584,15 +577,16 @@ def test_solve_requires_masses():
 
 def test_solve_geometrically_impossible_constraints():
     # three pairwise-orthogonal lines cannot exist in the plane; every
-    # start degenerates, and the solver reports failure without raising
+    # start degenerates, is redrawn MAX_DEGENERATE_RESTARTS times and then
+    # given up, and the solver reports failure without raising
     m1 = gaussian(300, (14,), "1.1")
     problem = ConstraintProblem.of(
         3, m=(1, 0, 0), ortho=[(1, 2), (1, 3), (2, 3)]
     )
-    cfg = dataclasses.replace(FAST, starts=2, tau_stages=4, max_degenerate_restarts=1)
+    cfg = dataclasses.replace(FAST, starts=2, tau_stages=4)
     w = solve(problem, [m1], config=cfg)
-    assert w.success is False
-    assert w.diagnostics["degenerate_restarts"] >= 1
+    assert w.success is False and w.diagnostics["starts_run"] == 2
+    assert w.diagnostics["degenerate_restarts"] == 2 * (MAX_DEGENERATE_RESTARTS + 1)
 
 
 def test_witness_json_schema():
