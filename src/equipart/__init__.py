@@ -26,7 +26,7 @@ from .families import (
     last_ortho_family,
     near_full_ortho_family,
 )
-from .gf2 import RingShape, SignVector, TruncatedPolynomial, product_of_forms
+from .gf2 import RingShape, TruncatedPolynomial, product_of_forms
 from .masses import HyperplaneParam, SampledMass, region_masses, sample_gaussian_mixture
 from .problems import (
     Classification,
@@ -57,7 +57,6 @@ __all__ = [
     "MassArrangementWitness",
     "RingShape",
     "SampledMass",
-    "SignVector",
     "SolverConfig",
     "TruncatedPolynomial",
     "all_pairs",

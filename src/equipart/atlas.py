@@ -281,7 +281,7 @@ def _row_cells(row: AtlasRow) -> list[str]:
         "(" + ",".join(map(str, p.m)) + ")",
         "(" + ",".join(map(str, p.a)) + ")",
         ";".join(f"{r}-{s}" for r, s in p.sorted_ortho()),
-        ";".join("".join(map(str, b)) for b in p.sorted_extra_bits()),
+        ";".join("".join(map(str, b)) for b in p.extra),
         str(row.certificate.form_count),
         str(row.certificate.kd),
         row.certificate.mode,

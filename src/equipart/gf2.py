@@ -1,9 +1,10 @@
 """Exact arithmetic in the truncated polynomial ring Z2[u1..uk] / (u1^{d+1}, ..., uk^{d+1}).
 
 The one operation the certificates need is the product of linear forms
-u_{i1}+...+u_{ij}, computed by `product_of_forms`, which takes each form
-as a plain 0/1 tuple of length k; `SignVector` is the validated type of
-the forms a problem lists as `extra`.  A product of j forms is
+u_{i1}+...+u_{ij}, computed by `product_of_forms`.  A form is a plain
+0/1 tuple of length k, the form bits[0]*u1 + ... + bits[k-1]*uk, and
+`check_form` is the one check of it, shared by the kernel and by a
+problem's `extra` forms.  A product of j forms is
 homogeneous of degree j, so it is held as a (d+1)^(k-1) slice over the
 exponents of u1..u_{k-1}, the exponent of u_k being j minus the
 cell's exponent sum.  The slice is one Python int used as a bitset: bit
@@ -76,34 +77,6 @@ class RingShape:
 
 
 @dataclass(frozen=True)
-class SignVector:
-    """Nonzero element of Z2^k, read both as a character and as the
-    linear form bits[0]*u1 + ... + bits[k-1]*uk: the validated type of a
-    problem's `extra` forms.  The kernel itself takes the bare 0/1 tuples."""
-
-    bits: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if not self.bits:
-            raise RangeError("sign vector must have length >= 1")
-        if any(b not in (0, 1) for b in self.bits):
-            raise RangeError(f"sign vector entries must be 0/1, got {self.bits!r}")
-        if not any(self.bits):
-            raise RangeError("sign vector must be nonzero")
-
-    @property
-    def k(self) -> int:
-        return len(self.bits)
-
-    def support(self) -> tuple[int, ...]:
-        """1-based coordinates where the vector is 1."""
-        return tuple(i + 1 for i, b in enumerate(self.bits) if b)
-
-    def __str__(self) -> str:
-        return " + ".join(f"u{i}" for i in self.support())
-
-
-@dataclass(frozen=True)
 class TruncatedPolynomial:
     """Immutable ring element, held as its support: the exponent tuples
     with coefficient 1, in lexicographic order."""
@@ -133,6 +106,17 @@ class TruncatedPolynomial:
         return hashlib.sha256(text.encode("ascii")).hexdigest()
 
 
+def check_form(bits: tuple[int, ...], k: int) -> None:
+    """Refuse anything but a linear form in k variables: a wrong length
+    raises ShapeError, a zero form or an entry other than 0 or 1 raises
+    RangeError."""
+    if len(bits) != k:
+        raise ShapeError(f"form of length {len(bits)} in a k={k} ring")
+    ones = bits.count(1)  # nonzero 0/1: some entries 1, all others 0
+    if not ones or ones + bits.count(0) != k:
+        raise RangeError(f"a form must be a nonzero 0/1 tuple, got {bits!r}")
+
+
 def product_of_forms(
     shape: RingShape, forms: Iterable[tuple[int, ...]]
 ) -> TruncatedPolynomial:
@@ -142,17 +126,12 @@ def product_of_forms(
     The result depends only on the multiset of forms, not their order.
     The running product of degree j is a bitset over the exponents of
     u1..u_{k-1}, and a form of multiplicity n costs one pass per set bit
-    of n (see the module docstring).  Each distinct form is checked once:
-    a wrong length raises ShapeError, a zero form or an entry other than
-    0 or 1 raises RangeError.
+    of n (see the module docstring).  Each distinct form is checked once,
+    by `check_form`.
     """
     counts = Counter(forms)
     for bits in counts:
-        if len(bits) != shape.k:
-            raise ShapeError(f"form of length {len(bits)} in a k={shape.k} ring")
-        ones = bits.count(1)  # nonzero 0/1: some entries 1, all others 0
-        if not ones or ones + bits.count(0) != shape.k:
-            raise RangeError(f"a form must be a nonzero 0/1 tuple, got {bits!r}")
+        check_form(bits, shape.k)
     k, d = shape.k, shape.d
     strides = [(d + 1) ** (k - 2 - ax) for ax in range(k - 1)]
     acc = 1  # the unit: exponent tuple 0, slice cell 0

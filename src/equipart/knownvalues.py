@@ -18,7 +18,6 @@ from .problems import ConstraintProblem, all_pairs, last_orthogonal, excluding_f
 @dataclass(frozen=True)
 class KnownValue:
     problem: ConstraintProblem
-    d: int
     lo: int
     hi: int
     provenance: str
@@ -38,7 +37,7 @@ class KnownValue:
 
 
 def _entry(problem: ConstraintProblem, lo: int, hi: int, provenance: str) -> KnownValue:
-    return KnownValue(problem=problem, d=hi, lo=lo, hi=hi, provenance=provenance)
+    return KnownValue(problem=problem, lo=lo, hi=hi, provenance=provenance)
 
 
 def _exact(problem: ConstraintProblem, value: int, provenance: str) -> KnownValue:
@@ -315,14 +314,14 @@ def _build() -> list[KnownValue]:
     return entries
 
 
-_TABLE: dict[tuple, KnownValue] = {}
+_TABLE: dict[ConstraintProblem, KnownValue] = {}
 for _kv in _build():
-    _TABLE.setdefault(_kv.problem.canonical_key(), _kv)
+    _TABLE.setdefault(_kv.problem, _kv)
 
 
 def lookup(problem: ConstraintProblem) -> KnownValue | None:
     """Reference value for this exact instance, if one is on record."""
-    return _TABLE.get(problem.canonical_key())
+    return _TABLE.get(problem)
 
 
 def entries() -> list[KnownValue]:

@@ -13,11 +13,12 @@ is a C-contiguous (d, N) array and `points` its (N, d) transposed view.
 objective and its residuals.  It works in row layout: the n hyperplanes
 in play are stacked into V (n, d+1), and one matmul over contiguous
 memory gives every signed distance as S = V[:, :d] @ coords - offset, an
-(n, N) array whose rows are contiguous.  Hard mode ORs each row's side-1
-bit into an orthant index and takes one weighted bincount; points on a
-plane take the even tie split only when some |s| <= TIE_EPS.  Smoothed
-mode turns S into side-0 fractions 0.5 + 0.5 tanh(S / 2 tau) =
-expit(S / tau) and reduces them with a binary product tree over the rows;
+(n, N) array whose rows are contiguous.  Without a temperature tau the
+masses are hard: each row's side-1 bit is ORed into an orthant index and
+one weighted bincount is taken; points on a plane take the even tie split
+only when some |s| <= TIE_EPS.  At a temperature tau > 0 they are
+smoothed: S becomes side-0 fractions 0.5 + 0.5 tanh(S / 2 tau) =
+expit(S / tau), reduced with a binary product tree over the rows;
 on request it also returns dR/dV, the derivative of the orthant masses
 with respect to the plane vectors, at one (2^(n-1), N) @ (N, d) product
 per plane.  No copy of the points is made or cached.
@@ -397,7 +398,6 @@ def region_masses(
     mass: SampledMass,
     hyperplanes: Sequence[HyperplaneParam],
     stage: int,
-    mode: str = "hard",
     tau: float | None = None,
     jac: bool = False,
 ) -> np.ndarray | tuple[np.ndarray, np.ndarray]:
@@ -405,11 +405,11 @@ def region_masses(
 
     Returns 2^(k-stage+1) values summing to the mass total.  Orthant index:
     bit j is the side of hyperplane stage+j, so index 0 is the all-side-0
-    region and flipping one hyperplane's orientation flips one bit.  Hard
-    mode puts a point on side 0 when s > TIE_EPS, on side 1 when
-    s < -TIE_EPS and half on each side otherwise; smoothed mode gives side
-    0 the fraction expit(s / tau).
-    With jac=True (smoothed mode only) also returns dR/dV, shape
+    region and flipping one hyperplane's orientation flips one bit.  With
+    tau=None the masses are hard: a point is on side 0 when s > TIE_EPS,
+    on side 1 when s < -TIE_EPS and half on each side otherwise.  With
+    tau > 0 they are smoothed: side 0 gets the fraction expit(s / tau).
+    With jac=True (smoothed masses only) also returns dR/dV, shape
     (2^(k-stage+1), k-stage+1, d+1): the derivative of each orthant mass
     with respect to each plane vector of hyperplanes stage..k.
     """
@@ -419,16 +419,14 @@ def region_masses(
     for h in hyperplanes:
         if h.dim != mass.dim:
             raise ShapeError(f"hyperplane in R^{h.dim} against mass in R^{mass.dim}")
-    if mode == "smoothed":
-        if tau is None or tau <= 0:
-            raise ConfigurationError("smoothed mode needs tau > 0")
-    elif mode != "hard":
-        raise ConfigurationError(f"unknown evaluation mode {mode!r}")
-    elif jac:
-        raise ConfigurationError("hard region masses are piecewise constant: no jac")
+    if tau is None:
+        if jac:
+            raise ConfigurationError("hard region masses are piecewise constant: no jac")
+    elif not tau > 0:
+        raise ConfigurationError(f"smoothed region masses need tau > 0, got {tau}")
     V = np.stack([h.vector for h in hyperplanes[stage - 1 :]])
     S = V[:, :-1] @ mass.coords
     S -= V[:, -1:]
-    if mode == "hard":
+    if tau is None:
         return _hard_region_masses(S, mass.weights)
     return _smoothed_region_masses(S, mass.weights, tau, mass.coords if jac else None)

@@ -4,8 +4,10 @@ An instance asks for k hyperplanes in R^d such that, for each stage i,
 hyperplanes i..k equipartition m_i given masses (a "cascade"), hyperplane i
 contains a prescribed (a_i - 1)-dimensional flat, and the pairs listed in
 `ortho` are orthogonal.  `extra` holds any further characters imposed
-directly as sign vectors, typed as `SignVector`.  `compile_forms` turns an
-instance into the plain 0/1 tuples the product kernel multiplies.
+directly as linear forms: 0/1 tuples of length k, checked by the kernel's
+`check_form` and kept sorted, so that neither `ortho` nor `extra` depends
+on listing order.  `compile_forms` turns an instance into the plain 0/1
+tuples the product kernel multiplies.
 
 Every scalar condition consumes one of the k*d degrees of freedom of the
 arrangement, which gives the counting bound  k * Delta >= C  with
@@ -24,34 +26,37 @@ from typing import Any, Iterable, Sequence
 
 from . import jsontypes
 from .exceptions import ContradictionError, RangeError, ShapeError
-from .gf2 import SignVector
-
-
-def all_pairs(k: int) -> frozenset[tuple[int, int]]:
-    """Full orthogonality: every pair (r,s), 1 <= r < s <= k."""
-    return frozenset((r, s) for r in range(1, k + 1) for s in range(r + 1, k + 1))
-
-
-def last_orthogonal(k: int) -> frozenset[tuple[int, int]]:
-    """Pairs (r,k) for r < k: every earlier hyperplane orthogonal to the last."""
-    return frozenset((r, k) for r in range(1, k))
-
-
-def excluding_first_pair(k: int) -> frozenset[tuple[int, int]]:
-    """All pairs except (1,2)."""
-    return all_pairs(k) - {(1, 2)}
+from .gf2 import check_form
 
 
 # Largest number of hyperplanes a problem may have.  Each unit of
 # first-stage mass imposes 2^k - 1 conditions, which at k = 1024 already
 # passes the largest float, so a larger k can only be a mistake.  Refusing
-# it up front keeps a huge k from being padded, counted or printed.
+# it up front keeps a huge k from being padded, counted or printed, and
+# the universe builders below from listing its k(k-1)/2 pairs.
 MAX_K = 1024
 
 
 def _check_k(k: int) -> None:
     if not 1 <= k <= MAX_K:
         raise RangeError(f"k must be in 1..{MAX_K}, got k={k}")
+
+
+def all_pairs(k: int) -> frozenset[tuple[int, int]]:
+    """Full orthogonality: every pair (r,s), 1 <= r < s <= k."""
+    _check_k(k)
+    return frozenset((r, s) for r in range(1, k + 1) for s in range(r + 1, k + 1))
+
+
+def last_orthogonal(k: int) -> frozenset[tuple[int, int]]:
+    """Pairs (r,k) for r < k: every earlier hyperplane orthogonal to the last."""
+    _check_k(k)
+    return frozenset((r, k) for r in range(1, k))
+
+
+def excluding_first_pair(k: int) -> frozenset[tuple[int, int]]:
+    """All pairs except (1,2)."""
+    return all_pairs(k) - {(1, 2)}
 
 
 ORTHO_UNIVERSES = {
@@ -67,10 +72,14 @@ class ConstraintProblem:
     m: tuple[int, ...]
     a: tuple[int, ...]
     ortho: frozenset[tuple[int, int]] = field(default_factory=frozenset)
-    extra: tuple[SignVector, ...] = ()
+    extra: tuple[tuple[int, ...], ...] = ()
 
     def __post_init__(self) -> None:
         _check_k(self.k)
+        # a direct caller may pass lists; tuples keep the problem hashable
+        object.__setattr__(self, "m", tuple(self.m))
+        object.__setattr__(self, "a", tuple(self.a))
+        object.__setattr__(self, "ortho", frozenset(self.ortho))
         if len(self.m) != self.k or len(self.a) != self.k:
             raise ShapeError(
                 f"m and a must have length k={self.k}: m={self.m}, a={self.a}"
@@ -81,9 +90,11 @@ class ConstraintProblem:
             r, s = pair
             if not (1 <= r < s <= self.k):
                 raise RangeError(f"orthogonality pair {pair} must satisfy 1<=r<s<=k")
-        for v in self.extra:
-            if v.k != self.k:
-                raise ShapeError(f"extra form {v} has length {v.k}, expected {self.k}")
+        extra = tuple(sorted(tuple(bits) for bits in self.extra))
+        for bits in extra:
+            check_form(bits, self.k)
+        # stored sorted, so listing order changes neither equality nor hash
+        object.__setattr__(self, "extra", extra)
 
     @classmethod
     def of(
@@ -92,33 +103,23 @@ class ConstraintProblem:
         m: Sequence[int] = (),
         a: Sequence[int] = (),
         ortho: Iterable[Sequence[int]] = (),
-        extra: Iterable[Sequence[int] | SignVector] = (),
+        extra: Iterable[Sequence[int]] = (),
     ) -> "ConstraintProblem":
         """Build a problem, zero-padding m and a to length k.
 
-        `ortho` takes (r,s) pairs with 1-based indices; `extra` takes sign
-        vectors either as SignVector or as 0/1 sequences.
+        `ortho` takes (r,s) pairs with 1-based indices; `extra` takes
+        linear forms as 0/1 sequences of length k.
         """
         _check_k(k)
         mm = tuple(int(x) for x in m) + (0,) * (k - len(tuple(m)))
         aa = tuple(int(x) for x in a) + (0,) * (k - len(tuple(a)))
         oo = frozenset((int(r), int(s)) for r, s in ortho)
-        xs = tuple(
-            v if isinstance(v, SignVector) else SignVector(tuple(int(b) for b in v))
-            for v in extra
-        )
+        xs = tuple(tuple(int(b) for b in v) for v in extra)
         return cls(k=k, m=mm, a=aa, ortho=oo, extra=xs)
 
     # ------------------------------------------------------------------
     def sorted_ortho(self) -> tuple[tuple[int, int], ...]:
         return tuple(sorted(self.ortho))
-
-    def sorted_extra_bits(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(sorted(v.bits for v in self.extra))
-
-    def canonical_key(self) -> tuple:
-        """Hashable identity that ignores listing order of ortho and extra."""
-        return (self.k, self.m, self.a, self.sorted_ortho(), self.sorted_extra_bits())
 
     def describe(self) -> str:
         parts = [f"m={self.m}"]
@@ -127,7 +128,7 @@ class ConstraintProblem:
         if self.ortho:
             parts.append("O={" + ",".join(f"({r},{s})" for r, s in self.sorted_ortho()) + "}")
         if self.extra:
-            parts.append("extra=" + ";".join("".join(map(str, b)) for b in self.sorted_extra_bits()))
+            parts.append("extra=" + ";".join("".join(map(str, b)) for b in self.extra))
         return f"({', '.join(parts)}; k={self.k})"
 
     def to_dict(self) -> dict:
@@ -136,7 +137,7 @@ class ConstraintProblem:
             "m": list(self.m),
             "a": list(self.a),
             "ortho": [list(p) for p in self.sorted_ortho()],
-            "extra": [list(b) for b in self.sorted_extra_bits()],
+            "extra": [list(b) for b in self.extra],
         }
 
     @classmethod
@@ -217,7 +218,7 @@ def compile_forms(p: ConstraintProblem) -> list[tuple[int, ...]]:
             forms.extend([_indicator(p.k, i)] * a)
     for r, s in sorted(p.ortho):
         forms.append(_indicator(p.k, r, s))
-    forms.extend(v.bits for v in p.extra)
+    forms.extend(p.extra)
     return forms
 
 
@@ -327,6 +328,6 @@ def dominates(weaker: ConstraintProblem, stronger: ConstraintProblem) -> bool:
         return False
     if not weaker.ortho <= stronger.ortho:
         return False
-    weak_extra = Counter(v.bits for v in weaker.extra)
-    strong_extra = Counter(v.bits for v in stronger.extra)
+    weak_extra = Counter(weaker.extra)
+    strong_extra = Counter(stronger.extra)
     return all(strong_extra[bits] >= n for bits, n in weak_extra.items())

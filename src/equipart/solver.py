@@ -357,9 +357,7 @@ def residuals(
             raise ShapeError("hyperplanes live in different dimensions")
     cont = _organize_points(problem, points, d)
 
-    equip, ortho, containment, objective, _ = _evaluate(
-        problem, by_key, cont, hyperplanes, "hard", None
-    )
+    equip, ortho, containment, objective, _ = _evaluate(problem, by_key, cont, hyperplanes)
     return MassArrangementWitness(
         hyperplanes=tuple(hyperplanes),
         equipartition={key: tuple(float(x) for x in dev) for key, dev in equip.items()},
@@ -377,25 +375,25 @@ def _evaluate(
     by_key: dict[tuple[int, int], SampledMass],
     cont: dict[int, list[np.ndarray]],
     planes: Sequence[HyperplaneParam],
-    mode: str,
-    tau: float | None,
-    jac: bool = False,
+    tau: float | None = None,
 ) -> tuple[dict[str, np.ndarray], dict[str, float], list[tuple], float, np.ndarray | None]:
     """The objective evaluator behind both the optimizer and `residuals`.
 
     Returns the equipartition deviations per mass "i.j" (orthant masses
     over the mass total, minus the fair share 2^-(k-i+1)), the cosine of
     each orthogonality pair "r-s", (hyperplane, point, signed distance)
-    for each containment point, the sum of their squares, and, with
-    jac=True (smoothed mode), the (k, d+1) gradient of that sum with
-    respect to the plane vectors (else None).  The gradient has only the
+    for each containment point, the sum of their squares, and the (k, d+1)
+    gradient of that sum with respect to the plane vectors.  With
+    tau=None the region masses are hard and the gradient is None; with a
+    temperature tau they are smoothed and the gradient has only the
     equipartition terms: assembly keeps the other residuals at zero.
     """
+    jac = tau is not None
     equip: dict[str, np.ndarray] = {}
     objective = 0.0
     grad = np.zeros((problem.k, planes[0].dim + 1)) if jac else None
     for (i, j), mass in by_key.items():
-        out = region_masses(mass, planes, i, mode=mode, tau=tau, jac=jac)
+        out = region_masses(mass, planes, i, tau=tau, jac=jac)
         regions = out[0] if jac else out
         dev = regions / mass.total - 2.0 ** -(problem.k - i + 1)
         equip[f"{i}.{j}"] = dev
@@ -427,22 +425,18 @@ def _objective(
     by_key: dict[tuple[int, int], SampledMass],
     cont: dict[int, list[np.ndarray]],
     d: int,
-    mode: str,
-    tau: float | None,
-    jac: bool = False,
-) -> float | tuple[float, np.ndarray]:
-    """The objective at raw parameters x: assembly, then `_evaluate`.
-    With jac=True returns (objective, gradient with respect to x), the
-    gradient pulled back through the assembly; a degenerate assembly
-    scores DEGENERATE_SCORE with a zero gradient."""
+    tau: float,
+) -> tuple[float, np.ndarray]:
+    """The smoothed objective at temperature tau and raw parameters x:
+    assembly, then `_evaluate`.  Returns (objective, gradient with respect
+    to x), the gradient pulled back through the assembly; a degenerate
+    assembly scores DEGENERATE_SCORE with a zero gradient."""
     raw = x.reshape(problem.k, d + 1)
-    tape: list | None = [] if jac else None
+    tape: list = []
     planes = assemble_hyperplanes(raw, problem, cont, tape)
     if planes is None:
-        return (DEGENERATE_SCORE, np.zeros_like(x)) if jac else DEGENERATE_SCORE
-    *_, objective, grad = _evaluate(problem, by_key, cont, planes, mode, tau, jac)
-    if not jac:
-        return objective
+        return DEGENERATE_SCORE, np.zeros_like(x)
+    *_, objective, grad = _evaluate(problem, by_key, cont, planes, tau)
     return objective, _assembly_vjp(raw, cont, planes, tape, grad).ravel()
 
 
@@ -526,7 +520,7 @@ def _run_start(args) -> tuple[int, float, np.ndarray, int]:
             res = minimize(
                 _objective,
                 x,
-                args=(problem, keys, cont, d, "smoothed", float(tau), True),
+                args=(problem, keys, cont, d, float(tau)),
                 maxiter=maxiter,
             )
             x = res.x
@@ -536,7 +530,7 @@ def _run_start(args) -> tuple[int, float, np.ndarray, int]:
         restarts += 1
         if restarts > MAX_DEGENERATE_RESTARTS:
             break
-    value = _objective(x, problem, by_key, cont, d, "hard", None)
+    value = DEGENERATE_SCORE if planes is None else _evaluate(problem, by_key, cont, planes)[3]
     return (start, float(value), x, restarts)
 
 

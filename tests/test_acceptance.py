@@ -218,7 +218,7 @@ def test_criterion_7_atlas_completeness():
         allow_affine=True,
         ortho_universe="all",
     )
-    atlas_keys = {(r.problem.canonical_key(), r.d) for r in enumerate_rows(query)}
+    atlas_keys = {(r.problem, r.d) for r in enumerate_rows(query)}
 
     brute = set()
     for d in (2, 3, 4):
@@ -231,7 +231,7 @@ def test_criterion_7_atlas_completeness():
                     except DimensionMismatchError:
                         continue
                     if cert.certified:
-                        brute.add((p.canonical_key(), d))
+                        brute.add((p, d))
     elapsed = time.perf_counter() - t0
     _report(
         "7",

@@ -10,7 +10,7 @@ from equipart.problems import ConstraintProblem
 
 
 def keys(rows):
-    return {(r.problem.canonical_key(), r.d) for r in rows}
+    return {(r.problem, r.d) for r in rows}
 
 
 def test_k2_d2_contains_expected_rows():
@@ -19,23 +19,20 @@ def test_k2_d2_contains_expected_rows():
         allow_affine=True, ortho_universe="all",
     )
     rows = list(enumerate_rows(q))
-    by_key = {r.problem.canonical_key(): r for r in rows}
-    star = ConstraintProblem.of(2, m=(1, 1)).canonical_key()
+    by_key = {r.problem: r for r in rows}
+    star = ConstraintProblem.of(2, m=(1, 1))
     assert star in by_key
     label = by_key[star].classification
     assert label.optimal and label.j_maximal == 2 and label.tight
-    assert ConstraintProblem.of(2, m=(1, 0), a=(0, 1)).canonical_key() in by_key
+    assert ConstraintProblem.of(2, m=(1, 0), a=(0, 1)) in by_key
 
 
 def test_k3_d4_reproduces_catalog_rows():
     q = AtlasQuery(k=3, d_range=(4, 4), mode="strict", max_m=2, ortho_universe="all")
-    found = {r.problem.canonical_key() for r in enumerate_rows(q)}
-    assert ConstraintProblem.of(3, m=(1, 1, 2)).canonical_key() in found
-    assert ConstraintProblem.of(3, m=(1, 1, 1), ortho=[(2, 3)]).canonical_key() in found
-    assert (
-        ConstraintProblem.of(3, m=(1, 1, 0), ortho=[(1, 3), (2, 3)]).canonical_key()
-        in found
-    )
+    found = {r.problem for r in enumerate_rows(q)}
+    assert ConstraintProblem.of(3, m=(1, 1, 2)) in found
+    assert ConstraintProblem.of(3, m=(1, 1, 1), ortho=[(2, 3)]) in found
+    assert ConstraintProblem.of(3, m=(1, 1, 0), ortho=[(1, 3), (2, 3)]) in found
 
 
 def test_optimal_filter_limits_first_stage():
@@ -74,7 +71,7 @@ def test_relaxed_rows_are_unique(universe):
     # every candidate is yielded once, so no row repeats without any
     # de-duplication, also for a universe that lists a pair twice
     q = AtlasQuery(k=3, d_range=(2, 4), mode="relaxed", max_m=2, ortho_universe=universe)
-    rows = [(r.problem.canonical_key(), r.d) for r in enumerate_rows(q)]
+    rows = [(r.problem, r.d) for r in enumerate_rows(q)]
     assert len(rows) > 50 and len(set(rows)) == len(rows)
 
 
@@ -95,7 +92,7 @@ def test_matches_brute_force_small_box():
                     except Exception:
                         continue
                     if cert.certified:
-                        brute.add((p.canonical_key(), d))
+                        brute.add((p, d))
     assert keys(rows) == brute
 
 
@@ -131,8 +128,8 @@ def test_report_formats():
 
 def test_known_reference_attached():
     q = AtlasQuery(k=3, d_range=(4, 4), mode="strict", max_m=2, ortho_universe="all")
-    by_key = {r.problem.canonical_key(): r for r in enumerate_rows(q)}
-    row = by_key[ConstraintProblem.of(3, m=(1, 1, 2)).canonical_key()]
+    by_key = {r.problem: r for r in enumerate_rows(q)}
+    row = by_key[ConstraintProblem.of(3, m=(1, 1, 2))]
     assert row.known is not None and row.known_ref() == "=4"
 
 
@@ -169,8 +166,8 @@ def test_parallel_enumeration_matches_sequential():
         k=2, d_range=(2, 3), mode="strict", max_m=4, max_a=2,
         allow_affine=True, ortho_universe="all",
     )
-    seq = [(r.problem.canonical_key(), r.d) for r in enumerate_rows(q)]
-    par = [(r.problem.canonical_key(), r.d) for r in enumerate_rows(q, jobs=2)]
+    seq = [(r.problem, r.d) for r in enumerate_rows(q)]
+    par = [(r.problem, r.d) for r in enumerate_rows(q, jobs=2)]
     assert seq == par
     for jobs in (0, -1):
         with pytest.raises(ConfigurationError, match="jobs must be >= 1"):
@@ -180,6 +177,6 @@ def test_parallel_enumeration_matches_sequential():
 def test_custom_universe_and_no_ortho():
     q = AtlasQuery(k=3, d_range=(4, 4), mode="strict", max_m=2, ortho_universe=frozenset({(2, 3)}))
     found = keys(enumerate_rows(q))
-    assert (ConstraintProblem.of(3, m=(1, 1, 1), ortho=[(2, 3)]).canonical_key(), 4) in found
+    assert (ConstraintProblem.of(3, m=(1, 1, 1), ortho=[(2, 3)]), 4) in found
     q2 = AtlasQuery(k=3, d_range=(4, 4), mode="strict", max_m=2, allow_ortho=False)
     assert all(not r.problem.ortho for r in enumerate_rows(q2))

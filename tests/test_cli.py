@@ -183,6 +183,31 @@ def test_families_ortho_last_subset(capsys):
     assert doc["problem"]["m"] == [3, 1, 2] and doc["problem"]["ortho"] == [[2, 3]]
 
 
+@pytest.mark.parametrize("argv", [
+    ["check", "--k", "1025", "--m", "1", "--d", "1", "--ortho", "all"],
+    ["families", "ortho-last", "--q", "1", "--t", "1", "--k", "1025", "--ortho", "all"],
+])
+def test_named_ortho_universe_refuses_a_huge_k_exit_2(capsys, argv):
+    # a named universe would list k(k-1)/2 pairs: its builder refuses a k
+    # past MAX_K before any pair is built
+    code = run(argv)
+    out, err = capture(capsys)
+    assert code == 2 and out == ""
+    (line,) = err.splitlines()
+    assert json.loads(line)["error"] == "RangeError: k must be in 1..1024, got k=1025"
+
+
+@pytest.mark.parametrize("extra, error", [
+    ("00", "RangeError"), ("02", "RangeError"), ("101", "ShapeError"), ("11;1", "ShapeError")
+])
+def test_check_bad_extra_exit_2(capsys, extra, error):
+    code = run(["check", "--k", "2", "--m", "1", "--d", "3", "--extra", extra])
+    out, err = capture(capsys)
+    assert code == 2 and out == ""
+    (line,) = err.splitlines()
+    assert json.loads(line)["error"].startswith(f"{error}: ")
+
+
 def test_identities_all_pass(capsys):
     code, doc, _ = run_json(capsys, ["identities", "--k", "4", "--d", "8"])
     assert code == 0

@@ -134,7 +134,7 @@ def test_every_instance_of_the_stated_box_certifies_strict():
     # the paper's claim: each instance is tight and certified.  The ones
     # whose ring (d+1)^k passes MAX_RING_CELLS, all at k = 5, are refused
     # loudly rather than left unchecked.
-    box = {(inst.problem.canonical_key(), inst.d): inst for inst in stated_box()}
+    box = {(inst.problem, inst.d): inst for inst in stated_box()}
     certified, refused = 0, []
     for inst in box.values():
         problem, d = inst

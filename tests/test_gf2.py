@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from equipart.certify import check
 from equipart.exceptions import RangeError, ShapeError
-from equipart.gf2 import RingShape, SignVector, product_of_forms
+from equipart.gf2 import RingShape, product_of_forms
 from equipart.problems import ConstraintProblem, all_pairs, compile_forms
 
 from oracle import product_of_forms_oracle
@@ -322,23 +322,6 @@ def test_wide_one_form_product_holds_one_axis_mask():
         tracemalloc.stop()
     assert len(h.support()) == 26
     assert peak < 64 * 2**20
-
-
-# ----------------------------------------------------------------------
-# sign vectors
-# ----------------------------------------------------------------------
-def test_sign_vector_validation():
-    with pytest.raises(RangeError):
-        SignVector((0, 0))
-    with pytest.raises(RangeError):
-        SignVector((0, 2))
-    with pytest.raises(RangeError):
-        SignVector(())
-
-
-def test_sign_vector_helpers():
-    v = SignVector((1, 0, 1))
-    assert v.k == 3 and v.support() == (1, 3) and str(v) == "u1 + u3"
 
 
 # ----------------------------------------------------------------------

@@ -11,10 +11,10 @@ from equipart.problems import (
 
 def test_lookup_hits():
     kv = knownvalues.lookup(ConstraintProblem.of(3, m=(1, 1, 2)))
-    assert kv is not None and kv.exact and kv.d == 4
+    assert kv is not None and kv.exact and kv.hi == 4
 
     kv = knownvalues.lookup(ConstraintProblem.of(1, m=(5,)))
-    assert kv.d == 5 and "Ham Sandwich" in kv.provenance
+    assert kv.hi == 5 and "Ham Sandwich" in kv.provenance
 
     kv = knownvalues.lookup(ConstraintProblem.of(3, m=(3,), ortho=all_pairs(3)))
     assert (kv.lo, kv.hi) == (8, 9) and not kv.exact
@@ -22,7 +22,7 @@ def test_lookup_hits():
     kv = knownvalues.lookup(
         ConstraintProblem.of(3, m=(2, 2, 2), ortho=last_orthogonal(3))
     )
-    assert kv.exact and kv.d == 8
+    assert kv.exact and kv.hi == 8
 
 
 def test_lookup_miss():
@@ -37,7 +37,7 @@ def test_lookup_ignores_ortho_listing_order():
 def test_entries_have_provenance_and_consistent_intervals():
     for kv in knownvalues.entries():
         assert kv.provenance
-        assert kv.lo <= kv.hi == kv.d
+        assert kv.lo <= kv.hi
         # no entry may claim an upper bound below what counting forces
         forced = -(-constraint_dimension(kv.problem) // kv.problem.k)
         assert kv.hi >= forced

@@ -152,7 +152,7 @@ def test_region_masses_conservation():
     for stage in (1, 2, 3):
         got = region_masses(mass, hs, stage)
         assert got.sum() == pytest.approx(mass.total, abs=1e-12 * mass.total)
-    smooth = region_masses(mass, hs, 1, mode="smoothed", tau=0.3)
+    smooth = region_masses(mass, hs, 1, tau=0.3)
     assert smooth.sum() == pytest.approx(mass.total, abs=1e-9 * mass.total)
 
 
@@ -178,7 +178,7 @@ def test_smoothed_approaches_hard():
     hs = [HyperplaneParam.of([1.0, 0.4], 0.3), HyperplaneParam.of([-0.2, 1.0], 0.0)]
     hard = region_masses(mass, hs, 1)
     for tau, tol in ((0.1, 20.0), (0.01, 3.0), (0.001, 0.5)):
-        smooth = region_masses(mass, hs, 1, mode="smoothed", tau=tau)
+        smooth = region_masses(mass, hs, 1, tau=tau)
         assert np.max(np.abs(smooth - hard)) < tol
 
 
@@ -226,9 +226,11 @@ TAUS = (1e-3, 0.05, 0.5, 3.0)
 
 
 def assert_smoothed_matches_reference(mass, planes, stage, tau):
-    got = region_masses(mass, planes, stage, mode="smoothed", tau=tau)
+    got = region_masses(mass, planes, stage, tau=tau)
     want = reference_region_masses(mass, planes, stage, "smoothed", tau)
     assert np.max(np.abs(got - want)) <= 1e-12 * mass.total
+    # the gradient path visits every plane; its masses must be the same
+    assert np.array_equal(region_masses(mass, planes, stage, tau=tau, jac=True)[0], got)
 
 
 @settings(max_examples=150, deadline=None)
@@ -243,7 +245,7 @@ def test_region_masses_match_per_point_reference(cloud, data):
         assert_smoothed_matches_reference(mass, planes, stage, data.draw(st.sampled_from(TAUS)))
         # at a tiny tau a planted tie's side turns on the rounding of its
         # signed distance, so only finiteness and conservation are checked
-        got = region_masses(mass, planes, stage, mode="smoothed", tau=1e-300)
+        got = region_masses(mass, planes, stage, tau=1e-300)
         assert np.isfinite(got).all() and abs(got.sum() - mass.total) <= tol
 
 
@@ -285,9 +287,9 @@ def test_smoothed_tiny_tau_stays_finite_on_a_plane():
     )
     hs = [HyperplaneParam.of([1.0, 0.0], 0.0), HyperplaneParam.of([0.0, 1.0], 0.0)]
     for tau in (1e-300, 5e-324):
-        got = region_masses(mass, hs, 1, mode="smoothed", tau=tau)
+        got = region_masses(mass, hs, 1, tau=tau)
         assert np.isfinite(got).all()
-        # the origin lies on both planes and splits four ways, as in hard mode
+        # the origin lies on both planes and splits four ways, as with hard masses
         assert np.allclose(got, region_masses(mass, hs, 1), rtol=0, atol=1e-12)
 
 
@@ -299,10 +301,10 @@ def test_region_masses_errors():
     h3 = HyperplaneParam.of([1.0, 0.0, 0.0], 0.0)
     with pytest.raises(ShapeError):
         region_masses(mass, [h3], 1)
-    with pytest.raises(ConfigurationError):
-        region_masses(mass, [h], 1, mode="smoothed", tau=None)
-    with pytest.raises(ConfigurationError):
-        region_masses(mass, [h], 1, mode="fuzzy")
+    # tau=None means hard masses; a temperature must be positive
+    for tau in (0.0, -1.0, float("nan")):
+        with pytest.raises(ConfigurationError):
+            region_masses(mass, [h], 1, tau=tau)
     with pytest.raises(ConfigurationError):
         region_masses(mass, [h], 1, jac=True)  # hard masses are piecewise constant
 

@@ -3,9 +3,9 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from equipart import knownvalues
 from equipart.certify import check
 from equipart.exceptions import ContradictionError, RangeError, ShapeError
-from equipart.gf2 import SignVector
 from equipart.problems import (
     ConstraintProblem,
     all_pairs,
@@ -119,6 +119,15 @@ def test_universe_builders():
     assert excluding_first_pair(3) == {(1, 3), (2, 3)}
 
 
+@pytest.mark.parametrize("builder", [all_pairs, last_orthogonal, excluding_first_pair])
+def test_universe_builders_refuse_k_out_of_range(builder):
+    # a k past MAX_K would list its k(k-1)/2 pairs before any problem
+    # refused it
+    for k in (0, MAX_K + 1):
+        with pytest.raises(RangeError, match=f"got k={k}"):
+            builder(k)
+
+
 def test_json_round_trip():
     p = ConstraintProblem.of(
         3, m=(1, 1, 2), a=(0, 0, 1), ortho=[(1, 3), (2, 3)], extra=[(0, 1, 1)]
@@ -129,6 +138,54 @@ def test_json_round_trip():
     # omitted fields default to zero / empty
     q = ConstraintProblem.from_dict({"k": 3, "m": [1, 1, 2]})
     assert q == ConstraintProblem.of(3, m=(1, 1, 2))
+
+
+def test_listing_order_of_extra_changes_nothing():
+    # the known instance with six extra forms, listed in reverse
+    listed = [
+        (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1), (0, 1, 1, 0), (0, 1, 0, 1), (0, 0, 1, 1)
+    ]
+    p, q = (
+        ConstraintProblem.of(4, m=(1,), a=(0, 0, 2, 3), ortho=all_pairs(4), extra=forms)
+        for forms in (listed, listed[::-1])
+    )
+    assert p == q and hash(p) == hash(q)
+    assert p.extra == q.extra == tuple(sorted(listed))
+    known = knownvalues.lookup(p)
+    assert known is not None and knownvalues.lookup(q) is known
+    cert = check(p, 8, "strict")
+    assert cert.certified and check(q, 8, "strict") == cert
+    assert ConstraintProblem.of(2, m=(1,), extra=[(1, 0), (0, 1)]) == ConstraintProblem.of(
+        2, m=(1,), extra=[(0, 1), (1, 0)]
+    )
+
+
+def test_direct_constructor_with_lists_equals_of():
+    # lists and a plain set from a direct call are stored as tuples and a
+    # frozenset, so the problem hashes and looks up like one from `of`
+    direct = ConstraintProblem(k=2, m=[1, 0], a=[0, 0], ortho={(1, 2)}, extra=([0, 1], [1, 0]))
+    built = ConstraintProblem.of(2, m=(1,), ortho=[(1, 2)], extra=[(1, 0), (0, 1)])
+    assert direct == built and hash(direct) == hash(built)
+    assert knownvalues.lookup(direct) == knownvalues.lookup(built)
+    hit = knownvalues.lookup(ConstraintProblem(k=2, m=[1, 0], a=[0, 0]))
+    assert hit is not None and hit == knownvalues.lookup(ConstraintProblem.of(2, m=(1,)))
+
+
+@pytest.mark.parametrize("form, error", [
+    ((0, 0), RangeError),
+    ((0, 2), RangeError),
+    ((1, -1), RangeError),
+    ((1, 0, 1), ShapeError),
+    ((), ShapeError),
+])
+def test_bad_extra_forms_raise_the_kernel_errors(form, error):
+    # one check for a form, whichever way the problem is built
+    with pytest.raises(error):
+        ConstraintProblem.of(2, m=(1,), extra=[(1, 1), form])
+    with pytest.raises(error):
+        ConstraintProblem.from_dict({"k": 2, "m": [1], "extra": [[1, 1], list(form)]})
+    with pytest.raises(error):
+        ConstraintProblem(k=2, m=(1, 0), a=(0, 0), extra=((1, 1), form))
 
 
 # ----------------------------------------------------------------------
@@ -166,11 +223,12 @@ def test_compile_forms_fully_constrained_k4():
     forms = compile_forms(p)
     assert len(forms) == 32 == constraint_dimension(p)
     # stage-1 forms, then 2 e3 and 3 e4, the 6 pairs in order, the extras
+    # in sorted order
     assert forms[15:20] == [(0, 0, 1, 0)] * 2 + [(0, 0, 0, 1)] * 3
     assert forms[20:26] == [
         (1, 1, 0, 0), (1, 0, 1, 0), (1, 0, 0, 1), (0, 1, 1, 0), (0, 1, 0, 1), (0, 0, 1, 1)
     ]
-    assert forms[26:] == [v.bits for v in p.extra]
+    assert forms[26:] == list(p.extra) == sorted(forms[26:])
 
 
 def test_compiled_lists_are_fresh():
@@ -185,27 +243,6 @@ def test_compiled_lists_are_fresh():
     assert compile_forms(p) == expect
     forms.clear()
     assert compile_forms(p) == expect
-
-
-def test_check_without_extra_builds_no_sign_vector(monkeypatch):
-    # the forms reach the kernel as tuples: only `extra` is typed as
-    # SignVector, so no check of a problem without it builds one, the
-    # first check of a new (k, i) stage included
-    problems = [
-        ConstraintProblem.of(3, m=(1, 1, 2)),
-        ConstraintProblem.of(7, m=(0, 0, 0, 0, 1), a=(1,) * 7, ortho=all_pairs(7)),
-    ]
-    built = []
-    validate = SignVector.__post_init__
-
-    def counting(self):
-        built.append(self.bits)
-        validate(self)
-
-    monkeypatch.setattr(SignVector, "__post_init__", counting)
-    first = [check(p, lower_bound_dim(p), "relaxed") for p in problems]
-    assert [check(p, lower_bound_dim(p), "relaxed") for p in problems] == first
-    assert built == []
 
 
 @settings(max_examples=80, deadline=None)

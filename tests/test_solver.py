@@ -241,8 +241,8 @@ def test_subsample_strides_a_mass_down_to_anneal_subsample():
 
 
 def test_solver_is_gradient_only(monkeypatch):
-    # every minimize call is one L-BFGS run on the analytic gradient (the
-    # objective's jac flag set), one per scheduled tau stage: seeded (even)
+    # every minimize call is one L-BFGS run of the smoothed objective at a
+    # positive temperature, one per scheduled tau stage: seeded (even)
     # starts run the last 6 head stages and the 8 full-sample tail stages,
     # unseeded starts all 20; a head stage is capped at 25 iterations and
     # a tail stage at 50
@@ -258,7 +258,7 @@ def test_solver_is_gradient_only(monkeypatch):
     cfg = dataclasses.replace(FAST, starts=3, tau_stages=20, tol=-1.0)
     w = solve(ConstraintProblem.of(2, m=(1, 0)), [m1], config=cfg)
     assert w.diagnostics["starts_run"] == 3 and w.diagnostics["degenerate_restarts"] == 0
-    assert all(fun is equipart.solver._objective and jac is True for fun, jac, _ in calls)
+    assert all(fun is equipart.solver._objective and tau > 0 for fun, tau, _ in calls)
     assert [kwargs for *_, kwargs in calls] == [
         {"maxiter": maxiter}
         for head in (6, 12, 6)
@@ -302,8 +302,8 @@ def test_every_objective_evaluation_assembles_and_counts_regions(monkeypatch):
 @st.composite
 def smoothed_objectives(draw):
     """A constrained instance with small sampled masses on several stages,
-    containment points and a temperature: the arguments of `_objective`
-    in smoothed mode.  Every plane keeps at least one free direction."""
+    containment points and a temperature: the arguments of `_objective`.
+    Every plane keeps at least one free direction."""
     k, d = draw(st.integers(1, 3)), draw(st.integers(2, 3))
     m = tuple(draw(st.integers(0, 2)) for _ in range(k))
     assume(sum(m) > 0)
@@ -326,23 +326,24 @@ def smoothed_objectives(draw):
     by_key = equipart.solver._organize_masses(problem, masses)
     cont = equipart.solver._organize_points(problem, points, d)
     tau = draw(st.sampled_from([1e-2, 0.1, 1.0]))
-    return rng.standard_normal(k * (d + 1)), (problem, by_key, cont, d, "smoothed", tau)
+    return rng.standard_normal(k * (d + 1)), (problem, by_key, cont, d, tau)
 
 
 @settings(max_examples=80, deadline=None)
 @given(smoothed_objectives())
 def test_smoothed_gradient_matches_central_differences(drawn):
     x, args = drawn
-    objective = equipart.solver._objective
-    value, grad = objective(x, *args, jac=True)
+    def objective(x):
+        return equipart.solver._objective(x, *args)[0]
+
+    value, grad = equipart.solver._objective(x, *args)
     assume(value < 1e9)  # a degenerate assembly has no gradient
-    assert value == objective(x, *args)
     h = 1e-6
     numeric = np.empty_like(x)
     for c in range(x.size):
         step = np.zeros_like(x)
         step[c] = h
-        numeric[c] = (objective(x + step, *args) - objective(x - step, *args)) / (2 * h)
+        numeric[c] = (objective(x + step) - objective(x - step)) / (2 * h)
     assert np.max(np.abs(grad - numeric)) <= 1e-6 + 1e-5 * np.max(np.abs(numeric))
 
 
@@ -469,7 +470,6 @@ def test_minimize_matches_scipy_lbfgsb():
     collect()
     compared, nfev, nfev_scipy = 0, 0, 0
     for x0, args in draws:
-        args = (*args, True)
         ours = lbfgs.minimize(equipart.solver._objective, x0, args=args, maxiter=50)
         ref = scipy_run(x0, args)
         nfev, nfev_scipy = nfev + ours.nfev, nfev_scipy + ref.nfev
