@@ -18,27 +18,24 @@ masses are hard: each row's side-1 bit is ORed into an orthant index and
 one weighted bincount is taken; points on a plane take the even tie split
 only when some |s| <= TIE_EPS.  At a temperature tau > 0 they are
 smoothed: S becomes side-0 fractions 0.5 + 0.5 tanh(S / 2 tau) =
-expit(S / tau), reduced with a binary product tree over the rows;
-on request it also returns dR/dV, the derivative of the orthant masses
-with respect to the plane vectors, at one (2^(n-1), N) @ (N, d) product
-per plane.  No copy of the points is made or cached.
+expit(S / tau), reduced with a binary product tree over the rows.
+Given a cotangent dL/dR, it also returns dL/dV for the plane vectors V
+by reverse-mode differentiation, without forming the Jacobian dR/dV.
+No copy of the points is made or cached.
 
-No reduction over the point axis goes through BLAS level 1 or 2 (a dot
-product or a matrix-vector product): OpenBLAS splits such a sum over N
-between its threads, so its result, and every witness built on it, would
-depend on the thread count, and on a small machine the woken threads cost
-more than the sum.  Those reductions are `np.einsum` loops or `sum`s,
-which never enter BLAS and add in a fixed order.  That includes the
-gradient product when one plane is in play: its table is then one row,
-and numpy would make the product a gemv.  BLAS keeps the matrix-matrix
-products, which OpenBLAS never splits along the summed axis, and the
-signed distances, which sum over the d coordinates only.
+No reduction over the point axis goes through BLAS (a dot product or a
+matrix product): OpenBLAS splits such a sum over N between its threads,
+so its result, and every witness built on it, would depend on the thread
+count, and on a small machine the woken threads cost more than the sum.
+Those reductions are `np.einsum` loops or `sum`s, which never enter BLAS
+and add in a fixed order.  BLAS keeps the signed distances, which sum
+over the d coordinates only.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Sequence
+from typing import Any, Callable, Sequence
 
 import numpy as np
 
@@ -107,9 +104,6 @@ class HyperplaneParam:
     def offset(self) -> float:
         return float(self.vector[-1])
 
-    def signed_distances(self, points: np.ndarray) -> np.ndarray:
-        return points @ self.normal - self.offset
-
     def to_dict(self) -> dict:
         return {"normal": [float(x) for x in self.normal], "offset": self.offset}
 
@@ -174,14 +168,16 @@ def parse_label(label: str) -> tuple[int, int]:
 def _component_cov(cov, d: int) -> np.ndarray:
     if cov is None or (isinstance(cov, str) and cov.upper() == "I"):
         return np.eye(d)
-    if np.isscalar(cov):
-        c = float(cov)
-        if c <= 0:
-            raise ConfigurationError(f"scalar covariance must be positive, got {c}")
-        return c * np.eye(d)
     mat = np.asarray(cov, dtype=float)
+    if not np.isfinite(mat).all():
+        raise RangeError(f"covariance must be finite, got {mat.tolist()}")
+    if mat.ndim == 0:  # a scalar; a non-positive one fails the Cholesky factorisation
+        mat = float(mat) * np.eye(d)
     if mat.shape != (d, d):
         raise ConfigurationError(f"covariance must be {d}x{d}, got shape {mat.shape}")
+    # to 1e-10 of its largest entry: the Cholesky factor reads only the lower triangle
+    if np.abs(mat - mat.T).max() > 1e-10 * np.abs(mat).max():
+        raise ConfigurationError(f"covariance must be symmetric, got {mat.tolist()}")
     return mat
 
 
@@ -196,7 +192,7 @@ def sample_gaussian_mixture(
 
     `mixture` is a list of components {"mean": [...], "cov": "I"|scalar|
     matrix, "weight": positive}.  The same seed reproduces the identical
-    point list.
+    point list.  Every component is checked before any point is drawn.
     """
     if n < 1:
         raise ConfigurationError(f"need n >= 1 samples, got {n}")
@@ -211,9 +207,13 @@ def sample_gaussian_mixture(
             f"a mass of N={n} points in R^{d} holds {n * d} coordinates, "
             f"past the cap {MAX_SAMPLE_VALUES}"
         )
+    if not all(np.isfinite(m).all() for m in means):
+        raise RangeError("component means must be finite")
     comp_w = np.array([float(c.get("weight", 1.0)) for c in mixture])
-    if not (comp_w > 0).all():
-        raise ConfigurationError("component weights must be positive")
+    with np.errstate(over="ignore"):
+        w_total = comp_w.sum()
+    if not ((comp_w > 0).all() and np.isfinite(w_total)):
+        raise ConfigurationError(f"component weights must be positive, with a finite sum: {comp_w}")
     chols = []
     for c in mixture:
         cov = _component_cov(c.get("cov"), d)
@@ -223,11 +223,12 @@ def sample_gaussian_mixture(
             raise ConfigurationError("covariance is not positive definite") from exc
 
     rng = np.random.default_rng(seed)
-    idx = rng.choice(len(mixture), size=n, p=comp_w / comp_w.sum())
+    idx = rng.choice(len(mixture), size=n, p=comp_w / w_total)
     z = rng.standard_normal((n, d))
-    mean_arr = np.stack(means)
-    chol_arr = np.stack(chols)
-    points = mean_arr[idx] + np.einsum("nij,nj->ni", chol_arr[idx], z)
+    # one component at a time, so no per-point stack of factors is built
+    points = np.empty((n, d))
+    for c, (mean, chol) in enumerate(zip(means, chols)):
+        points[idx == c] = np.einsum("ij,nj->ni", chol, z[idx == c]) + mean
     weights = np.full(n, total / n)
     return SampledMass(points=points, weights=weights, label=label)
 
@@ -328,16 +329,22 @@ def _hard_region_masses(S: np.ndarray, weights: np.ndarray) -> np.ndarray:
 def _orthant_table(F, weights: np.ndarray) -> np.ndarray:
     """The binary product tree over the side-0 fraction rows F: one row of
     per-point weight per orthant of those planes, row index bit j the side
-    of the j-th row (rows with bit j clear first)."""
+    of the j-th row (rows with bit j clear first).  Each level [t] becomes
+    [t * f; t - t * f] in place, in the bottom rows of one buffer."""
+    if not len(F):
+        return weights[None, :]
+    table = np.empty((2 ** len(F), weights.size))
     t = weights[None, :]
     for f in F:
-        p = t * f
-        t = np.concatenate([p, t - p])
-    return t
+        lo = len(table) - 2 * len(t)
+        p = np.multiply(t, f, out=table[lo : lo + len(t)])
+        np.subtract(t, p, out=table[lo + len(t) :])  # over t itself past level 0
+        t = table[lo:]
+    return table
 
 
 def _smoothed_region_masses(
-    S: np.ndarray, weights: np.ndarray, tau: float, coords: np.ndarray | None = None
+    S: np.ndarray, mass: SampledMass, tau: float, cotangent: Callable | None = None
 ) -> np.ndarray | tuple[np.ndarray, np.ndarray]:
     """Orthant weights with side-0 fractions F = expit(S / tau), evaluated
     as 0.5 + 0.5 tanh(S / (2 tau)), which stays finite for any tau > 0.
@@ -345,53 +352,39 @@ def _smoothed_region_masses(
     each row of its table times the last plane's fractions in an einsum
     loop, not a matrix-vector product (see the module docstring).
 
-    Given the (d, N) coordinates, also returns J (2^n, n, d+1), the
-    derivative of each orthant weight with respect to each plane vector
-    (normal, offset).  Plane j moves weight T_j F'_j (x, -1) from the
-    orthants with bit j set to those with it clear, where T_j is the
-    product table of the other planes and F'_j = F_j (1 - F_j) / tau the
-    slope of its side-0 fraction: one (2^(n-1), N) @ (N, d) product per
-    plane, an einsum loop when n = 1."""
+    With a cotangent c = dL/dR: raising F_j at a point of weight w moves w
+    times the other planes' orthant products from orthant o | 1<<j to o,
+    so dL/dF_j = w h_j, h_j the differences c[o] - c[o | 1<<j] contracted
+    with the other planes' fractions one plane at a time.  F_j has slope
+    F_j (1 - F_j) / tau, so dL/dV = (U x, -sum U) / tau, U_j = w F_j (1 - F_j) h_j."""
     with np.errstate(over="ignore"):  # |S / 2tau| = inf saturates tanh, as it should
         F = np.divide(S, 2 * tau, out=S)
     np.tanh(F, out=F)
     F *= 0.5
     F += 0.5
     n = F.shape[0]
-    if coords is not None:
-        d = coords.shape[0]
-        rows = np.arange(2 ** (n - 1))
-        J = np.empty((2**n, n, d + 1))
-    # The masses need only the last plane's table.  The gradient visits
-    # every plane, the last one last, and keeps one table alive at a time,
-    # so its peak memory stays near that of the masses alone.
-    for j in range(n) if coords is not None else [n - 1]:
-        table = _orthant_table((f for l, f in enumerate(F) if l != j), weights)
-        if j == n - 1:
-            side0 = np.einsum("ij,j->i", table, F[j])
-            regions = np.concatenate([side0, table.sum(axis=1) - side0])
-            if coords is None:
-                return regions
-            slope = F[j]  # no table reads F[j] any more: overwrite it
-        else:
-            slope = F[j].copy()
-        # F (1 - F) = 0.25 - (F - 0.5)^2, computed in place
-        slope -= 0.5
-        np.square(slope, out=slope)
-        slope -= 0.25
-        slope *= -1.0 / tau
-        # a table over n - 1 >= 1 planes is fresh and is scaled in place;
-        # with n = 1 it is a view of the weights
-        A = np.multiply(table, slope, out=table if n > 1 else None)
-        low = rows & ((1 << j) - 1)
-        clear = low | (rows - low) << 1  # insert a clear bit j into each row index
-        # with n = 1, A is one row, and numpy would hand A @ coords.T to a
-        # gemv over the points
-        J[clear, j, :d] = A @ coords.T if n > 1 else np.einsum("ij,kj->ik", A, coords)
-        J[clear, j, d] = -A.sum(axis=1)
-        J[clear | 1 << j, j] = -J[clear, j]
-        del table, A, slope
-    return regions, J
+    table = _orthant_table(F[:-1], mass.weights)
+    side0 = np.einsum("ij,j->i", table, F[-1])
+    # with one plane the table is the weights, whose sum is the total, bit for bit
+    regions = np.concatenate([side0, (table.sum(axis=1) if n > 1 else mass.total) - side0])
+    if cotangent is None:
+        return regions
+    # axis a of this view of c is bit n-1-a of the orthant index
+    c = np.asarray(cotangent(regions), dtype=float).reshape((2,) * n)
+    # (1 - F) F, not 0.25 - (F - 0.5)^2: exact as F -> 0; a fresh table
+    # (n > 1) has 2^(n-1) >= n rows and is read no more, so U takes them
+    U = np.subtract(1.0, F, out=table[:n] if n > 1 else None)
+    U *= F
+    U *= mass.weights
+    for j in range(n):
+        # rows: the orthants of the other planes, the highest plane the top bit
+        h = (c.take(0, n - 1 - j) - c.take(1, n - 1 - j)).reshape(-1, 1)
+        for l in [l for l in range(n - 1, -1, -1) if l != j]:
+            half = len(h) // 2
+            h = h[half:] + (h[:half] - h[half:]) * F[l]
+        U[j] *= h[0]
+    grad = np.column_stack([np.einsum("jn,kn->jk", U, mass.coords), -U.sum(axis=1)])
+    return regions, grad / tau
 
 
 def region_masses(
@@ -399,7 +392,7 @@ def region_masses(
     hyperplanes: Sequence[HyperplaneParam],
     stage: int,
     tau: float | None = None,
-    jac: bool = False,
+    cotangent: Callable | None = None,
 ) -> np.ndarray | tuple[np.ndarray, np.ndarray]:
     """Mass of each orthant cut out by hyperplanes stage..k.
 
@@ -409,9 +402,9 @@ def region_masses(
     tau=None the masses are hard: a point is on side 0 when s > TIE_EPS,
     on side 1 when s < -TIE_EPS and half on each side otherwise.  With
     tau > 0 they are smoothed: side 0 gets the fraction expit(s / tau).
-    With jac=True (smoothed masses only) also returns dR/dV, shape
-    (2^(k-stage+1), k-stage+1, d+1): the derivative of each orthant mass
-    with respect to each plane vector of hyperplanes stage..k.
+    With a `cotangent` (smoothed only), a function from the masses R to
+    dL/dR, returns (R, dL/dV) for the (k-stage+1, d+1) plane vectors V of
+    hyperplanes stage..k; R is bit for bit the same as without it.
     """
     k = len(hyperplanes)
     if not 1 <= stage <= k:
@@ -420,8 +413,8 @@ def region_masses(
         if h.dim != mass.dim:
             raise ShapeError(f"hyperplane in R^{h.dim} against mass in R^{mass.dim}")
     if tau is None:
-        if jac:
-            raise ConfigurationError("hard region masses are piecewise constant: no jac")
+        if cotangent is not None:
+            raise ConfigurationError("hard region masses are piecewise constant: no gradient")
     elif not tau > 0:
         raise ConfigurationError(f"smoothed region masses need tau > 0, got {tau}")
     V = np.stack([h.vector for h in hyperplanes[stage - 1 :]])
@@ -429,4 +422,4 @@ def region_masses(
     S -= V[:, -1:]
     if tau is None:
         return _hard_region_masses(S, mass.weights)
-    return _smoothed_region_masses(S, mass.weights, tau, mass.coords if jac else None)
+    return _smoothed_region_masses(S, mass, tau, cotangent)

@@ -13,8 +13,8 @@ gives no construction, so this is a best-effort multi-start optimizer:
   * the equipartition block is annealed: orthant indicators are smoothed
     by logistics of signed distance at temperature tau, tau falling
     geometrically, and each temperature is one L-BFGS run on the analytic
-    gradient (dR/dV from `region_masses`, chained through the squared
-    deviations and pulled back through the assembly by `_assembly_vjp`);
+    gradient (the squared deviations' derivative pulled back to the plane
+    vectors by `region_masses`, and through the assembly by `_assembly_vjp`);
   * the hard objective is evaluated once, at the last L-BFGS point, to
     score the start; it is never optimized directly (region masses of a
     point cloud are piecewise constant, so it has no useful gradient);
@@ -175,9 +175,11 @@ def _organize_points(
     per: dict[int, list[np.ndarray]] = {i: [] for i in range(1, problem.k + 1)}
     for entry in points:
         if isinstance(entry, dict):
-            i, coords = int(entry["hyperplane"]), entry["coords"]
+            i, coords = entry["hyperplane"], entry["coords"]
         else:
-            i, coords = int(entry[0]), entry[1]
+            i, coords = entry[0], entry[1]
+        if isinstance(i, bool) or not isinstance(i, (int, np.integer)):
+            raise ConfigurationError(f"containment point hyperplane {i!r} is not an integer")
         if not 1 <= i <= problem.k:
             raise ConfigurationError(f"containment point for hyperplane {i} out of range")
         p = np.asarray(coords, dtype=float)
@@ -388,18 +390,21 @@ def _evaluate(
     temperature tau they are smoothed and the gradient has only the
     equipartition terms: assembly keeps the other residuals at zero.
     """
-    jac = tau is not None
     equip: dict[str, np.ndarray] = {}
     objective = 0.0
-    grad = np.zeros((problem.k, planes[0].dim + 1)) if jac else None
+    grad = None if tau is None else np.zeros((problem.k, planes[0].dim + 1))
     for (i, j), mass in by_key.items():
-        out = region_masses(mass, planes, i, tau=tau, jac=jac)
-        regions = out[0] if jac else out
-        dev = regions / mass.total - 2.0 ** -(problem.k - i + 1)
+        share = 2.0 ** -(problem.k - i + 1)
+        if tau is None:
+            regions = region_masses(mass, planes, i)
+        else:  # the cotangent is d/dR of the squared deviations
+            regions, g = region_masses(
+                mass, planes, i, tau, lambda r: 2 / mass.total * (r / mass.total - share)
+            )
+            grad[i - 1 :] += g
+        dev = regions / mass.total - share
         equip[f"{i}.{j}"] = dev
         objective += float(np.dot(dev, dev))
-        if jac:
-            grad[i - 1 :] += np.tensordot(2 / mass.total * dev, out[1], axes=1)
 
     ortho: dict[str, float] = {}
     for r, s in problem.sorted_ortho():

@@ -5,7 +5,9 @@ The truncated GF(2) ring: deliberately naive support sets of exponent
 tuples and quadratic-time products, no shared code with the package's
 implementation.  The side rule of the region masses: per-point side
 fractions, the logistic taken from scipy rather than from the kernel's
-tanh form.
+tanh form, and the region masses they give, one point at a time.  The
+mixture sampler's earlier formula, which stacked a mean and a Cholesky
+factor per point.
 """
 
 from __future__ import annotations
@@ -92,3 +94,46 @@ def side_fractions(
 
         return expit(s / tau)
     raise ConfigurationError(f"unknown evaluation mode {mode!r}")
+
+
+def reference_region_masses(mass, vectors, mode, tau=None):
+    """The documented rule, one point at a time: a point of weight w puts
+    w * prod_j (f_j if bit j is clear else 1 - f_j) in each orthant, where
+    f_j is its `side_fractions` value for the plane vector (normal,
+    offset) vectors[j], of any length.  The rule gives each point's
+    fractions on its own; they are taken for all points at once only so
+    that a full-size cloud stays quick."""
+    s = np.array([mass.points @ v[:-1] - v[-1] for v in np.asarray(vectors, dtype=float)])
+    f = side_fractions(s, mode, tau)
+    out = [0.0] * 2 ** len(s)
+    for fs, w in zip(f.T.tolist(), mass.weights.tolist()):
+        for o in range(len(out)):
+            share = w
+            for j, fj in enumerate(fs):
+                share *= 1.0 - fj if o >> j & 1 else fj
+            out[o] += share
+    return np.array(out)
+
+
+def reference_mixture_points(mixture, n, seed):
+    """The points `sample_gaussian_mixture` draws, by its earlier formula:
+    the same RNG calls, then every point's component mean and Cholesky
+    factor stacked into (n, d) and (n, d, d) arrays and one batched
+    product."""
+    means = np.stack([np.asarray(c["mean"], dtype=float) for c in mixture])
+    d = means.shape[1]
+    covs = []
+    for c in mixture:
+        cov = c.get("cov")
+        if cov is None or cov == "I":
+            covs.append(np.eye(d))
+        elif np.isscalar(cov):
+            covs.append(float(cov) * np.eye(d))
+        else:
+            covs.append(np.asarray(cov, dtype=float))
+    chols = np.stack([np.linalg.cholesky(cov) for cov in covs])
+    comp_w = np.array([float(c.get("weight", 1.0)) for c in mixture])
+    rng = np.random.default_rng(seed)
+    idx = rng.choice(len(mixture), size=n, p=comp_w / comp_w.sum())
+    z = rng.standard_normal((n, d))
+    return means[idx] + np.einsum("nij,nj->ni", chols[idx], z)

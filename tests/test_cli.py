@@ -356,6 +356,28 @@ def test_solve_non_finite_mass_exit_2(tmp_path, capsys):
     assert "RangeError" in json.loads(err.splitlines()[-1])["error"]
 
 
+@pytest.mark.parametrize(
+    "component, error",
+    [
+        ('{"mean": [0, 0], "cov": [[1, 5], [0, 1]]}', "ConfigurationError: covariance must be symmetric"),
+        ('{"mean": [0, 0], "weight": 1e400}', "ConfigurationError: component weights"),
+        ('{"mean": [0, 0], "cov": [[1e400, 0], [0, 1]]}', "RangeError: covariance must be finite"),
+    ],
+)
+@pytest.mark.filterwarnings("error")  # numpy's RuntimeWarning is no refusal
+def test_solve_bad_mixture_component_exit_2(tmp_path, capsys, component, error):
+    ppath, mpath = tmp_path / "p.json", tmp_path / "m.json"
+    ppath.write_text(json.dumps({"k": 1, "m": [1]}))
+    # written by hand: json.dumps would spell 1e400 as Infinity
+    mpath.write_text('{"d": 2, "masses": [{"label": "1.1", "N": 100, "mixture": [%s]}]}' % component)
+    code = run(["solve", "--problem", str(ppath), "--masses", str(mpath)])
+    _, err = capture(capsys)
+    assert code == 2
+    lines = [line for line in err.splitlines() if line.strip()]
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"].startswith(error)
+
+
 def test_solve_non_finite_containment_point_exit_2(tmp_path, capsys):
     masses = {
         "d": 2,

@@ -13,7 +13,7 @@ from equipart.masses import (
     region_masses,
     sample_gaussian_mixture,
 )
-from oracle import side_fractions
+from oracle import reference_mixture_points, reference_region_masses, side_fractions
 
 
 def test_hyperplane_param_validation():
@@ -95,6 +95,64 @@ def test_gaussian_mixture_bad_specs():
         sample_gaussian_mixture([{"mean": [0, 0], "cov": -2.0}], 10, seed=0)
     with pytest.raises(ConfigurationError):
         sample_gaussian_mixture([{"mean": [0, 0]}], 0, seed=0)
+
+
+inf, nan = float("inf"), float("nan")
+
+
+@pytest.mark.parametrize(
+    "mixture, error, match",
+    [
+        # the Cholesky factorisation would read only the lower triangle
+        ([{"mean": [0, 0], "cov": [[1, 5], [0, 1]]}], ConfigurationError, "symmetric"),
+        ([{"mean": [0, 0], "weight": inf}], ConfigurationError, "weights"),
+        ([{"mean": [0, 0], "weight": nan}], ConfigurationError, "weights"),
+        ([{"mean": [0, 0], "weight": 0.0}], ConfigurationError, "weights"),
+        ([{"mean": [0, 0], "weight": 1e308}] * 2, ConfigurationError, "weights"),
+        ([{"mean": [0, 0], "cov": [[inf, 0], [0, 1]]}], RangeError, "covariance"),
+        ([{"mean": [0, 0], "cov": [[1, nan], [nan, 1]]}], RangeError, "covariance"),
+        ([{"mean": [0, 0], "cov": inf}], RangeError, "covariance"),
+        ([{"mean": [0, 0], "cov": nan}], RangeError, "covariance"),
+        ([{"mean": [0, 0]}, {"mean": [inf, 0]}], RangeError, "means"),
+    ],
+)
+def test_gaussian_mixture_refuses_bad_components_before_drawing(monkeypatch, mixture, error, match):
+    def no_draw(seed):
+        raise AssertionError("points were drawn")
+
+    monkeypatch.setattr(np.random, "default_rng", no_draw)
+    with pytest.raises(error, match=match):
+        sample_gaussian_mixture(mixture, 10, seed=0)
+
+
+@st.composite
+def mixtures(draw):
+    """1..3 components in R^1..R^4, each with the identity, a scalar or a
+    general positive definite covariance."""
+    d = draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    mixture = []
+    for _ in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(["I", "scalar", "matrix"]))
+        if kind == "scalar":
+            cov = float(rng.uniform(0.1, 3.0))
+        elif kind == "matrix":
+            a = rng.standard_normal((d, d))
+            cov = a @ a.T + 0.1 * np.eye(d)
+            cov = ((cov + cov.T) / 2).tolist()
+        else:
+            cov = kind
+        mixture.append(
+            {"mean": rng.standard_normal(d).tolist(), "cov": cov, "weight": float(rng.uniform(0.1, 2))}
+        )
+    return mixture
+
+
+@settings(max_examples=100, deadline=None)
+@given(mixtures(), st.integers(1, 2000), st.integers(0, 2**32 - 1))
+def test_mixture_points_match_the_stacked_factor_formula(mixture, n, seed):
+    got = sample_gaussian_mixture(mixture, n, seed).points
+    assert np.array_equal(got, reference_mixture_points(mixture, n, seed))
 
 
 def test_region_masses_tie_splitting():
@@ -182,24 +240,6 @@ def test_smoothed_approaches_hard():
         assert np.max(np.abs(smooth - hard)) < tol
 
 
-def reference_region_masses(mass, hyperplanes, stage, mode, tau=None):
-    """The documented rule, one point at a time: a point of weight w puts
-    w * prod_j (f_j if bit j is clear else 1 - f_j) in each orthant, where
-    f_j is its `side_fractions` value for hyperplane stage+j.  The rule
-    gives each point's fractions on its own; they are taken for all
-    points at once only so that a full-size cloud stays quick."""
-    planes = hyperplanes[stage - 1 :]
-    f = side_fractions(np.array([h.signed_distances(mass.points) for h in planes]), mode, tau)
-    out = [0.0] * 2 ** len(planes)
-    for fs, w in zip(f.T.tolist(), mass.weights.tolist()):
-        for o in range(len(out)):
-            share = w
-            for j, fj in enumerate(fs):
-                share *= 1.0 - fj if o >> j & 1 else fj
-            out[o] += share
-    return np.array(out)
-
-
 @st.composite
 def cut_clouds(draw):
     """Random weighted points and 1..4 hyperplanes in R^1..R^4.  Each
@@ -225,12 +265,17 @@ def cut_clouds(draw):
 TAUS = (1e-3, 0.05, 0.5, 3.0)
 
 
+def vectors(planes):
+    return [h.vector for h in planes]
+
+
 def assert_smoothed_matches_reference(mass, planes, stage, tau):
     got = region_masses(mass, planes, stage, tau=tau)
-    want = reference_region_masses(mass, planes, stage, "smoothed", tau)
+    want = reference_region_masses(mass, vectors(planes[stage - 1 :]), "smoothed", tau)
     assert np.max(np.abs(got - want)) <= 1e-12 * mass.total
-    # the gradient path visits every plane; its masses must be the same
-    assert np.array_equal(region_masses(mass, planes, stage, tau=tau, jac=True)[0], got)
+    # the masses that come with a gradient must be the same
+    with_grad = region_masses(mass, planes, stage, tau=tau, cotangent=np.ones_like)
+    assert np.array_equal(with_grad[0], got)
 
 
 @settings(max_examples=150, deadline=None)
@@ -240,7 +285,7 @@ def test_region_masses_match_per_point_reference(cloud, data):
     tol = 1e-12 * mass.total
     for stage in range(1, len(planes) + 1):
         got = region_masses(mass, planes, stage)
-        want = reference_region_masses(mass, planes, stage, "hard")
+        want = reference_region_masses(mass, vectors(planes[stage - 1 :]), "hard")
         assert np.max(np.abs(got - want)) <= tol
         assert_smoothed_matches_reference(mass, planes, stage, data.draw(st.sampled_from(TAUS)))
         # at a tiny tau a planted tie's side turns on the rounding of its
@@ -260,6 +305,35 @@ def test_smoothed_region_masses_match_reference_on_a_full_size_cloud(n_planes):
         assert_smoothed_matches_reference(mass, planes[:n_planes], 1, tau)
 
 
+@settings(max_examples=100, deadline=None)
+@given(cut_clouds(), st.data())
+def test_region_mass_gradient_matches_central_differences_of_the_reference(cloud, data):
+    # the pull-back of the cotangent c * R, a function of the masses R at
+    # a random c, against central differences of the per-point reference
+    # in each plane-vector entry
+    mass, planes = cloud
+    stage = data.draw(st.integers(1, len(planes)), label="stage")
+    tau = data.draw(st.sampled_from(TAUS), label="tau")
+    c = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))).standard_normal(
+        2 ** (len(planes) - stage + 1)
+    )
+    got, grad = region_masses(mass, planes, stage, tau=tau, cotangent=lambda r: c * r)
+    c = c * got
+    V = np.array(vectors(planes[stage - 1 :]))
+    step = 1e-4 * tau  # the masses bend on the scale tau
+    numeric = np.empty_like(V)
+    for entry in np.ndindex(V.shape):
+        e = np.zeros_like(V)
+        e[entry] = step
+        up = reference_region_masses(mass, V + e, "smoothed", tau)
+        down = reference_region_masses(mass, V - e, "smoothed", tau)
+        numeric[entry] = c @ (up - down) / (2 * step)
+    # bounds every entry: all the weight at a slope of 1/tau, past the steepest
+    scale = np.abs(c).max() * mass.total * max(1.0, np.abs(mass.points).max()) / tau
+    assert grad.shape == V.shape
+    assert np.max(np.abs(grad - numeric)) <= 1e-7 * scale
+
+
 def test_region_masses_tie_on_several_planes_matches_reference():
     # point 0 lies on all three planes, point 1 on the last one only
     rng = np.random.default_rng(6)
@@ -271,7 +345,7 @@ def test_region_masses_tie_on_several_planes_matches_reference():
         planes.append(HyperplaneParam.of(normal, points[anchor] @ normal))
     for stage in (1, 2, 3, 4):
         got = region_masses(mass, planes, stage)
-        want = reference_region_masses(mass, planes, stage, "hard")
+        want = reference_region_masses(mass, vectors(planes[stage - 1 :]), "hard")
         assert np.max(np.abs(got - want)) <= 1e-12 * mass.total
     # alone, point 0 spreads evenly over the 8 orthants of the planes it is on
     alone = SampledMass(points[:1], [1.0], "1.1")
@@ -305,8 +379,8 @@ def test_region_masses_errors():
     for tau in (0.0, -1.0, float("nan")):
         with pytest.raises(ConfigurationError):
             region_masses(mass, [h], 1, tau=tau)
-    with pytest.raises(ConfigurationError):
-        region_masses(mass, [h], 1, jac=True)  # hard masses are piecewise constant
+    with pytest.raises(ConfigurationError):  # hard masses are piecewise constant
+        region_masses(mass, [h], 1, cotangent=np.ones_like)
 
 
 def test_load_mass_spec():

@@ -162,6 +162,20 @@ def test_non_finite_containment_point_rejected():
             solve(problem, [mass], points=[point], config=FAST)
 
 
+@pytest.mark.parametrize("index", [2.7, 2.9, 2.0, "2", True])
+def test_containment_hyperplane_index_must_be_an_integer(index):
+    mass = gaussian(100, (15,), "1.1")
+    problem = ConstraintProblem.of(2, m=(1, 0), a=(1, 1))
+    hs = [HyperplaneParam.of([1.0, 0.0], 0.0), HyperplaneParam.of([0.0, 1.0], 0.0)]
+    first = (1, [0.0, 0.0])
+    for point in ((index, [1.0, 0.0]), {"hyperplane": index, "coords": [1.0, 0.0]}):
+        with pytest.raises(ConfigurationError, match="not an integer"):
+            residuals(problem, [mass], hs, points=[first, point])
+    # a numpy integer is an integer
+    got = residuals(problem, [mass], hs, points=[first, (np.int64(2), [1.0, 0.0])])
+    assert [c["hyperplane"] for c in got.containment] == [1, 2]
+
+
 def test_orthogonality_and_containment_scale_invariant():
     # residuals are defined on normalized quantities: rescaling (a, b)
     # before unit-normalization changes nothing
