@@ -1,5 +1,6 @@
-"""JSON type checks for the documents the CLI reads: the atlas query spec,
-the mass spec and the problem document.
+"""JSON type checks for the documents the CLI reads (the atlas query spec,
+the mass spec and the problem document) and for `SolverConfig`, whose
+fields the witness echoes as JSON.
 
 Each check returns the value when it has the expected JSON type and raises
 `ConfigurationError` naming the field otherwise, so a malformed document

@@ -4,24 +4,31 @@ One `minimize` call is one smoothed stage of `solver._run_start`: at most
 k(d+1) parameters, an objective that returns its value and gradient
 together, and a few dozen iterations.  The method follows L-BFGS-B (Byrd,
 Lu, Nocedal & Zhu, SIAM J. Sci. Comput. 16(5), 1995) with no bounds and its
-default settings, so a stage takes the steps and about the number of
-evaluations that code takes:
+default settings, so a call without `pairs` takes the steps and about the
+number of evaluations that code takes:
 
   * m = 10 correction pairs, applied by the two-loop recursion with
     H0 = (s'y / y'y) I from the newest pair, which is the inverse of
     L-BFGS-B's compact B0 = theta I;
-  * the first step is min(1/|g|, 1e10) along -g, every later one starts
-    at the unit step;
+  * the first step from no pairs is min(1/|g|, 1e10) along -g; every other
+    step, the first one from carried pairs included, starts at the unit
+    step along -H g;
   * the step is chosen by the Moré–Thuente line search (Moré & Thuente,
     ACM TOMS 20(3), 1994; MINPACK-2 `dcsrch` and `dcstep`) with ftol 1e-3,
     gtol 0.9, xtol 0.1, stpmin 0, stpmax 1e10 and at most 20 evaluations;
   * a pair with s'y <= eps * (-g's) is not stored (L-BFGS-B's rule);
-  * a failed line search restores the last iterate, drops the pairs and
-    retries from steepest descent; a failed search with no pairs to drop
-    ends the run;
+  * a failed line search restores the last iterate, drops the pairs (the
+    carried ones too) and retries from steepest descent; a failed search
+    with no pairs to drop ends the run;
   * the run stops when max|g| <= 1e-5, when the relative decrease
     (f - f+) / max(|f|, |f+|, 1) is at most 1e7 * eps, or after `maxiter`
     iterations.
+
+The caller may own the correction pairs: `minimize(..., pairs=q)` with q a
+`deque(maxlen=MEMORY)` starts from the pairs in q and appends to q in
+place, so a sequence of calls on related objectives (the solver's tau
+stages) carries one memory from call to call.  L-BFGS-B always starts
+from none.
 
 A trial point whose value is not finite or is DEGENERATE_SCORE (what the
 solver's objective returns for a degenerate assembly), or whose gradient
@@ -63,18 +70,22 @@ class MinimizeResult:
     reason: str
 
 
-def minimize(fun, x0, args=(), maxiter: int = 15000) -> MinimizeResult:
+def minimize(
+    fun, x0, args=(), maxiter: int = 15000, pairs: deque | None = None
+) -> MinimizeResult:
     """Minimize fun(x, *args) -> (value, gradient) from x0.  `nfev` counts
     calls to `fun`; a trial point equal to the one evaluated last reuses
-    that evaluation."""
+    that evaluation.  `pairs`, a `deque(maxlen=MEMORY)` of (s, y, s'y)
+    correction pairs, is read and updated in place; None starts from an
+    empty memory."""
     x = np.array(x0, dtype=float)
     f, g = fun(x, *args)
     f, g = float(f), np.asarray(g, dtype=float)
     nfev, nit = 1, 0
     if np.max(np.abs(g)) <= PGTOL:
         return MinimizeResult(x, f, nfev, nit, GRADIENT)
-    pairs: deque = deque(maxlen=MEMORY)  # (s, y, s'y)
-    h0 = 1.0
+    if pairs is None:
+        pairs = deque(maxlen=MEMORY)
     last = (x, f, g)  # the point evaluated last, and its value and gradient
 
     def phi(stp: float) -> tuple[float, float] | None:
@@ -92,9 +103,9 @@ def minimize(fun, x0, args=(), maxiter: int = 15000) -> MinimizeResult:
         return ft, float(gt @ d)
 
     while True:
-        d = -_two_loop(g, pairs, h0) if pairs else -g
+        d = -_two_loop(g, pairs) if pairs else -g
         gd = float(g @ d)
-        stp = min(1.0 / math.sqrt(d @ d), STPMAX) if nit == 0 else 1.0
+        stp = min(1.0 / math.sqrt(d @ d), STPMAX) if nit == 0 and not pairs else 1.0
         stp = _line_search(phi, f, gd, stp) if gd < 0 else None
         if stp is None:
             if not pairs:
@@ -115,18 +126,19 @@ def minimize(fun, x0, args=(), maxiter: int = 15000) -> MinimizeResult:
         sy = (float(g @ d) - gd) * stp
         if sy > EPS * (-gd * stp):
             pairs.append((stp * d, y, sy))
-            h0 = sy / (y @ y)
 
 
-def _two_loop(g: np.ndarray, pairs, h0: float) -> np.ndarray:
-    """H g for the L-BFGS inverse Hessian H of `pairs` over H0 = h0 I."""
+def _two_loop(g: np.ndarray, pairs) -> np.ndarray:
+    """H g for the L-BFGS inverse Hessian H of `pairs` over H0 = (s'y / y'y) I
+    from the newest pair."""
     q = g.copy()
     alphas = []
     for s, y, sy in reversed(pairs):
         a = float(s @ q) / sy
         q -= a * y
         alphas.append(a)
-    q *= h0
+    _, y, sy = pairs[-1]
+    q *= sy / (y @ y)
     for (s, y, sy), a in zip(pairs, reversed(alphas)):
         q += (a - float(y @ q) / sy) * s
     return q

@@ -285,7 +285,7 @@ def load_mass_spec(
             [_checked_component(c, f"{what}.mixture[{j}]") for j, c in enumerate(components)],
             jsontypes.field(entry, "N", jsontypes.integer, what),
             seed,
-            label=str(entry.get("label", f"1.{idx + 1}")),
+            label=jsontypes.field(entry, "label", jsontypes.text, what, f"1.{idx + 1}"),
             total=jsontypes.field(entry, "total", jsontypes.number, what, 1.0),
         )
         if mass.dim != d:

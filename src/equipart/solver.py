@@ -15,6 +15,8 @@ gives no construction, so this is a best-effort multi-start optimizer:
     geometrically, and each temperature is one L-BFGS run on the analytic
     gradient (the squared deviations' derivative pulled back to the plane
     vectors by `region_masses`, and through the assembly by `_assembly_vjp`);
+    a start carries one L-BFGS memory through all its temperatures, so each
+    stage opens with the curvature the stages before it learned;
   * the hard objective is evaluated once, at the last L-BFGS point, to
     score the start; it is never optimized directly (region masses of a
     point cloud are piecewise constant, so it has no useful gradient);
@@ -35,14 +37,16 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
+from . import jsontypes
 from .exceptions import ConfigurationError, EquipartError, RangeError, ShapeError
 from .jsontypes import SCHEMA_VERSION
-from .lbfgs import DEGENERATE_SCORE, minimize
+from .lbfgs import DEGENERATE_SCORE, MEMORY, minimize
 from .masses import MIN_NORMAL_NORM, HyperplaneParam, SampledMass, parse_label, region_masses
 from .problems import ConstraintProblem
 
@@ -73,6 +77,9 @@ class SolverConfig:
     jobs: int = 1
 
     def __post_init__(self) -> None:
+        for name in ("seed", "starts", "tau_stages", "jobs"):
+            jsontypes.integer(getattr(self, name), name)
+        jsontypes.number(self.tol, "tol")
         if self.seed < 0:
             raise ConfigurationError(f"seed must be >= 0, got {self.seed}")
         if self.starts < 1:
@@ -520,13 +527,19 @@ def _run_start(args) -> tuple[int, float, np.ndarray, int]:
         schedule += [(tau, by_key, 2 * ANNEAL_MAXITER) for tau in tail_taus]
         # Each smoothed stage is an L-BFGS run on the analytic gradient,
         # capped at maxiter iterations with the default tolerances: the
-        # schedule, not any one temperature, does the converging.
+        # schedule, not any one temperature, does the converging.  All the
+        # stages of an attempt share one memory of correction pairs: the
+        # objective changes little from one temperature to the next, so a
+        # stage starts from the curvature the last one learned, not from a
+        # steepest-descent step.  A redrawn attempt starts from no pairs.
+        pairs: deque = deque(maxlen=MEMORY)
         for tau, keys, maxiter in schedule:
             res = minimize(
                 _objective,
                 x,
                 args=(problem, keys, cont, d, float(tau)),
                 maxiter=maxiter,
+                pairs=pairs,
             )
             x = res.x
         planes = assemble_hyperplanes(x.reshape(problem.k, d + 1), problem, cont)

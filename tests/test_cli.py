@@ -378,6 +378,24 @@ def test_solve_bad_mixture_component_exit_2(tmp_path, capsys, component, error):
     assert json.loads(lines[0])["error"].startswith(error)
 
 
+@pytest.mark.parametrize("label", ["1.10", "null", "1", "[1, 1]"])
+def test_solve_mass_label_that_is_not_a_string_exit_2(tmp_path, capsys, label):
+    # a number would be read through str(): 1.10 as "1.1", stage 1 index 1
+    ppath, mpath = tmp_path / "p.json", tmp_path / "m.json"
+    ppath.write_text(json.dumps({"k": 1, "m": [1]}))
+    # written by hand: json.dumps would spell 1.10 as 1.1
+    mpath.write_text('{"d": 2, "masses": [{"label": %s, "N": 100, "mixture": [{"mean": [0, 0]}]}]}'
+                     % label)
+    code = run(["solve", "--problem", str(ppath), "--masses", str(mpath)])
+    _, err = capture(capsys)
+    assert code == 2
+    lines = [line for line in err.splitlines() if line.strip()]
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"].startswith(
+        "ConfigurationError: masses[0].label must be a string"
+    )
+
+
 def test_solve_non_finite_containment_point_exit_2(tmp_path, capsys):
     masses = {
         "d": 2,

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+from collections import deque
 from pathlib import Path
 
 import numpy as np
@@ -241,6 +242,41 @@ def test_config_rejects_negative_tau_stages():
     assert SolverConfig(tau_stages=0).tau_stages == 0  # legal: no annealing
 
 
+@pytest.mark.parametrize("value", [1.5, True, "1", None, np.int64(1)])
+def test_config_rejects_a_seed_that_is_not_an_integer(value):
+    # a numpy integer too: the witness echoes the seed, and json.dumps
+    # cannot write one
+    with pytest.raises(ConfigurationError, match="seed must be an integer"):
+        SolverConfig(seed=value)
+
+
+@pytest.mark.parametrize("value", [2.5, 2.0, True, "2"])
+def test_config_rejects_starts_that_is_not_an_integer(value):
+    # range() would refuse 2.5 only once the starts run; True would run
+    # one start and be echoed as true in the witness config
+    with pytest.raises(ConfigurationError, match="starts must be an integer"):
+        SolverConfig(starts=value)
+
+
+@pytest.mark.parametrize("value", [2.5, False, "10"])
+def test_config_rejects_tau_stages_that_is_not_an_integer(value):
+    with pytest.raises(ConfigurationError, match="tau_stages must be an integer"):
+        SolverConfig(tau_stages=value)
+
+
+@pytest.mark.parametrize("value", [1.0, True, "2"])
+def test_config_rejects_jobs_that_is_not_an_integer(value):
+    with pytest.raises(ConfigurationError, match="jobs must be an integer"):
+        SolverConfig(jobs=value)
+
+
+@pytest.mark.parametrize("value", ["1e-3", True, None, [1e-3]])
+def test_config_rejects_a_tol_that_is_not_a_number(value):
+    with pytest.raises(ConfigurationError, match="tol must be a number"):
+        SolverConfig(tol=value)
+    assert SolverConfig(tol=0).tol == 0 and SolverConfig(tol=np.float64(1e-4)).tol == 1e-4
+
+
 def test_subsample_strides_a_mass_down_to_anneal_subsample():
     # a mass of at most ANNEAL_SUBSAMPLE points anneals whole; a larger one
     # keeps every stride-th point and weight, at most ANNEAL_SUBSAMPLE of them
@@ -254,31 +290,71 @@ def test_subsample_strides_a_mass_down_to_anneal_subsample():
         assert np.array_equal(sub.weights, mass.weights[::stride])
 
 
+def recorded_minimize_calls(monkeypatch):
+    """Patch `solver.minimize` to record (fun, tau, kwargs, number of
+    correction pairs at the call) of every call."""
+    calls = []
+    original = equipart.solver.minimize
+
+    def recording(fun, x0, args=(), **kwargs):
+        calls.append((fun, args[-1], kwargs, len(kwargs["pairs"])))
+        return original(fun, x0, args=args, **kwargs)
+
+    monkeypatch.setattr(equipart.solver, "minimize", recording)
+    return calls
+
+
+def memories(calls):
+    """The distinct `pairs` deques of `calls`, in order of first use, and
+    for each call the index of its deque in that list."""
+    seen, index = [], []
+    for _, _, kwargs, _ in calls:
+        pairs = kwargs["pairs"]
+        if not any(pairs is q for q in seen):
+            seen.append(pairs)
+        index.append(next(i for i, q in enumerate(seen) if q is pairs))
+    return seen, index
+
+
 def test_solver_is_gradient_only(monkeypatch):
     # every minimize call is one L-BFGS run of the smoothed objective at a
     # positive temperature, one per scheduled tau stage: seeded (even)
     # starts run the last 6 head stages and the 8 full-sample tail stages,
     # unseeded starts all 20; a head stage is capped at 25 iterations and
-    # a tail stage at 50
-    calls = []
-    original = equipart.solver.minimize
-
-    def recording(fun, x0, args=(), **kwargs):
-        calls.append((fun, args[-1], kwargs))
-        return original(fun, x0, args=args, **kwargs)
-
-    monkeypatch.setattr(equipart.solver, "minimize", recording)
+    # a tail stage at 50.  The stages of a start share one memory of
+    # correction pairs, and each start has its own
+    calls = recorded_minimize_calls(monkeypatch)
     m1 = gaussian(1_000, (19,), "1.1")
     cfg = dataclasses.replace(FAST, starts=3, tau_stages=20, tol=-1.0)
     w = solve(ConstraintProblem.of(2, m=(1, 0)), [m1], config=cfg)
     assert w.diagnostics["starts_run"] == 3 and w.diagnostics["degenerate_restarts"] == 0
-    assert all(fun is equipart.solver._objective and tau > 0 for fun, tau, _ in calls)
-    assert [kwargs for *_, kwargs in calls] == [
-        {"maxiter": maxiter}
-        for head in (6, 12, 6)
+    assert all(fun is equipart.solver._objective and tau > 0 for fun, tau, *_ in calls)
+    heads = (6, 12, 6)
+    assert [(set(kwargs), kwargs["maxiter"]) for _, _, kwargs, _ in calls] == [
+        ({"maxiter", "pairs"}, maxiter)
+        for head in heads
         for maxiter in [25] * head + [50] * 8
     ]
+    seen, index = memories(calls)
+    assert index == [start for start, head in enumerate(heads) for _ in range(head + 8)]
+    assert all(isinstance(q, deque) and q.maxlen == lbfgs.MEMORY and q for q in seen)
     assert len(calls) == 48
+
+
+def test_a_degenerate_restart_starts_from_an_empty_memory(monkeypatch):
+    # three pairwise-orthogonal lines cannot exist in the plane: every
+    # attempt degenerates and is redrawn, and each attempt of the 4 tail
+    # stages gets a fresh memory, empty when its first stage begins
+    calls = recorded_minimize_calls(monkeypatch)
+    m1 = gaussian(300, (14,), "1.1")
+    problem = ConstraintProblem.of(3, m=(1, 0, 0), ortho=[(1, 2), (1, 3), (2, 3)])
+    w = solve(problem, [m1], config=dataclasses.replace(FAST, starts=1, tau_stages=4))
+    attempts = MAX_DEGENERATE_RESTARTS + 1
+    assert w.diagnostics["degenerate_restarts"] == attempts
+    seen, index = memories(calls)
+    assert len(seen) == attempts
+    assert index == [attempt for attempt in range(attempts) for _ in range(4)]
+    assert [size for *_, size in calls[::4]] == [0] * attempts
 
 
 def test_every_objective_evaluation_assembles_and_counts_regions(monkeypatch):
@@ -459,6 +535,33 @@ def test_minimize_stops_when_steepest_descent_fails():
         assert np.array_equal(res.x, x0)
 
 
+def test_minimize_starts_from_carried_pairs_with_the_unit_step():
+    # with pairs in the caller's deque, the first trial is x0 - H g0 for
+    # the H of those pairs (no steepest-descent step of length 1/|g|), and
+    # the run appends its own pairs to that deque, after the carried ones
+    scales = np.array([1.0, 3.0, 10.0])
+    fun = quadratic([1.0, -2.0, 0.5], scales)
+    # exact curvature pairs along the first two axes: the Hessian is 2 scales
+    carried = [(s, 2 * scales * s, float(s @ (2 * scales * s))) for s in np.eye(3)[:2]]
+    pairs = deque(carried, maxlen=lbfgs.MEMORY)
+    x0 = np.array([0.5, 0.5, 0.0])
+    trials = []
+
+    def recording(x):
+        trials.append(x.copy())
+        return fun(x)
+
+    res = lbfgs.minimize(recording, x0, pairs=pairs)
+    assert np.array_equal(trials[1], x0 - lbfgs._two_loop(fun(x0)[1], carried))
+    assert res.reason == lbfgs.GRADIENT and res.nfev == len(trials)
+    assert len(pairs) > 2 and all(pairs[i] is carried[i] for i in range(2))
+    # the same run from no pairs opens along -g0, with step 1/|g0|
+    trials.clear()
+    lbfgs.minimize(recording, x0)
+    g0 = fun(x0)[1]
+    assert np.array_equal(trials[1], x0 + min(1 / np.sqrt(g0 @ g0), lbfgs.STPMAX) * -g0)
+
+
 def test_minimize_matches_scipy_lbfgsb():
     # the same method as scipy's L-BFGS-B, checked on fixed draws of
     # smoothed objectives at the tail stages' iteration cap: the final
@@ -525,6 +628,33 @@ def test_solve_determinism_bit_identical():
     assert w1.to_json() == w2.to_json()
     w3 = solve(problem, [m1, m2], config=dataclasses.replace(FAST, seed=123))
     assert w1.to_json() != w3.to_json()
+
+
+def test_carrying_the_memory_through_the_stages_saves_evaluations(monkeypatch):
+    # the same solve with every stage starting from no pairs (solver.minimize
+    # called without `pairs`) succeeds too, but takes more evaluations
+    m1 = gaussian(2_000, (4,), "1.1")
+    m2 = gaussian(2_000, (5,), "1.2", mean=(2.0, 1.0), cov=0.5)
+    original = equipart.solver.minimize
+
+    def solve_counting(drop_pairs):
+        nfev = 0
+
+        def counting(*args, **kwargs):
+            nonlocal nfev
+            if drop_pairs:
+                del kwargs["pairs"]
+            res = original(*args, **kwargs)
+            nfev += res.nfev
+            return res
+
+        monkeypatch.setattr(equipart.solver, "minimize", counting)
+        w = solve(ConstraintProblem.of(1, m=(2,)), [m1, m2], config=FAST)
+        return w.success, nfev
+
+    (carried_ok, carried), (dropped_ok, dropped) = solve_counting(False), solve_counting(True)
+    assert carried_ok and dropped_ok
+    assert carried < dropped
 
 
 THREAD_COUNT_SOLVES = """
