@@ -13,8 +13,9 @@ from __future__ import annotations
 import csv
 import io
 import json
+from contextlib import ExitStack
 from dataclasses import dataclass, field
-from itertools import combinations, product
+from itertools import combinations, product, repeat
 from typing import Any, Iterable, Iterator
 
 from . import jsontypes, knownvalues
@@ -85,11 +86,8 @@ class AtlasQuery:
         """Build a query from a parsed query-spec document: {"k": int,
         "d_range": [lo, hi]} plus any of the other fields, with
         "ortho_universe" a universe name or a list of [r, s] pairs.  Raises
-        ConfigurationError when a field has the wrong JSON type."""
-        doc = jsontypes.obj(doc, "atlas spec")
-        d_range = jsontypes.field(doc, "d_range", jsontypes.items)
-        if len(d_range) != 2:
-            raise ConfigurationError(f"d_range must be [lo, hi], got {d_range!r}")
+        ConfigurationError when a field is unknown or has the wrong JSON
+        type."""
         checks = {
             "mode": jsontypes.text,
             "max_m": jsontypes.integer,
@@ -100,12 +98,13 @@ class AtlasQuery:
             "require_optimal": jsontypes.boolean,
             "require_balanced": jsontypes.boolean,
             "candidate_limit": jsontypes.integer,
+            "require_maximal_j": lambda v, what: None if v is None else jsontypes.integer(v, what),
         }
+        doc = jsontypes.obj(doc, "atlas spec", ("k", "d_range", *checks))
+        d_range = jsontypes.field(doc, "d_range", jsontypes.items)
+        if len(d_range) != 2:
+            raise ConfigurationError(f"d_range must be [lo, hi], got {d_range!r}")
         fields = {key: check(doc[key], key) for key, check in checks.items() if key in doc}
-        if doc.get("require_maximal_j") is not None:
-            fields["require_maximal_j"] = jsontypes.integer(
-                doc["require_maximal_j"], "require_maximal_j"
-            )
         return cls(
             k=jsontypes.field(doc, "k", jsontypes.integer),
             d_range=tuple(jsontypes.integer(x, f"d_range[{i}]") for i, x in enumerate(d_range)),
@@ -196,16 +195,13 @@ def _candidates(query: AtlasQuery) -> Iterator[tuple[ConstraintProblem, int]]:
                 yield p, d
 
 
-def _check_candidate(args) -> Certificate:
-    problem, d, mode = args
-    return check(problem, d, mode)
-
-
 def enumerate_rows(query: AtlasQuery, jobs: int = 1) -> Iterator[AtlasRow]:
     """Stream all certified rows matching the query, in output order.
 
     With jobs > 1 the certificate computations run in a process pool; the
-    emitted row order is the same either way.
+    emitted row order is the same either way.  `check` is looked up when
+    the rows are first asked for, so a wrapper installed in its place sees
+    every sequential check.
     """
     lo, hi = query.d_range
     if lo < 1 or hi < lo:
@@ -232,44 +228,27 @@ def enumerate_rows(query: AtlasQuery, jobs: int = 1) -> Iterator[AtlasRow]:
             estimate if small else None,
         )
 
-    if jobs > 1:
-        from concurrent.futures import ProcessPoolExecutor  # only a parallel query needs it
+    todo = list(_candidates(query))
+    columns = ([p for p, _ in todo], [d for _, d in todo], repeat(query.mode))
+    with ExitStack() as stack:
+        if jobs == 1:
+            certs = map(check, *columns)
+        else:
+            from concurrent.futures import ProcessPoolExecutor  # only a parallel query needs it
 
-        todo = list(_candidates(query))
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            certs = pool.map(
-                _check_candidate,
-                [(p, d, query.mode) for p, d in todo],
-                chunksize=max(1, len(todo) // (4 * jobs) or 1),
-            )
-            checked = zip(todo, certs)
-            yield from _filtered_rows(query, checked)
-        return
-    checked = (((p, d), check(p, d, query.mode)) for p, d in _candidates(query))
-    yield from _filtered_rows(query, checked)
-
-
-def _filtered_rows(query: AtlasQuery, checked) -> Iterator[AtlasRow]:
-    for (p, d), cert in checked:
-        if not cert.certified:
-            continue
-        label = classify(p, d)
-        if query.require_optimal and label.optimal is not True:
-            continue
-        if (
-            query.require_maximal_j is not None
-            and label.j_maximal < query.require_maximal_j
-        ):
-            continue
-        if query.require_balanced and not label.balanced:
-            continue
-        yield AtlasRow(
-            problem=p,
-            d=d,
-            certificate=cert,
-            classification=label,
-            known=knownvalues.lookup(p),
-        )
+            pool = stack.enter_context(ProcessPoolExecutor(max_workers=jobs))
+            certs = pool.map(check, *columns, chunksize=max(1, len(todo) // (4 * jobs)))
+        for (p, d), cert in zip(todo, certs):
+            if not cert.certified:
+                continue
+            label = classify(p, d)
+            if query.require_optimal and label.optimal is not True:
+                continue
+            if query.require_maximal_j is not None and label.j_maximal < query.require_maximal_j:
+                continue
+            if query.require_balanced and not label.balanced:
+                continue
+            yield AtlasRow(p, d, cert, label, knownvalues.lookup(p))
 
 
 def _row_cells(row: AtlasRow) -> list[str]:

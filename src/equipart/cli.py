@@ -9,6 +9,7 @@ no-success, 2 usage/configuration error, 3 internal consistency failure.
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import sys
 
@@ -62,8 +63,12 @@ def _parse_ortho(text: str | None, k: int):
         return ORTHO_UNIVERSES[text](k)
     pairs = []
     for chunk in text.split(","):
-        r, s = chunk.split("-")
-        pairs.append((int(r), int(s)))
+        r, _, s = chunk.partition("-")
+        try:
+            pairs.append((int(r), int(s)))
+        except ValueError:
+            names = ", ".join(f"'{name}'" for name in ORTHO_UNIVERSES)
+            raise _UsageExit(f"--ortho must be {names} or pairs 'r-s,...', got {text!r}") from None
     return pairs
 
 
@@ -149,14 +154,18 @@ def _cmd_classify(args) -> int:
 
 def _cmd_families(args) -> int:
     generator = FAMILIES[args.family]
+    takes = inspect.signature(generator).parameters
+    for flag, value in (("t", args.t), ("a", args.a), ("ortho", args.ortho)):
+        if value not in (None, "") and flag not in takes:
+            raise _UsageExit(f"family {args.family!r} takes no --{flag}")
     kwargs = {"q": args.q, "k": args.k}
-    if args.family != "hs-cascade":
-        kwargs["t"] = args.t
+    if "t" in takes:
         if args.t is None:
             raise _UsageExit(f"family {args.family!r} requires --t")
-    if args.family in ("cascade", "ortho-full") and args.a:
+        kwargs["t"] = args.t
+    if args.a:
         kwargs["a"] = _parse_ints(args.a)
-    if args.family == "ortho-last" and args.ortho:
+    if args.ortho:
         kwargs["ortho"] = _parse_ortho(args.ortho, args.k)
     instance = generator(**kwargs)
     cert = check(instance.problem, instance.d, "strict")

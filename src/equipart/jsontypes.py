@@ -5,7 +5,8 @@ fields the witness echoes as JSON.
 Each check returns the value when it has the expected JSON type and raises
 `ConfigurationError` naming the field otherwise, so a malformed document
 exits 2 with one error line instead of failing deep inside the
-computation.  Booleans are not accepted as numbers.
+computation.  Booleans are not accepted as numbers, and `obj`, given the
+field names a reader reads, refuses any other field.
 
 `SCHEMA_VERSION` is the schema version every JSON document the package
 writes carries.
@@ -26,9 +27,16 @@ def _fail(what: str, expected: str, value: Any) -> NoReturn:
     raise ConfigurationError(f"{what} must be {expected}, got {value!r}")
 
 
-def obj(value: Any, what: str) -> dict:
+def obj(value: Any, what: str, keys: tuple[str, ...] | None = None) -> dict:
+    """A JSON object; with `keys`, one with no field outside them, since a
+    misspelt field would otherwise be dropped and its default used."""
     if not isinstance(value, dict):
         _fail(what, "a JSON object", value)
+    unknown = [key for key in value if keys is not None and key not in keys]
+    if unknown:
+        raise ConfigurationError(
+            f"{what} has an unknown field {unknown[0]!r}; expected one of {', '.join(keys)}"
+        )
     return value
 
 

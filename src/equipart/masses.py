@@ -240,7 +240,7 @@ def _checked_component(component: Any, what: str) -> dict:
     """A mixture component of a mass spec, unchanged once its fields have
     their JSON types: "mean" numbers, optional "cov" ("I", a number or
     rows of numbers) and optional "weight" a number."""
-    component = jsontypes.obj(component, what)
+    component = jsontypes.obj(component, what, ("mean", "cov", "weight"))
     jsontypes.field(component, "mean", jsontypes.numbers, what)
     cov = component.get("cov")
     if isinstance(cov, list):
@@ -256,7 +256,7 @@ def _checked_component(component: Any, what: str) -> dict:
 
 
 def _checked_point(entry: Any, what: str) -> dict:
-    entry = jsontypes.obj(entry, what)
+    entry = jsontypes.obj(entry, what, ("hyperplane", "coords"))
     jsontypes.field(entry, "hyperplane", jsontypes.integer, what)
     jsontypes.field(entry, "coords", jsontypes.numbers, what)
     return entry
@@ -271,14 +271,14 @@ def load_mass_spec(
     "N": ...}, ...], "points": [{"hyperplane": i, "coords": [...]}, ...]}.
     Each mass gets its own RNG stream derived from the master seed, so the
     document plus one seed pins the whole sample set.  A field of the wrong
-    JSON type raises ConfigurationError.
+    JSON type, or an unknown one, raises ConfigurationError.
     """
-    doc = jsontypes.obj(spec, "mass spec")
+    doc = jsontypes.obj(spec, "mass spec", ("d", "masses", "points"))
     d = jsontypes.field(doc, "d", jsontypes.integer)
     masses = []
     for idx, entry in enumerate(jsontypes.field(doc, "masses", jsontypes.items)):
         what = f"masses[{idx}]"
-        entry = jsontypes.obj(entry, what)
+        entry = jsontypes.obj(entry, what, ("label", "mixture", "N", "total"))
         components = jsontypes.field(entry, "mixture", jsontypes.items, what)
         seed = np.random.SeedSequence(entropy=master_seed, spawn_key=(1, idx))
         mass = sample_gaussian_mixture(

@@ -145,8 +145,9 @@ class ConstraintProblem:
         """Build a problem from a parsed problem document: {"k": int} plus
         any of "m" and "a" (integer arrays, zero-padded to length k),
         "ortho" ([r, s] integer pairs) and "extra" (0/1 integer arrays).
-        Raises ConfigurationError when a field has the wrong JSON type."""
-        doc = jsontypes.obj(doc, "problem")
+        Raises ConfigurationError when a field is unknown or has the wrong
+        JSON type."""
+        doc = jsontypes.obj(doc, "problem", ("k", "m", "a", "ortho", "extra"))
         extra = jsontypes.field(doc, "extra", jsontypes.items, default=[])
         return cls.of(
             jsontypes.field(doc, "k", jsontypes.integer),

@@ -20,16 +20,20 @@ gives no construction, so this is a best-effort multi-start optimizer:
   * the hard objective is evaluated once, at the last L-BFGS point, to
     score the start; it is never optimized directly (region masses of a
     point cloud are piecewise constant, so it has no useful gradient);
+  * every start runs the same 14-stage schedule; even starts set out
+    from planes through the mass means, odd ones from random planes;
   * starts run in index order and the search stops at the first start
     whose hard objective is below `tol`.
 
 `SolverConfig` holds only what a caller chooses: the seed, the number of
-starts, `tol`, the number of tau stages and the number of worker
-processes.  The schedule's shape, the anneal subsample size and the
-degenerate-restart limit are module constants.
+starts, `tol` and the number of worker processes.  The schedule, the
+anneal subsample size and the degenerate-restart limit are module
+constants.
 
-Failure to converge is reported via success=False on the witness, never
-as an exception.
+An instance no arrangement can satisfy because some stage's mass needs
+more regions than its planes cut (n > d planes) is refused with
+`ConfigurationError` before any start.  Failure to converge is reported
+via success=False on the witness, never as an exception.
 """
 
 from __future__ import annotations
@@ -50,13 +54,18 @@ from .lbfgs import DEGENERATE_SCORE, MEMORY, minimize
 from .masses import MIN_NORMAL_NORM, HyperplaneParam, SampledMass, parse_label, region_masses
 from .problems import ConstraintProblem
 
-# Annealing schedule: tau falls geometrically from TAU_INIT_FACTOR times the
-# data diameter to TAU_FINAL; the last ANNEAL_FULL_TAIL stages rerun on the
-# full sample from TAU_HANDOFF_FACTOR times the diameter, with twice the
-# ANNEAL_MAXITER L-BFGS iterations of a subsample stage.
+# Annealing schedule, the same for every start: ANNEAL_HEAD stages of at most
+# ANNEAL_MAXITER L-BFGS iterations on the anneal subsample, at the coldest
+# points of an ANNEAL_GRID-point geometric grid from TAU_INIT_FACTOR times the
+# data diameter down to TAU_HANDOFF_FACTOR times it; then ANNEAL_FULL_TAIL
+# stages of twice the iterations on the full sample, from that handoff down
+# to TAU_FINAL.  The grid's hotter points are not run; its size is kept
+# because it fixes the head's floats, and so the witnesses already written.
 TAU_INIT_FACTOR = 0.5
 TAU_FINAL = 1e-3
 TAU_HANDOFF_FACTOR = 0.02
+ANNEAL_GRID = 32
+ANNEAL_HEAD = 6
 ANNEAL_FULL_TAIL = 8
 ANNEAL_MAXITER = 25
 # Each mass is strided down to at most ANNEAL_SUBSAMPLE points for the
@@ -73,19 +82,16 @@ class SolverConfig:
     seed: int = 0
     starts: int = 32
     tol: float = 1e-3
-    tau_stages: int = 40
     jobs: int = 1
 
     def __post_init__(self) -> None:
-        for name in ("seed", "starts", "tau_stages", "jobs"):
+        for name in ("seed", "starts", "jobs"):
             jsontypes.integer(getattr(self, name), name)
         jsontypes.number(self.tol, "tol")
         if self.seed < 0:
             raise ConfigurationError(f"seed must be >= 0, got {self.seed}")
         if self.starts < 1:
             raise ConfigurationError(f"starts must be >= 1, got {self.starts}")
-        if self.tau_stages < 0:
-            raise ConfigurationError(f"tau_stages must be >= 0, got {self.tau_stages}")
         if self.jobs < 1:
             raise ConfigurationError(f"jobs must be >= 1, got {self.jobs}")
         if not math.isfinite(self.tol):
@@ -501,12 +507,18 @@ def _seeded_raw(
 def _run_start(args) -> tuple[int, float, np.ndarray, int]:
     """One multi-start trajectory; returns (start index, hard objective,
     final raw parameters, degenerate-restart count)."""
-    (start, problem, masses, points, seed, d, head_taus, tail_taus) = args
+    (start, problem, masses, points, seed, d, taus) = args
     by_key = _organize_masses(problem, masses)
     anneal_key = {key: _subsample(mass) for key, mass in by_key.items()}
     cont = _organize_points(problem, points, d)
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(0, start)))
     seeded = start % 2 == 0
+    # Cheap subsampled annealing locates the basin; the tail reruns on the
+    # full sample from the handoff temperature, so the smooth landscape can
+    # carry the iterate across the subsample discrepancy, and its coldest
+    # stage leaves the iterate that the hard objective scores.
+    schedule = [(tau, anneal_key, ANNEAL_MAXITER) for tau in taus[:ANNEAL_HEAD]]
+    schedule += [(tau, by_key, 2 * ANNEAL_MAXITER) for tau in taus[ANNEAL_HEAD:]]
     restarts = 0
     while True:
         if seeded:
@@ -515,16 +527,6 @@ def _run_start(args) -> tuple[int, float, np.ndarray, int]:
             raw = rng.standard_normal((problem.k, d + 1))
             raw /= np.linalg.norm(raw, axis=1, keepdims=True)
         x = raw.ravel()
-        # Cheap subsampled annealing locates the basin; the tail of the
-        # schedule reruns on the full sample, starting back up at the
-        # handoff temperature so the smooth landscape can carry the
-        # iterate across the subsample discrepancy, and its last, coldest
-        # stage leaves the iterate that the hard objective scores.  Seeded
-        # starts are already structured, so they skip the hot exploration
-        # phase that would only wash the seed out.
-        head = head_taus[-min(6, len(head_taus)) :] if seeded else head_taus
-        schedule = [(tau, anneal_key, ANNEAL_MAXITER) for tau in head]
-        schedule += [(tau, by_key, 2 * ANNEAL_MAXITER) for tau in tail_taus]
         # Each smoothed stage is an L-BFGS run on the analytic gradient,
         # capped at maxiter iterations with the default tolerances: the
         # schedule, not any one temperature, does the converging.  All the
@@ -534,14 +536,8 @@ def _run_start(args) -> tuple[int, float, np.ndarray, int]:
         # steepest-descent step.  A redrawn attempt starts from no pairs.
         pairs: deque = deque(maxlen=MEMORY)
         for tau, keys, maxiter in schedule:
-            res = minimize(
-                _objective,
-                x,
-                args=(problem, keys, cont, d, float(tau)),
-                maxiter=maxiter,
-                pairs=pairs,
-            )
-            x = res.x
+            stage = (problem, keys, cont, d, float(tau))
+            x = minimize(_objective, x, args=stage, maxiter=maxiter, pairs=pairs).x
         planes = assemble_hyperplanes(x.reshape(problem.k, d + 1), problem, cont)
         if planes is not None and not _coincident(planes, DEGENERATE_TOL):
             break
@@ -572,19 +568,24 @@ def solve(
         raise ConfigurationError("solve needs at least one sampled mass")
     by_key = _organize_masses(problem, masses)
     d = masses[0].dim
+    # n hyperplanes in R^d cut at most sum_{j<=d} C(n, j) regions, fewer than
+    # the 2^n orthants a mass cut by n of them needs once n > d; the first
+    # stage that has a mass is cut by the most planes
+    n = problem.k - next(i for i, count in enumerate(problem.m) if count)
+    if n > d:
+        raise ConfigurationError(
+            f"a stage-{problem.k - n + 1} mass needs 2^{n} regions, but {n} hyperplanes "
+            f"in R^{d} cut at most {sum(math.comb(n, j) for j in range(d + 1))}"
+        )
     cont = _organize_points(problem, points, d)
     diameter = _data_diameter(masses)
     tau0 = max(TAU_INIT_FACTOR * diameter, TAU_FINAL)
     handoff = min(max(TAU_HANDOFF_FACTOR * diameter, TAU_FINAL), tau0)
-    tail_n = min(ANNEAL_FULL_TAIL, cfg.tau_stages)
-    head_n = cfg.tau_stages - tail_n
-    head_taus = np.geomspace(tau0, handoff, head_n) if head_n else np.array([])
-    tail_taus = np.geomspace(handoff, TAU_FINAL, tail_n) if tail_n else np.array([])
+    head = np.geomspace(tau0, handoff, ANNEAL_GRID)[-ANNEAL_HEAD:]
+    taus = [*head, *np.geomspace(handoff, TAU_FINAL, ANNEAL_FULL_TAIL)]
 
     results: list[tuple[int, float, np.ndarray, int]] = []
-
-    def arg_for(s: int):
-        return (s, problem, list(masses), list(points), cfg.seed, d, head_taus, tail_taus)
+    args = (problem, list(masses), list(points), cfg.seed, d, taus)
 
     def run_starts(run_map) -> None:
         """Run the starts in index order, `jobs` at a time through
@@ -592,7 +593,7 @@ def solve(
         are dropped, so `jobs` does not change the witness."""
         for lo in range(0, cfg.starts, cfg.jobs):
             chunk = range(lo, min(lo + cfg.jobs, cfg.starts))
-            for out in run_map(_run_start, [arg_for(s) for s in chunk]):
+            for out in run_map(_run_start, [(s, *args) for s in chunk]):
                 results.append(out)
                 if out[1] < cfg.tol:
                     return

@@ -286,7 +286,7 @@ def test_criterion_8c_orthogonal_pair_through_point():
 def test_criterion_8d_witness_determinism():
     m1 = _gaussian(4_000, (3, 1), "1.1")
     m2 = _gaussian(4_000, (3, 2), "2.1", mean=(1.5, -0.5), cov=0.6)
-    cfg = SolverConfig(seed=11, starts=4, tau_stages=10)
+    cfg = SolverConfig(seed=11, starts=4)
     problem = ConstraintProblem.of(2, m=(1, 1))
     j1 = solve(problem, [m1, m2], config=cfg).to_json()
     j2 = solve(problem, [m1, m2], config=cfg).to_json()

@@ -163,8 +163,9 @@ def test_families_refuse_a_huge_q_or_k_before_forming_2_to_the_q(capsys, family,
     # every family's d is at least 2^q, so from q = 27 its ring is past the
     # 2^26-cell cap; the refusal must come before 2^q or the k cascade
     # entries are built, and it names a q past 64 bits by its bit length
+    t = [] if family == "hs-cascade" else ["--t", "2"]  # hs-cascade takes no --t
     start = time.perf_counter()
-    code = run(["families", family, "--q", q, "--t", "2", "--k", k])
+    code = run(["families", family, "--q", q, "--k", k, *t])
     elapsed = time.perf_counter() - start
     out, err = capture(capsys)
     assert code == 2 and out == "" and elapsed < 1.0
@@ -181,6 +182,36 @@ def test_families_ortho_last_subset(capsys):
     )
     assert code == 0
     assert doc["problem"]["m"] == [3, 1, 2] and doc["problem"]["ortho"] == [[2, 3]]
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["families", "cascade", "--q", "0", "--t", "1", "--k", "3", "--ortho", "1-2"], "ortho"),
+    (["families", "ortho-full", "--q", "1", "--t", "2", "--k", "3", "--ortho", "1-2"], "ortho"),
+    (["families", "hs-cascade", "--q", "0", "--k", "3", "--t", "5"], "t"),
+    (["families", "hs-cascade", "--q", "0", "--k", "3", "--a", "0,0,1"], "a"),
+    (["families", "ortho-not12", "--q", "1", "--t", "1", "--k", "3", "--a", "0,0,1"], "a"),
+    (["families", "ortho-last", "--q", "1", "--t", "1", "--k", "3", "--a", "0,0,1"], "a"),
+])
+def test_families_refuse_a_flag_their_family_ignores(capsys, argv, flag):
+    # the flag would be dropped, and the instance printed without it
+    code = run(argv)
+    out, err = capture(capsys)
+    assert code == 2 and out == ""
+    (line,) = err.splitlines()
+    assert json.loads(line) == {
+        "error": f"family {argv[1]!r} takes no --{flag}", "kind": "usage"
+    }
+
+
+@pytest.mark.parametrize("ortho", ["foo", "1-2,x", "1-2-3", "1", "1-"])
+def test_malformed_ortho_names_the_accepted_forms(capsys, ortho):
+    code = run(["check", "--k", "3", "--m", "1", "--d", "3", "--ortho", ortho])
+    out, err = capture(capsys)
+    assert code == 2 and out == ""
+    (line,) = err.splitlines()
+    assert json.loads(line)["error"] == (
+        f"--ortho must be 'all', 'last', 'not12' or pairs 'r-s,...', got {ortho!r}"
+    )
 
 
 @pytest.mark.parametrize("argv", [
@@ -338,6 +369,25 @@ def test_solve_end_to_end(tmp_path, capsys):
     assert doc["success"] is True and doc["seed"] == 3
     # round trip under the same schema
     assert json.loads(json.dumps(doc)) == doc
+
+
+def test_solve_refuses_a_stage_its_planes_cannot_cut_finely_enough(tmp_path, capsys):
+    # three lines cut the plane into at most 7 regions, not the 8 orthants
+    # a stage-1 mass of k = 3 needs
+    masses = {"d": 2, "masses": [{"label": "1.1", "mixture": [{"mean": [0, 0]}], "N": 20_000}]}
+    ppath, mpath = tmp_path / "p.json", tmp_path / "m.json"
+    ppath.write_text(json.dumps({"k": 3, "m": [1, 0, 0]}))
+    mpath.write_text(json.dumps(masses))
+    start = time.perf_counter()
+    code = run(["solve", "--problem", str(ppath), "--masses", str(mpath)])
+    elapsed = time.perf_counter() - start
+    out, err = capture(capsys)
+    assert code == 2 and out == "" and elapsed < 1.0
+    (line,) = err.splitlines()
+    assert json.loads(line)["error"] == (
+        "ConfigurationError: a stage-1 mass needs 2^3 regions, but 3 hyperplanes "
+        "in R^2 cut at most 7"
+    )
 
 
 def test_solve_non_finite_mass_exit_2(tmp_path, capsys):
@@ -566,6 +616,35 @@ def test_malformed_documents_exit_2(command, documents, field):
     code, out, err = run_with_documents([command], **documents)
     assert assert_clean_exit(code, out, err) == 2 and out == ""
     assert json.loads(err)["error"].startswith(f"ConfigurationError: {field} must be")
+
+
+@pytest.mark.parametrize(
+    "command, documents, where, key",
+    [
+        ("solve", {"problem": {"k": 2, "m": [1], "orhto": [[1, 2]]}}, "problem", "orhto"),
+        ("atlas", {"spec": {"k": 2, "d_range": [2, 2], "max-m": 5}}, "atlas spec", "max-m"),
+        ("solve", {"masses": {"d": 2, "masses": GOOD_MASSES, "point": []}}, "mass spec", "point"),
+        ("solve", {"masses": {"d": 2, "masses": [{**GOOD_MASSES[0], "n": 10}]}},
+         "masses[0]", "n"),
+        ("solve", {"masses": {"d": 2, "masses": [
+            {**GOOD_MASSES[0], "mixture": [{"mean": [0, 0], "covariance": 9}]}]}},
+         "masses[0].mixture[0]", "covariance"),
+        ("solve", {"problem": {"k": 1, "m": [1], "a": [1]},
+                   "masses": {"d": 2, "masses": GOOD_MASSES,
+                              "points": [{"hyperplane": 1, "coords": [0, 0], "plane": 2}]}},
+         "points[0]", "plane"),
+    ],
+)
+def test_documents_refuse_a_field_they_do_not_read(command, documents, where, key):
+    # a misspelt field would be dropped and its default used: a weaker
+    # problem, another query, the identity covariance
+    if command == "solve":
+        documents = {"problem": {"k": 1, "m": [1]}, "masses": {"d": 2, "masses": GOOD_MASSES},
+                     **documents}
+    code, out, err = run_with_documents([command], **documents)
+    assert assert_clean_exit(code, out, err) == 2 and out == ""
+    error = json.loads(err)["error"]
+    assert error.startswith(f"ConfigurationError: {where} has an unknown field {key!r}")
 
 
 # JSON values of every type, for fields that are meant to hold something else.

@@ -26,7 +26,7 @@ from equipart.solver import (
     solve,
 )
 
-FAST = SolverConfig(seed=0, starts=4, tau_stages=10)
+FAST = SolverConfig(seed=0, starts=4)
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
@@ -105,7 +105,7 @@ def test_min_normal_norm_below_the_hyperplane_floor_reports_failure():
     # must refuse it at HyperplaneParam's own floor (MIN_NORMAL_NORM, 1e-6)
     # and the solve report failure, instead of HyperplaneParam raising
     mass = gaussian(500, (18,), "1.1")
-    cfg = SolverConfig(starts=2, tau_stages=4)
+    cfg = SolverConfig(starts=2)
     w = solve(ConstraintProblem.of(1, m=(1,), a=(1,)), [mass], [(1, [1e7, 1e7])], cfg)
     assert w.success is False
     assert w.diagnostics["starts_run"] == 2
@@ -206,11 +206,10 @@ def test_config_to_dict_lists_every_field():
     cfg = dataclasses.replace(FAST, tol=2e-4, jobs=2)
     doc = cfg.to_dict()
     assert doc == dataclasses.asdict(cfg)
-    # the CLI and the benchmark set seed, starts, tol and jobs; tau_stages
-    # is set only by tests, and is kept because it keeps their solves
-    # short.  A new knob should be a visible change
-    assert list(doc) == ["seed", "starts", "tol", "tau_stages", "jobs"]
-    assert doc["tol"] == 2e-4 and doc["jobs"] == 2 and doc["tau_stages"] == 10
+    # the CLI and the benchmark set seed, starts, tol and jobs; a new knob
+    # should be a visible change
+    assert list(doc) == ["seed", "starts", "tol", "jobs"]
+    assert doc["tol"] == 2e-4 and doc["jobs"] == 2 and doc["starts"] == 4
 
 
 def test_config_rejects_fewer_than_one_start():
@@ -235,13 +234,6 @@ def test_config_rejects_a_negative_seed():
         SolverConfig(seed=-1)
 
 
-def test_config_rejects_negative_tau_stages():
-    # np.geomspace would refuse it only once the schedule is built
-    with pytest.raises(ConfigurationError, match="tau_stages must be >= 0"):
-        SolverConfig(tau_stages=-1)
-    assert SolverConfig(tau_stages=0).tau_stages == 0  # legal: no annealing
-
-
 @pytest.mark.parametrize("value", [1.5, True, "1", None, np.int64(1)])
 def test_config_rejects_a_seed_that_is_not_an_integer(value):
     # a numpy integer too: the witness echoes the seed, and json.dumps
@@ -256,12 +248,6 @@ def test_config_rejects_starts_that_is_not_an_integer(value):
     # one start and be echoed as true in the witness config
     with pytest.raises(ConfigurationError, match="starts must be an integer"):
         SolverConfig(starts=value)
-
-
-@pytest.mark.parametrize("value", [2.5, False, "10"])
-def test_config_rejects_tau_stages_that_is_not_an_integer(value):
-    with pytest.raises(ConfigurationError, match="tau_stages must be an integer"):
-        SolverConfig(tau_stages=value)
 
 
 @pytest.mark.parametrize("value", [1.0, True, "2"])
@@ -318,43 +304,71 @@ def memories(calls):
 
 def test_solver_is_gradient_only(monkeypatch):
     # every minimize call is one L-BFGS run of the smoothed objective at a
-    # positive temperature, one per scheduled tau stage: seeded (even)
-    # starts run the last 6 head stages and the 8 full-sample tail stages,
-    # unseeded starts all 20; a head stage is capped at 25 iterations and
-    # a tail stage at 50.  The stages of a start share one memory of
+    # positive temperature, one per scheduled tau stage: every start runs 6
+    # head stages, each capped at 25 iterations, then 8 full-sample tail
+    # stages capped at 50.  The stages of a start share one memory of
     # correction pairs, and each start has its own
     calls = recorded_minimize_calls(monkeypatch)
     m1 = gaussian(1_000, (19,), "1.1")
-    cfg = dataclasses.replace(FAST, starts=3, tau_stages=20, tol=-1.0)
+    cfg = dataclasses.replace(FAST, starts=3, tol=-1.0)
     w = solve(ConstraintProblem.of(2, m=(1, 0)), [m1], config=cfg)
     assert w.diagnostics["starts_run"] == 3 and w.diagnostics["degenerate_restarts"] == 0
     assert all(fun is equipart.solver._objective and tau > 0 for fun, tau, *_ in calls)
-    heads = (6, 12, 6)
     assert [(set(kwargs), kwargs["maxiter"]) for _, _, kwargs, _ in calls] == [
-        ({"maxiter", "pairs"}, maxiter)
-        for head in heads
-        for maxiter in [25] * head + [50] * 8
+        ({"maxiter", "pairs"}, maxiter) for _ in range(3) for maxiter in [25] * 6 + [50] * 8
     ]
     seen, index = memories(calls)
-    assert index == [start for start, head in enumerate(heads) for _ in range(head + 8)]
+    assert index == [start for start in range(3) for _ in range(14)]
     assert all(isinstance(q, deque) and q.maxlen == lbfgs.MEMORY and q for q in seen)
-    assert len(calls) == 48
+
+
+def test_every_start_runs_the_same_schedule(monkeypatch):
+    # an unseeded (odd) start runs the 14 temperatures, iteration caps and
+    # mass sets of a seeded (even) one: 6 stages on the anneal subsample,
+    # the coldest 6 of a 32-point geometric grid from half the data
+    # diameter down to the handoff, then 8 on the full sample from the
+    # handoff down to TAU_FINAL
+    stages = []
+    original = equipart.solver.minimize
+
+    def recording(fun, x0, args=(), **kwargs):
+        masses = {key: mass.points.shape[0] for key, mass in args[1].items()}
+        stages.append((args[-1], kwargs["maxiter"], masses))
+        return original(fun, x0, args=args, **kwargs)
+
+    monkeypatch.setattr(equipart.solver, "minimize", recording)
+    mass = gaussian(ANNEAL_SUBSAMPLE + 1, (22,), "1.1")
+    cfg = SolverConfig(starts=2, tol=-1.0)
+    w = solve(ConstraintProblem.of(1, m=(1,)), [mass], config=cfg)
+    assert w.diagnostics["starts_run"] == 2
+    even, odd = stages[:14], stages[14:]
+    assert odd == even
+    diameter = equipart.solver._data_diameter([mass])
+    handoff = equipart.solver.TAU_HANDOFF_FACTOR * diameter
+    taus = [
+        *np.geomspace(equipart.solver.TAU_INIT_FACTOR * diameter, handoff, 32)[-6:],
+        *np.geomspace(handoff, equipart.solver.TAU_FINAL, 8),
+    ]
+    sub = {(1, 1): (ANNEAL_SUBSAMPLE + 2) // 2}
+    assert even == [(tau, 25, sub) for tau in taus[:6]] + [
+        (tau, 50, {(1, 1): ANNEAL_SUBSAMPLE + 1}) for tau in taus[6:]
+    ]
 
 
 def test_a_degenerate_restart_starts_from_an_empty_memory(monkeypatch):
     # three pairwise-orthogonal lines cannot exist in the plane: every
-    # attempt degenerates and is redrawn, and each attempt of the 4 tail
+    # attempt degenerates and is redrawn, and each attempt of the 14
     # stages gets a fresh memory, empty when its first stage begins
     calls = recorded_minimize_calls(monkeypatch)
-    m1 = gaussian(300, (14,), "1.1")
-    problem = ConstraintProblem.of(3, m=(1, 0, 0), ortho=[(1, 2), (1, 3), (2, 3)])
-    w = solve(problem, [m1], config=dataclasses.replace(FAST, starts=1, tau_stages=4))
+    m3 = gaussian(300, (14,), "3.1")
+    problem = ConstraintProblem.of(3, m=(0, 0, 1), ortho=[(1, 2), (1, 3), (2, 3)])
+    w = solve(problem, [m3], config=dataclasses.replace(FAST, starts=1))
     attempts = MAX_DEGENERATE_RESTARTS + 1
     assert w.diagnostics["degenerate_restarts"] == attempts
     seen, index = memories(calls)
     assert len(seen) == attempts
-    assert index == [attempt for attempt in range(attempts) for _ in range(4)]
-    assert [size for *_, size in calls[::4]] == [0] * attempts
+    assert index == [attempt for attempt in range(attempts) for _ in range(14)]
+    assert [size for *_, size in calls[::14]] == [0] * attempts
 
 
 def test_every_objective_evaluation_assembles_and_counts_regions(monkeypatch):
@@ -662,7 +676,7 @@ from equipart.masses import sample_gaussian_mixture
 from equipart.problems import ConstraintProblem
 from equipart.solver import SolverConfig, solve
 
-config = SolverConfig(seed=5, starts=1, tau_stages=8)
+config = SolverConfig(seed=5, starts=1)
 for mean, mass_seed in (([0.0, 0.0], 3), ([0.0], 2)):
     mass = sample_gaussian_mixture(
         [{"mean": mean, "cov": "I", "weight": 1}], 20_000, mass_seed, label="1.1"
@@ -723,14 +737,52 @@ def test_solve_geometrically_impossible_constraints():
     # three pairwise-orthogonal lines cannot exist in the plane; every
     # start degenerates, is redrawn MAX_DEGENERATE_RESTARTS times and then
     # given up, and the solver reports failure without raising
-    m1 = gaussian(300, (14,), "1.1")
-    problem = ConstraintProblem.of(
-        3, m=(1, 0, 0), ortho=[(1, 2), (1, 3), (2, 3)]
-    )
-    cfg = dataclasses.replace(FAST, starts=2, tau_stages=4)
-    w = solve(problem, [m1], config=cfg)
+    m3 = gaussian(300, (14,), "3.1")
+    problem = ConstraintProblem.of(3, m=(0, 0, 1), ortho=[(1, 2), (1, 3), (2, 3)])
+    cfg = dataclasses.replace(FAST, starts=2)
+    w = solve(problem, [m3], config=cfg)
     assert w.success is False and w.diagnostics["starts_run"] == 2
     assert w.diagnostics["degenerate_restarts"] == 2 * (MAX_DEGENERATE_RESTARTS + 1)
+
+
+@pytest.mark.parametrize("k, m, d, regions", [
+    (3, (1, 0, 0), 2, 7),
+    (3, (0, 1, 1), 1, 3),
+    (2, (2, 0), 1, 3),
+    (4, (0, 1, 0, 0), 2, 7),
+])
+def test_solve_refuses_a_stage_its_planes_cannot_cut_finely_enough(
+    monkeypatch, k, m, d, regions
+):
+    # n hyperplanes in R^d cut at most sum_{j<=d} C(n, j) regions, fewer
+    # than the 2^n orthants a mass cut by all n of them needs once n > d:
+    # refused before any start runs
+    monkeypatch.setattr(equipart.solver, "minimize", None)
+    n = k - next(i for i, count in enumerate(m) if count)
+    masses = [
+        gaussian(200, (24, i, j), f"{i}.{j}", mean=(0.0,) * d)
+        for i in range(1, k + 1)
+        for j in range(1, m[i - 1] + 1)
+    ]
+    message = (
+        rf"a stage-{k - n + 1} mass needs 2\^{n} regions, "
+        rf"but {n} hyperplanes in R\^{d} cut at most {regions}$"
+    )
+    with pytest.raises(ConfigurationError, match=message):
+        solve(ConstraintProblem.of(k, m=m), masses, config=FAST)
+
+
+@pytest.mark.parametrize("k, m", [(2, (1, 0)), (3, (0, 1, 1))])
+def test_solve_still_runs_when_the_planes_cut_enough_regions(k, m):
+    # two lines cut the plane into 4 regions, enough for a stage mass cut
+    # by two of them, whatever k is
+    masses = [
+        gaussian(3_000, (25, i, j), f"{i}.{j}", mean=(0.5 * j, -0.5 * i))
+        for i in range(1, k + 1)
+        for j in range(1, m[i - 1] + 1)
+    ]
+    w = solve(ConstraintProblem.of(k, m=m), masses, config=FAST)
+    assert w.success is True
 
 
 def test_witness_json_schema():

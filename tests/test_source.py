@@ -78,3 +78,34 @@ def test_every_definition_is_named_somewhere(path, named):
         and named[node.name] <= Counter(names_used(node))[node.name]
     ]
     assert not dead
+
+
+def keywords_passed_to(name, patterns):
+    """Every keyword argument of a call to `name` (bare or as an
+    attribute) in the files matching `patterns`."""
+    passed = set()
+    for pattern in patterns:
+        for source in ROOT.glob(pattern):
+            for node in ast.walk(ast.parse(source.read_text(), filename=str(source))):
+                if isinstance(node, ast.Call) and name in (
+                    getattr(node.func, "id", None),
+                    getattr(node.func, "attr", None),
+                ):
+                    passed.update(kw.arg for kw in node.keywords)
+    return passed
+
+
+def test_every_solver_config_field_is_set_outside_the_tests():
+    # a knob that only tests set changes nothing a caller can reach: every
+    # SolverConfig field must be passed by keyword somewhere in the package
+    # or the benchmark
+    tree = ast.parse((ROOT / "src/equipart/solver.py").read_text())
+    (config,) = [
+        node
+        for node in tree.body
+        if isinstance(node, ast.ClassDef) and node.name == "SolverConfig"
+    ]
+    fields = [node.target.id for node in config.body if isinstance(node, ast.AnnAssign)]
+    assert "seed" in fields
+    passed = keywords_passed_to("SolverConfig", ("src/**/*.py", "perfbench/**/*.py"))
+    assert [name for name in fields if name not in passed] == []

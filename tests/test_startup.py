@@ -40,7 +40,7 @@ mass = equipart.sample_gaussian_mixture(
 )
 equipart.solve(
     equipart.ConstraintProblem.of(1, m=(1,)), [mass],
-    config=equipart.SolverConfig(starts=1, tau_stages=2),
+    config=equipart.SolverConfig(starts=1),
 )
 print(json.dumps({"codes": codes, "imported": imported, "queried": queried,
                   "solved": scipy_modules(), "pools": pools}))
