@@ -48,10 +48,13 @@ class _Parser(argparse.ArgumentParser):
 # ----------------------------------------------------------------------
 # argument parsing helpers
 # ----------------------------------------------------------------------
-def _parse_ints(text: str) -> tuple[int, ...]:
+def _parse_ints(text: str, flag: str) -> tuple[int, ...]:
     if not text:
         return ()
-    return tuple(int(x) for x in text.split(","))
+    try:
+        return tuple(int(x) for x in text.split(","))
+    except ValueError:
+        raise _UsageExit(f"--{flag} must be integers 'n,n,...', got {text!r}") from None
 
 
 def _parse_ortho(text: str | None, k: int):
@@ -75,15 +78,18 @@ def _parse_ortho(text: str | None, k: int):
 def _parse_extra(text: str | None):
     if not text:
         return ()
-    return tuple(tuple(int(b) for b in chunk) for chunk in text.split(";"))
+    try:
+        return tuple(tuple(int(b) for b in chunk) for chunk in text.split(";"))
+    except ValueError:
+        raise _UsageExit(f"--extra must be 0/1 strings 'bbb;bbb;...', got {text!r}") from None
 
 
 def _problem_from_args(args) -> ConstraintProblem:
     k = args.k
     return ConstraintProblem.of(
         k,
-        m=_parse_ints(args.m) if args.m else (),
-        a=_parse_ints(args.a) if args.a else (),
+        m=_parse_ints(args.m, "m"),
+        a=_parse_ints(args.a, "a"),
         ortho=_parse_ortho(args.ortho, k),
         extra=_parse_extra(args.extra),
     )
@@ -164,7 +170,7 @@ def _cmd_families(args) -> int:
             raise _UsageExit(f"family {args.family!r} requires --t")
         kwargs["t"] = args.t
     if args.a:
-        kwargs["a"] = _parse_ints(args.a)
+        kwargs["a"] = _parse_ints(args.a, "a")
     if args.ortho:
         kwargs["ortho"] = _parse_ortho(args.ortho, args.k)
     instance = generator(**kwargs)

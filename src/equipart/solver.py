@@ -20,8 +20,10 @@ gives no construction, so this is a best-effort multi-start optimizer:
   * the hard objective is evaluated once, at the last L-BFGS point, to
     score the start; it is never optimized directly (region masses of a
     point cloud are piecewise constant, so it has no useful gradient);
-  * every start runs the same 14-stage schedule; even starts set out
-    from planes through the mass means, odd ones from random planes;
+  * every start runs the same 5-stage schedule, one stage on a subsample
+    at the handoff temperature and four on the full sample down to
+    TAU_FINAL; even starts set out from planes through the mass means,
+    odd ones from random planes;
   * starts run in index order and the search stops at the first start
     whose hard objective is below `tol`.
 
@@ -54,22 +56,17 @@ from .lbfgs import DEGENERATE_SCORE, MEMORY, minimize
 from .masses import MIN_NORMAL_NORM, HyperplaneParam, SampledMass, parse_label, region_masses
 from .problems import ConstraintProblem
 
-# Annealing schedule, the same for every start: ANNEAL_HEAD stages of at most
-# ANNEAL_MAXITER L-BFGS iterations on the anneal subsample, at the coldest
-# points of an ANNEAL_GRID-point geometric grid from TAU_INIT_FACTOR times the
-# data diameter down to TAU_HANDOFF_FACTOR times it; then ANNEAL_FULL_TAIL
-# stages of twice the iterations on the full sample, from that handoff down
-# to TAU_FINAL.  The grid's hotter points are not run; its size is kept
-# because it fixes the head's floats, and so the witnesses already written.
-TAU_INIT_FACTOR = 0.5
+# Annealing schedule, the same for every start: one stage of at most
+# ANNEAL_MAXITER L-BFGS iterations on the anneal subsample at the handoff
+# temperature, TAU_HANDOFF_FACTOR times the data diameter; then
+# ANNEAL_FULL_TAIL stages of twice the iterations on the full sample,
+# geometric from that handoff down to TAU_FINAL.
 TAU_FINAL = 1e-3
 TAU_HANDOFF_FACTOR = 0.02
-ANNEAL_GRID = 32
-ANNEAL_HEAD = 6
-ANNEAL_FULL_TAIL = 8
+ANNEAL_FULL_TAIL = 4
 ANNEAL_MAXITER = 25
 # Each mass is strided down to at most ANNEAL_SUBSAMPLE points for the
-# head stages of the schedule.
+# head stage of the schedule.
 ANNEAL_SUBSAMPLE = 20_000
 DEGENERATE_TOL = 1e-6  # unit plane vectors this close, up to sign, coincide
 # A start whose final planes degenerate or coincide is redrawn from its own
@@ -504,22 +501,24 @@ def _seeded_raw(
     return raw / np.linalg.norm(raw, axis=1, keepdims=True)
 
 
-def _run_start(args) -> tuple[int, float, np.ndarray, int]:
+def _run_start(args) -> tuple[int, float, np.ndarray, int, int]:
     """One multi-start trajectory; returns (start index, hard objective,
-    final raw parameters, degenerate-restart count)."""
+    final raw parameters, degenerate-restart count, smoothed-objective
+    evaluations)."""
     (start, problem, masses, points, seed, d, taus) = args
     by_key = _organize_masses(problem, masses)
     anneal_key = {key: _subsample(mass) for key, mass in by_key.items()}
     cont = _organize_points(problem, points, d)
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(0, start)))
     seeded = start % 2 == 0
-    # Cheap subsampled annealing locates the basin; the tail reruns on the
-    # full sample from the handoff temperature, so the smooth landscape can
-    # carry the iterate across the subsample discrepancy, and its coldest
-    # stage leaves the iterate that the hard objective scores.
-    schedule = [(tau, anneal_key, ANNEAL_MAXITER) for tau in taus[:ANNEAL_HEAD]]
-    schedule += [(tau, by_key, 2 * ANNEAL_MAXITER) for tau in taus[ANNEAL_HEAD:]]
-    restarts = 0
+    # A cheap subsampled stage at the handoff temperature locates the
+    # basin; the tail reruns on the full sample from that temperature, so
+    # the smooth landscape can carry the iterate across the subsample
+    # discrepancy, and its coldest stage leaves the iterate that the hard
+    # objective scores.
+    schedule = [(taus[0], anneal_key, ANNEAL_MAXITER)]
+    schedule += [(tau, by_key, 2 * ANNEAL_MAXITER) for tau in taus]
+    restarts = evaluations = 0
     while True:
         if seeded:
             raw = _seeded_raw(problem, by_key, rng, d)
@@ -537,7 +536,9 @@ def _run_start(args) -> tuple[int, float, np.ndarray, int]:
         pairs: deque = deque(maxlen=MEMORY)
         for tau, keys, maxiter in schedule:
             stage = (problem, keys, cont, d, float(tau))
-            x = minimize(_objective, x, args=stage, maxiter=maxiter, pairs=pairs).x
+            res = minimize(_objective, x, args=stage, maxiter=maxiter, pairs=pairs)
+            x = res.x
+            evaluations += res.nfev
         planes = assemble_hyperplanes(x.reshape(problem.k, d + 1), problem, cont)
         if planes is not None and not _coincident(planes, DEGENERATE_TOL):
             break
@@ -545,7 +546,7 @@ def _run_start(args) -> tuple[int, float, np.ndarray, int]:
         if restarts > MAX_DEGENERATE_RESTARTS:
             break
     value = DEGENERATE_SCORE if planes is None else _evaluate(problem, by_key, cont, planes)[3]
-    return (start, float(value), x, restarts)
+    return (start, float(value), x, restarts, evaluations)
 
 
 def solve(
@@ -578,13 +579,10 @@ def solve(
             f"in R^{d} cut at most {sum(math.comb(n, j) for j in range(d + 1))}"
         )
     cont = _organize_points(problem, points, d)
-    diameter = _data_diameter(masses)
-    tau0 = max(TAU_INIT_FACTOR * diameter, TAU_FINAL)
-    handoff = min(max(TAU_HANDOFF_FACTOR * diameter, TAU_FINAL), tau0)
-    head = np.geomspace(tau0, handoff, ANNEAL_GRID)[-ANNEAL_HEAD:]
-    taus = [*head, *np.geomspace(handoff, TAU_FINAL, ANNEAL_FULL_TAIL)]
+    handoff = max(TAU_HANDOFF_FACTOR * _data_diameter(masses), TAU_FINAL)
+    taus = np.geomspace(handoff, TAU_FINAL, ANNEAL_FULL_TAIL)
 
-    results: list[tuple[int, float, np.ndarray, int]] = []
+    results: list[tuple[int, float, np.ndarray, int, int]] = []
     args = (problem, list(masses), list(points), cfg.seed, d, taus)
 
     def run_starts(run_map) -> None:
@@ -607,7 +605,7 @@ def solve(
             run_starts(pool.map)
 
     # Best objective wins; ties break toward the earlier start index.
-    start, _, x, _ = min(results, key=lambda t: (t[1], t[0]))
+    start, _, x, *_ = min(results, key=lambda t: (t[1], t[0]))
     planes = assemble_hyperplanes(x.reshape(problem.k, d + 1), problem, cont)
     if planes is None:
         # Fall back to the unprojected raw parameters (axis planes where
@@ -630,5 +628,6 @@ def solve(
         "starts_run": len(results),
         "best_start": start,
         "degenerate_restarts": int(sum(r[3] for r in results)),
+        "evaluations": int(sum(r[4] for r in results)),
     }
     return witness

@@ -214,6 +214,24 @@ def test_malformed_ortho_names_the_accepted_forms(capsys, ortho):
     )
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["check", "--k", "2", "--m", "x", "--d", "2"],
+     "--m must be integers 'n,n,...', got 'x'"),
+    (["families", "cascade", "--q", "0", "--t", "1", "--k", "3", "--a", "x"],
+     "--a must be integers 'n,n,...', got 'x'"),
+    (["check", "--k", "2", "--m", "1", "--extra", "0x1", "--d", "3"],
+     "--extra must be 0/1 strings 'bbb;bbb;...', got '0x1'"),
+])
+def test_malformed_integer_flags_name_the_flag_and_the_accepted_form(capsys, argv, message):
+    # not a bare "invalid literal for int()" that leaves the user to guess
+    # which flag it was
+    code = run(argv)
+    out, err = capture(capsys)
+    assert code == 2 and out == ""
+    (line,) = err.splitlines()
+    assert json.loads(line) == {"error": message, "kind": "usage"}
+
+
 @pytest.mark.parametrize("argv", [
     ["check", "--k", "1025", "--m", "1", "--d", "1", "--ortho", "all"],
     ["families", "ortho-last", "--q", "1", "--t", "1", "--k", "1025", "--ortho", "all"],

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 import equipart.solver
 from equipart import lbfgs
+from equipart.certify import check
 from equipart.exceptions import ConfigurationError, RangeError, ShapeError
 from equipart.masses import HyperplaneParam, sample_gaussian_mixture
 from equipart.problems import ConstraintProblem
@@ -304,8 +305,8 @@ def memories(calls):
 
 def test_solver_is_gradient_only(monkeypatch):
     # every minimize call is one L-BFGS run of the smoothed objective at a
-    # positive temperature, one per scheduled tau stage: every start runs 6
-    # head stages, each capped at 25 iterations, then 8 full-sample tail
+    # positive temperature, one per scheduled tau stage: every start runs
+    # one head stage capped at 25 iterations, then 4 full-sample tail
     # stages capped at 50.  The stages of a start share one memory of
     # correction pairs, and each start has its own
     calls = recorded_minimize_calls(monkeypatch)
@@ -315,18 +316,17 @@ def test_solver_is_gradient_only(monkeypatch):
     assert w.diagnostics["starts_run"] == 3 and w.diagnostics["degenerate_restarts"] == 0
     assert all(fun is equipart.solver._objective and tau > 0 for fun, tau, *_ in calls)
     assert [(set(kwargs), kwargs["maxiter"]) for _, _, kwargs, _ in calls] == [
-        ({"maxiter", "pairs"}, maxiter) for _ in range(3) for maxiter in [25] * 6 + [50] * 8
+        ({"maxiter", "pairs"}, maxiter) for _ in range(3) for maxiter in [25] + [50] * 4
     ]
     seen, index = memories(calls)
-    assert index == [start for start in range(3) for _ in range(14)]
+    assert index == [start for start in range(3) for _ in range(5)]
     assert all(isinstance(q, deque) and q.maxlen == lbfgs.MEMORY and q for q in seen)
 
 
 def test_every_start_runs_the_same_schedule(monkeypatch):
-    # an unseeded (odd) start runs the 14 temperatures, iteration caps and
-    # mass sets of a seeded (even) one: 6 stages on the anneal subsample,
-    # the coldest 6 of a 32-point geometric grid from half the data
-    # diameter down to the handoff, then 8 on the full sample from the
+    # an unseeded (odd) start runs the 5 temperatures, iteration caps and
+    # mass sets of a seeded (even) one: one stage on the anneal subsample
+    # at the handoff, then 4 on the full sample, geometric from the
     # handoff down to TAU_FINAL
     stages = []
     original = equipart.solver.minimize
@@ -341,23 +341,19 @@ def test_every_start_runs_the_same_schedule(monkeypatch):
     cfg = SolverConfig(starts=2, tol=-1.0)
     w = solve(ConstraintProblem.of(1, m=(1,)), [mass], config=cfg)
     assert w.diagnostics["starts_run"] == 2
-    even, odd = stages[:14], stages[14:]
+    even, odd = stages[:5], stages[5:]
     assert odd == even
-    diameter = equipart.solver._data_diameter([mass])
-    handoff = equipart.solver.TAU_HANDOFF_FACTOR * diameter
-    taus = [
-        *np.geomspace(equipart.solver.TAU_INIT_FACTOR * diameter, handoff, 32)[-6:],
-        *np.geomspace(handoff, equipart.solver.TAU_FINAL, 8),
-    ]
+    handoff = equipart.solver.TAU_HANDOFF_FACTOR * equipart.solver._data_diameter([mass])
+    taus = np.geomspace(handoff, equipart.solver.TAU_FINAL, 4)
     sub = {(1, 1): (ANNEAL_SUBSAMPLE + 2) // 2}
-    assert even == [(tau, 25, sub) for tau in taus[:6]] + [
-        (tau, 50, {(1, 1): ANNEAL_SUBSAMPLE + 1}) for tau in taus[6:]
+    assert even == [(handoff, 25, sub)] + [
+        (tau, 50, {(1, 1): ANNEAL_SUBSAMPLE + 1}) for tau in taus
     ]
 
 
 def test_a_degenerate_restart_starts_from_an_empty_memory(monkeypatch):
     # three pairwise-orthogonal lines cannot exist in the plane: every
-    # attempt degenerates and is redrawn, and each attempt of the 14
+    # attempt degenerates and is redrawn, and each attempt of the 5
     # stages gets a fresh memory, empty when its first stage begins
     calls = recorded_minimize_calls(monkeypatch)
     m3 = gaussian(300, (14,), "3.1")
@@ -367,8 +363,33 @@ def test_a_degenerate_restart_starts_from_an_empty_memory(monkeypatch):
     assert w.diagnostics["degenerate_restarts"] == attempts
     seen, index = memories(calls)
     assert len(seen) == attempts
-    assert index == [attempt for attempt in range(attempts) for _ in range(14)]
-    assert [size for *_, size in calls[::14]] == [0] * attempts
+    assert index == [attempt for attempt in range(attempts) for _ in range(5)]
+    assert [size for *_, size in calls[::5]] == [0] * attempts
+
+
+def test_diagnostics_count_the_evaluations_of_every_start_run(monkeypatch):
+    # `evaluations` sums the smoothed-objective evaluations of every stage
+    # of every attempt of every start run, redrawn attempts included
+    nfev = []
+    original = equipart.solver.minimize
+
+    def spy(*args, **kwargs):
+        res = original(*args, **kwargs)
+        nfev.append(res.nfev)
+        return res
+
+    monkeypatch.setattr(equipart.solver, "minimize", spy)
+    m1 = gaussian(1_000, (19,), "1.1")
+    cfg = dataclasses.replace(FAST, starts=3, tol=-1.0)
+    w = solve(ConstraintProblem.of(2, m=(1, 0)), [m1], config=cfg)
+    assert w.diagnostics["starts_run"] == 3 and len(nfev) == 15
+    assert w.diagnostics["evaluations"] == sum(nfev)
+    nfev.clear()
+    m3 = gaussian(300, (14,), "3.1")
+    problem = ConstraintProblem.of(3, m=(0, 0, 1), ortho=[(1, 2), (1, 3), (2, 3)])
+    w = solve(problem, [m3], config=dataclasses.replace(FAST, starts=1))
+    assert w.diagnostics["degenerate_restarts"] == MAX_DEGENERATE_RESTARTS + 1
+    assert w.diagnostics["evaluations"] == sum(nfev) > 0
 
 
 def test_every_objective_evaluation_assembles_and_counts_regions(monkeypatch):
@@ -613,6 +634,46 @@ def test_minimize_matches_scipy_lbfgsb():
     assert nfev <= 1.05 * nfev_scipy
 
 
+QUALITY_INSTANCES = [  # (k, m, a, ortho, d), each certified in relaxed mode
+    (1, (2,), (0,), [], 2),
+    (1, (2,), (1,), [], 3),
+    (1, (3,), (0,), [], 4),
+    (2, (1, 0), (0, 0), [(1, 2)], 3),
+    (2, (1, 1), (0, 0), [], 3),
+    (2, (1, 0), (0, 1), [(1, 2)], 3),
+    (2, (2, 0), (0, 0), [(1, 2)], 4),
+    (2, (1, 1), (0, 1), [(1, 2)], 4),
+    (3, (1, 0, 0), (0, 0, 0), [(1, 2)], 4),
+    (3, (1, 0, 0), (0, 1, 0), [(1, 3)], 4),
+    (3, (1, 0, 1), (0, 0, 0), [], 4),
+    (3, (0, 0, 2), (1, 0, 0), [(1, 2), (2, 3)], 2),
+]
+
+
+@pytest.mark.parametrize("case", range(len(QUALITY_INSTANCES)))
+def test_solve_finds_a_witness_for_small_certified_instances(case):
+    # a schedule change must not cost a witness: each instance has 3,000
+    # points per mass, drawn from an off-centre mixture of 2-3 Gaussians,
+    # and must be solved within 4 starts, every residual under 5e-3
+    k, m, a, ortho, d = QUALITY_INSTANCES[case]
+    problem = ConstraintProblem.of(k, m=m, a=a, ortho=ortho)
+    assert check(problem, d, "relaxed").certified
+    rng = np.random.default_rng([31, case])
+    masses = []
+    for i in range(1, k + 1):
+        for j in range(1, m[i - 1] + 1):
+            mixture = [
+                {"mean": list(rng.uniform(-2, 2, d)), "cov": float(rng.uniform(0.2, 1.0)),
+                 "weight": float(rng.uniform(0.5, 1.5))}
+                for _ in range(rng.integers(2, 4))
+            ]
+            masses.append(sample_gaussian_mixture(mixture, 3_000, rng.integers(2**32),
+                                                  label=f"{i}.{j}"))
+    points = [(i, rng.uniform(-1, 1, d)) for i in range(1, k + 1) for _ in range(a[i - 1])]
+    w = solve(problem, masses, points, SolverConfig(seed=case, starts=4))
+    assert w.success and w.max_equipartition_residual() < 5e-3
+
+
 def test_solve_bisection_small():
     m1 = gaussian(5_000, (4,), "1.1")
     m2 = gaussian(5_000, (5,), "1.2", mean=(2.0, 1.0), cov=0.5)
@@ -792,6 +853,9 @@ def test_witness_json_schema():
     assert doc["schema_version"] == 1
     assert set(doc["residuals"]) == {"equipartition", "orthogonality", "containment"}
     assert doc["seed"] == 0 and doc["config"]["starts"] == 4
+    assert set(doc["diagnostics"]) == {
+        "starts_run", "best_start", "degenerate_restarts", "evaluations"
+    }
     assert doc["diagnostics"]["starts_run"] >= 1
     hp = doc["hyperplanes"][0]
     assert set(hp) == {"normal", "offset"}

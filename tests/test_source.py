@@ -109,3 +109,25 @@ def test_every_solver_config_field_is_set_outside_the_tests():
     assert "seed" in fields
     passed = keywords_passed_to("SolverConfig", ("src/**/*.py", "perfbench/**/*.py"))
     assert [name for name in fields if name not in passed] == []
+
+
+def test_every_module_constant_is_read_somewhere():
+    # an UPPER_CASE module constant that no source, test or bench file reads
+    # is a setting left behind by a rewrite; assigning it is not reading it
+    read = Counter()
+    for pattern in ("src/**/*.py", "tests/**/*.py", "perfbench/**/*.py"):
+        for source in ROOT.glob(pattern):
+            for node in ast.walk(ast.parse(source.read_text(), filename=str(source))):
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                    read[node.id] += 1
+                elif isinstance(node, ast.Attribute):
+                    read[node.attr] += 1
+    unread = [
+        f"{path.name}: {target.id} (line {target.lineno})"
+        for path in PACKAGE
+        for node in ast.parse(path.read_text(), filename=str(path)).body
+        if isinstance(node, (ast.Assign, ast.AnnAssign))
+        for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
+        if isinstance(target, ast.Name) and target.id.isupper() and not read[target.id]
+    ]
+    assert not unread
