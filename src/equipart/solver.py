@@ -18,12 +18,14 @@ gives no construction, so this is a best-effort multi-start optimizer:
     a start carries one L-BFGS memory through all its temperatures, so each
     stage opens with the curvature the stages before it learned;
   * the hard objective is evaluated once, at the last L-BFGS point, to
-    score the start; it is never optimized directly (region masses of a
-    point cloud are piecewise constant, so it has no useful gradient);
-  * every start runs the same 5-stage schedule, one stage on a subsample
-    at the handoff temperature and four on the full sample down to
-    TAU_FINAL; even starts set out from planes through the mass means,
-    odd ones from random planes;
+    score the start, and the best start's evaluation is the witness; it
+    is never optimized directly (region masses of a point cloud are
+    piecewise constant, so it has no useful gradient);
+  * every start runs the same 4-stage schedule, one stage per
+    temperature from the handoff down to TAU_FINAL: the two warmest on a
+    subsample of each mass and the two coldest on the full sample; even
+    starts set out from planes through the mass means, odd ones from
+    random planes;
   * starts run in index order and the search stops at the first start
     whose hard objective is below `tol`.
 
@@ -56,18 +58,19 @@ from .lbfgs import DEGENERATE_SCORE, MEMORY, minimize
 from .masses import MIN_NORMAL_NORM, HyperplaneParam, SampledMass, parse_label, region_masses
 from .problems import ConstraintProblem
 
-# Annealing schedule, the same for every start: one stage of at most
-# ANNEAL_MAXITER L-BFGS iterations on the anneal subsample at the handoff
-# temperature, TAU_HANDOFF_FACTOR times the data diameter; then
-# ANNEAL_FULL_TAIL stages of twice the iterations on the full sample,
-# geometric from that handoff down to TAU_FINAL.
+# Annealing schedule, the same for every start: ANNEAL_STAGES temperatures,
+# geometric from the handoff, TAU_HANDOFF_FACTOR times the data diameter,
+# down to TAU_FINAL, each one stage of at most ANNEAL_MAXITER L-BFGS
+# iterations.  The ANNEAL_WARM_STAGES warmest run on the anneal subsample,
+# the rest on the full sample.
 TAU_FINAL = 1e-3
 TAU_HANDOFF_FACTOR = 0.02
-ANNEAL_FULL_TAIL = 4
-ANNEAL_MAXITER = 25
+ANNEAL_STAGES = 4
+ANNEAL_WARM_STAGES = 2
+ANNEAL_MAXITER = 50
 # Each mass is strided down to at most ANNEAL_SUBSAMPLE points for the
-# head stage of the schedule.
-ANNEAL_SUBSAMPLE = 20_000
+# warm stages of the schedule.
+ANNEAL_SUBSAMPLE = 5_000
 DEGENERATE_TOL = 1e-6  # unit plane vectors this close, up to sign, coincide
 # A start whose final planes degenerate or coincide is redrawn from its own
 # RNG stream at most this many times.
@@ -368,8 +371,17 @@ def residuals(
         if h.dim != d:
             raise ShapeError("hyperplanes live in different dimensions")
     cont = _organize_points(problem, points, d)
+    return _witness(hyperplanes, *_evaluate(problem, by_key, cont, hyperplanes)[:4])
 
-    equip, ortho, containment, objective, _ = _evaluate(problem, by_key, cont, hyperplanes)
+
+def _witness(
+    hyperplanes: Sequence[HyperplaneParam],
+    equip: dict[str, np.ndarray],
+    ortho: dict[str, float],
+    containment: list[tuple],
+    objective: float,
+) -> MassArrangementWitness:
+    """The witness of a hard `_evaluate` at `hyperplanes`."""
     return MassArrangementWitness(
         hyperplanes=tuple(hyperplanes),
         equipartition={key: tuple(float(x) for x in dev) for key, dev in equip.items()},
@@ -463,7 +475,7 @@ def _data_diameter(masses: Sequence[SampledMass]) -> float:
 
 def _subsample(mass: SampledMass) -> SampledMass:
     """Deterministic stride subsample, to at most ANNEAL_SUBSAMPLE points,
-    for the annealing phase.  The points are exchangeable, so striding is
+    for the warm stages.  The points are exchangeable, so striding is
     an unbiased reduction; every reported residual is still computed on
     the full sample."""
     n = mass.points.shape[0]
@@ -501,23 +513,27 @@ def _seeded_raw(
     return raw / np.linalg.norm(raw, axis=1, keepdims=True)
 
 
-def _run_start(args) -> tuple[int, float, np.ndarray, int, int]:
+def _run_start(
+    args,
+) -> tuple[int, float, np.ndarray, int, int, MassArrangementWitness | None]:
     """One multi-start trajectory; returns (start index, hard objective,
     final raw parameters, degenerate-restart count, smoothed-objective
-    evaluations)."""
+    evaluations, the witness of the final planes or None if they
+    degenerate)."""
     (start, problem, masses, points, seed, d, taus) = args
     by_key = _organize_masses(problem, masses)
     anneal_key = {key: _subsample(mass) for key, mass in by_key.items()}
     cont = _organize_points(problem, points, d)
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(0, start)))
     seeded = start % 2 == 0
-    # A cheap subsampled stage at the handoff temperature locates the
-    # basin; the tail reruns on the full sample from that temperature, so
-    # the smooth landscape can carry the iterate across the subsample
-    # discrepancy, and its coldest stage leaves the iterate that the hard
-    # objective scores.
-    schedule = [(taus[0], anneal_key, ANNEAL_MAXITER)]
-    schedule += [(tau, by_key, 2 * ANNEAL_MAXITER) for tau in taus]
+    # The warm stages only locate the basin, which the subsample does as
+    # well as the full sample at a fraction of the cost; the cold stages
+    # run on the full sample, so they correct for the subsample, and the
+    # coldest leaves the iterate that the hard objective scores.
+    schedule = [
+        (tau, anneal_key if stage < ANNEAL_WARM_STAGES else by_key)
+        for stage, tau in enumerate(taus)
+    ]
     restarts = evaluations = 0
     while True:
         if seeded:
@@ -527,16 +543,16 @@ def _run_start(args) -> tuple[int, float, np.ndarray, int, int]:
             raw /= np.linalg.norm(raw, axis=1, keepdims=True)
         x = raw.ravel()
         # Each smoothed stage is an L-BFGS run on the analytic gradient,
-        # capped at maxiter iterations with the default tolerances: the
-        # schedule, not any one temperature, does the converging.  All the
-        # stages of an attempt share one memory of correction pairs: the
-        # objective changes little from one temperature to the next, so a
-        # stage starts from the curvature the last one learned, not from a
-        # steepest-descent step.  A redrawn attempt starts from no pairs.
+        # capped at ANNEAL_MAXITER iterations with the default tolerances:
+        # the schedule, not any one temperature, does the converging.  All
+        # the stages of an attempt share one memory of correction pairs:
+        # the objective changes little from one temperature to the next, so
+        # a stage starts from the curvature the last one learned, not from
+        # a steepest-descent step.  A redrawn attempt starts from no pairs.
         pairs: deque = deque(maxlen=MEMORY)
-        for tau, keys, maxiter in schedule:
+        for tau, keys in schedule:
             stage = (problem, keys, cont, d, float(tau))
-            res = minimize(_objective, x, args=stage, maxiter=maxiter, pairs=pairs)
+            res = minimize(_objective, x, args=stage, maxiter=ANNEAL_MAXITER, pairs=pairs)
             x = res.x
             evaluations += res.nfev
         planes = assemble_hyperplanes(x.reshape(problem.k, d + 1), problem, cont)
@@ -545,8 +561,10 @@ def _run_start(args) -> tuple[int, float, np.ndarray, int, int]:
         restarts += 1
         if restarts > MAX_DEGENERATE_RESTARTS:
             break
-    value = DEGENERATE_SCORE if planes is None else _evaluate(problem, by_key, cont, planes)[3]
-    return (start, float(value), x, restarts, evaluations)
+    if planes is None:
+        return (start, DEGENERATE_SCORE, x, restarts, evaluations, None)
+    witness = _witness(planes, *_evaluate(problem, by_key, cont, planes)[:4])
+    return (start, witness.objective, x, restarts, evaluations, witness)
 
 
 def solve(
@@ -578,11 +596,11 @@ def solve(
             f"a stage-{problem.k - n + 1} mass needs 2^{n} regions, but {n} hyperplanes "
             f"in R^{d} cut at most {sum(math.comb(n, j) for j in range(d + 1))}"
         )
-    cont = _organize_points(problem, points, d)
+    _organize_points(problem, points, d)  # bad points are refused before any start
     handoff = max(TAU_HANDOFF_FACTOR * _data_diameter(masses), TAU_FINAL)
-    taus = np.geomspace(handoff, TAU_FINAL, ANNEAL_FULL_TAIL)
+    taus = np.geomspace(handoff, TAU_FINAL, ANNEAL_STAGES)
 
-    results: list[tuple[int, float, np.ndarray, int, int]] = []
+    results: list[tuple[int, float, np.ndarray, int, int, MassArrangementWitness | None]] = []
     args = (problem, list(masses), list(points), cfg.seed, d, taus)
 
     def run_starts(run_map) -> None:
@@ -605,9 +623,8 @@ def solve(
             run_starts(pool.map)
 
     # Best objective wins; ties break toward the earlier start index.
-    start, _, x, *_ = min(results, key=lambda t: (t[1], t[0]))
-    planes = assemble_hyperplanes(x.reshape(problem.k, d + 1), problem, cont)
-    if planes is None:
+    start, _, x, *_, witness = min(results, key=lambda t: (t[1], t[0]))
+    if witness is None:
         # Fall back to the unprojected raw parameters (axis planes where
         # even those degenerate) so a witness always exists; its residuals
         # then report the failure honestly.
@@ -620,7 +637,7 @@ def solve(
                 axis = np.zeros(d + 1)
                 axis[i % d] = 1.0
                 planes.append(HyperplaneParam(axis))
-    witness = residuals(problem, masses, planes, points)
+        witness = residuals(problem, masses, planes, points)
     witness.success = bool(witness.objective < cfg.tol)
     witness.seed = cfg.seed
     witness.config = cfg.to_dict()
