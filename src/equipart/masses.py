@@ -134,24 +134,12 @@ class SampledMass:
             raise ShapeError("points must be a non-empty (N, d) array")
         if w.shape != (pts.shape[0],):
             raise ShapeError("weights must be a length-N vector")
-        self._store(np.array(pts.T, order="C"), w.copy())
-
-    @classmethod
-    def _adopt(cls, coords: np.ndarray, weights: np.ndarray, label: str) -> "SampledMass":
-        """Wrap a C-contiguous (d, N) float array and a length-N float
-        vector that the caller has just built and keeps no other reference
-        to.  Skips the shape checks and the copies __post_init__ makes,
-        not the value checks."""
-        mass = object.__new__(cls)
-        mass.label = label
-        mass._store(coords, weights)
-        return mass
-
-    def _store(self, coords: np.ndarray, w: np.ndarray) -> None:
-        if not (np.isfinite(coords).all() and np.isfinite(w).all()):
+        if not (np.isfinite(pts).all() and np.isfinite(w).all()):
             raise RangeError("points and weights must be finite")
         if not (w > 0).all():
             raise ConfigurationError("all weights must be positive")
+        coords = np.array(pts.T, order="C")
+        w = w.copy()
         coords.flags.writeable = False
         w.flags.writeable = False
         self.coords = coords
@@ -241,15 +229,12 @@ def sample_gaussian_mixture(
     rng = np.random.default_rng(seed)
     idx = rng.choice(len(mixture), size=n, p=comp_w / w_total)
     z = rng.standard_normal((n, d))
-    # drawn straight into the coordinate-major layout, one component at a
-    # time, so no per-point stack of factors is built
-    if len(mixture) == 1:
-        coords = np.einsum("ij,nj->in", chols[0], z) + means[0][:, None]
-    else:
-        coords = np.empty((d, n))
-        for c, (mean, chol) in enumerate(zip(means, chols)):
-            coords[:, idx == c] = np.einsum("ij,nj->in", chol, z[idx == c]) + mean[:, None]
-    return SampledMass._adopt(coords, np.full(n, total / n), label)
+    # drawn in the coordinate-major layout the mass keeps, one component at
+    # a time, so no per-point stack of factors is built
+    coords = np.empty((d, n))
+    for c, (mean, chol) in enumerate(zip(means, chols)):
+        coords[:, idx == c] = np.einsum("ij,nj->in", chol, z[idx == c]) + mean[:, None]
+    return SampledMass(points=coords.T, weights=np.full(n, total / n), label=label)
 
 
 # ----------------------------------------------------------------------

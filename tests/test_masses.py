@@ -64,18 +64,8 @@ def test_sampled_mass_stores_coordinates_once_coordinate_major():
     assert np.array_equal(again.coords, mass.coords) and again.total == mass.total
 
 
-@pytest.mark.parametrize("components", [1, 3])
-def test_drawn_mass_has_the_constructor_layout_and_value_checks(components):
-    # the sampler wraps its coordinate-major draw without the constructor's
-    # copies; the mass must have the constructor's layout, and a non-finite
-    # or non-positive weight must still be refused
-    mixture = [{"mean": [float(c), 0.0, 1.0], "cov": 0.5} for c in range(components)]
-    mass = sample_gaussian_mixture(mixture, 500, seed=2, total=3.0)
-    built = SampledMass(mass.points, mass.weights, mass.label)
-    assert mass.coords.shape == (3, 500) and mass.coords.flags.c_contiguous
-    assert mass.points.base is mass.coords
-    assert not (mass.coords.flags.writeable or mass.weights.flags.writeable)
-    assert np.array_equal(mass.coords, built.coords) and mass.total == built.total
+def test_sampler_refuses_a_non_finite_or_non_positive_total():
+    mixture = [{"mean": [0.0, 0.0, 1.0], "cov": 0.5}]
     for total, error in ((inf, RangeError), (nan, RangeError), (-1.0, ConfigurationError),
                          (0.0, ConfigurationError)):
         with pytest.raises(error):
