@@ -19,7 +19,6 @@ from .certify import MODES, check, verify_identities
 from .exceptions import EquipartError, InternalConsistencyError, SearchSpaceError
 from .families import FAMILIES
 from .jsontypes import SCHEMA_VERSION
-from .masses import load_mass_spec
 from .problems import (
     ConstraintProblem,
     constraint_dimension,
@@ -27,7 +26,6 @@ from .problems import (
     ramos_L,
     upper_U,
 )
-from .solver import SolverConfig, solve
 
 EXIT_OK = 0
 EXIT_INCONCLUSIVE = 1
@@ -218,6 +216,9 @@ def _cmd_atlas(args) -> int:
 
 
 def _cmd_solve(args) -> int:
+    from .masses import load_mass_spec  # the witness layer, and numpy, only for a solve
+    from .solver import SolverConfig, solve
+
     with open(args.problem, "r", encoding="utf-8") as fh:
         problem = ConstraintProblem.from_dict(json.load(fh))
     with open(args.masses, "r", encoding="utf-8") as fh:
@@ -289,8 +290,9 @@ def build_parser() -> _Parser:
     p = sub.add_parser("solve", parents=[common], help="construct a witness arrangement")
     p.add_argument("--problem", required=True, help="problem JSON file")
     p.add_argument("--masses", required=True, help="mass spec JSON file")
-    p.add_argument("--starts", type=int, default=SolverConfig.starts)
-    p.add_argument("--tol", type=float, default=SolverConfig.tol)
+    # SolverConfig's defaults, as literals so that the parser loads no numpy
+    p.add_argument("--starts", type=int, default=32)
+    p.add_argument("--tol", type=float, default=1e-3)
     p.add_argument("--jobs", type=int, default=1)
     p.set_defaults(func=_cmd_solve)
 

@@ -138,6 +138,10 @@ class SampledMass:
             raise RangeError("points and weights must be finite")
         if not (w > 0).all():
             raise ConfigurationError("all weights must be positive")
+        with np.errstate(over="ignore"):  # an overflowing sum is refused below
+            total = float(w.sum())
+        if not np.isfinite(total):
+            raise RangeError(f"weights must have a finite sum, got {total}")
         coords = np.array(pts.T, order="C")
         w = w.copy()
         coords.flags.writeable = False
@@ -145,7 +149,7 @@ class SampledMass:
         self.coords = coords
         self.points = coords.T
         self.weights = w
-        self.total = float(w.sum())
+        self.total = total
 
     def __reduce__(self):
         # pickle (for worker processes) the coordinates once; unpickling

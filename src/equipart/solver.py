@@ -22,16 +22,17 @@ gives no construction, so this is a best-effort multi-start optimizer:
     is never optimized directly (region masses of a point cloud are
     piecewise constant, so it has no useful gradient);
   * every start runs the same 4-stage schedule, one stage per
-    temperature from the handoff down to TAU_FINAL: the two warmest on a
-    subsample of each mass and the two coldest on the full sample; even
-    starts set out from planes through the mass means, odd ones from
-    random planes;
+    temperature from the handoff down to TAU_FINAL, each on a stride
+    subsample of each mass capped by ANNEAL_POINTS: 5,000 points for the
+    two warmest, 20,000 for the third and the full sample for the
+    coldest; even starts set out from planes through the mass means, odd
+    ones from random planes;
   * starts run in index order and the search stops at the first start
     whose hard objective is below `tol`.
 
 `SolverConfig` holds only what a caller chooses: the seed, the number of
 starts, `tol` and the number of worker processes.  The schedule, the
-anneal subsample size and the degenerate-restart limit are module
+anneal subsample caps and the degenerate-restart limit are module
 constants.
 
 An instance no arrangement can satisfy because some stage's mass needs
@@ -58,19 +59,15 @@ from .lbfgs import DEGENERATE_SCORE, MEMORY, minimize
 from .masses import MIN_NORMAL_NORM, HyperplaneParam, SampledMass, parse_label, region_masses
 from .problems import ConstraintProblem
 
-# Annealing schedule, the same for every start: ANNEAL_STAGES temperatures,
-# geometric from the handoff, TAU_HANDOFF_FACTOR times the data diameter,
-# down to TAU_FINAL, each one stage of at most ANNEAL_MAXITER L-BFGS
-# iterations.  The ANNEAL_WARM_STAGES warmest run on the anneal subsample,
-# the rest on the full sample.
+# Annealing schedule, the same for every start: one stage per entry of
+# ANNEAL_POINTS, at temperatures geometric from the handoff,
+# TAU_HANDOFF_FACTOR times the data diameter, down to TAU_FINAL, each of at
+# most ANNEAL_MAXITER L-BFGS iterations.  Stage s anneals on each mass
+# strided down to at most ANNEAL_POINTS[s] points; None is the full sample.
 TAU_FINAL = 1e-3
 TAU_HANDOFF_FACTOR = 0.02
-ANNEAL_STAGES = 4
-ANNEAL_WARM_STAGES = 2
+ANNEAL_POINTS = (5_000, 5_000, 20_000, None)
 ANNEAL_MAXITER = 50
-# Each mass is strided down to at most ANNEAL_SUBSAMPLE points for the
-# warm stages of the schedule.
-ANNEAL_SUBSAMPLE = 5_000
 DEGENERATE_TOL = 1e-6  # unit plane vectors this close, up to sign, coincide
 # A start whose final planes degenerate or coincide is redrawn from its own
 # RNG stream at most this many times.
@@ -473,15 +470,15 @@ def _data_diameter(masses: Sequence[SampledMass]) -> float:
     return max(float(np.linalg.norm(hi - lo)), 1e-6)
 
 
-def _subsample(mass: SampledMass) -> SampledMass:
-    """Deterministic stride subsample, to at most ANNEAL_SUBSAMPLE points,
-    for the warm stages.  The points are exchangeable, so striding is
-    an unbiased reduction; every reported residual is still computed on
-    the full sample."""
+def _subsample(mass: SampledMass, cap: int | None) -> SampledMass:
+    """Deterministic stride subsample, to at most `cap` points (None: the
+    whole mass), for one anneal stage.  The points are exchangeable, so
+    striding is an unbiased reduction; every reported residual is still
+    computed on the full sample."""
     n = mass.points.shape[0]
-    if n <= ANNEAL_SUBSAMPLE:
+    if cap is None or n <= cap:
         return mass
-    stride = -(-n // ANNEAL_SUBSAMPLE)
+    stride = -(-n // cap)
     return SampledMass(
         points=mass.points[::stride], weights=mass.weights[::stride], label=mass.label
     )
@@ -515,26 +512,28 @@ def _seeded_raw(
 
 def _run_start(
     args,
-) -> tuple[int, float, np.ndarray, int, int, MassArrangementWitness | None]:
+) -> tuple[int, float, np.ndarray, int, list[int], MassArrangementWitness | None]:
     """One multi-start trajectory; returns (start index, hard objective,
     final raw parameters, degenerate-restart count, smoothed-objective
-    evaluations, the witness of the final planes or None if they
-    degenerate)."""
+    evaluations per stage, the witness of the final planes or None if
+    they degenerate)."""
     (start, problem, masses, points, seed, d, taus) = args
     by_key = _organize_masses(problem, masses)
-    anneal_key = {key: _subsample(mass) for key, mass in by_key.items()}
     cont = _organize_points(problem, points, d)
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(0, start)))
     seeded = start % 2 == 0
-    # The warm stages only locate the basin, which the subsample does as
-    # well as the full sample at a fraction of the cost; the cold stages
-    # run on the full sample, so they correct for the subsample, and the
-    # coldest leaves the iterate that the hard objective scores.
-    schedule = [
-        (tau, anneal_key if stage < ANNEAL_WARM_STAGES else by_key)
-        for stage, tau in enumerate(taus)
-    ]
-    restarts = evaluations = 0
+    # The warm stages only locate the basin, which a small subsample does as
+    # well as the full sample at a fraction of the cost, and the third only
+    # refines it, which a larger one does; the coldest runs on the full
+    # sample, so it corrects for the subsamples and leaves the iterate that
+    # the hard objective scores.
+    subsampled = {
+        cap: {key: _subsample(mass, cap) for key, mass in by_key.items()}
+        for cap in set(ANNEAL_POINTS)
+    }
+    schedule = [(tau, subsampled[cap]) for tau, cap in zip(taus, ANNEAL_POINTS)]
+    restarts = 0
+    evaluations = [0] * len(schedule)
     while True:
         if seeded:
             raw = _seeded_raw(problem, by_key, rng, d)
@@ -550,11 +549,11 @@ def _run_start(
         # a stage starts from the curvature the last one learned, not from
         # a steepest-descent step.  A redrawn attempt starts from no pairs.
         pairs: deque = deque(maxlen=MEMORY)
-        for tau, keys in schedule:
-            stage = (problem, keys, cont, d, float(tau))
-            res = minimize(_objective, x, args=stage, maxiter=ANNEAL_MAXITER, pairs=pairs)
+        for stage, (tau, keys) in enumerate(schedule):
+            anneal = (problem, keys, cont, d, float(tau))
+            res = minimize(_objective, x, args=anneal, maxiter=ANNEAL_MAXITER, pairs=pairs)
             x = res.x
-            evaluations += res.nfev
+            evaluations[stage] += res.nfev
         planes = assemble_hyperplanes(x.reshape(problem.k, d + 1), problem, cont)
         if planes is not None and not _coincident(planes, DEGENERATE_TOL):
             break
@@ -598,9 +597,9 @@ def solve(
         )
     _organize_points(problem, points, d)  # bad points are refused before any start
     handoff = max(TAU_HANDOFF_FACTOR * _data_diameter(masses), TAU_FINAL)
-    taus = np.geomspace(handoff, TAU_FINAL, ANNEAL_STAGES)
+    taus = np.geomspace(handoff, TAU_FINAL, len(ANNEAL_POINTS))
 
-    results: list[tuple[int, float, np.ndarray, int, int, MassArrangementWitness | None]] = []
+    results: list[tuple[int, float, np.ndarray, int, list[int], MassArrangementWitness | None]] = []
     args = (problem, list(masses), list(points), cfg.seed, d, taus)
 
     def run_starts(run_map) -> None:
@@ -638,6 +637,7 @@ def solve(
                 axis[i % d] = 1.0
                 planes.append(HyperplaneParam(axis))
         witness = residuals(problem, masses, planes, points)
+    stage_evaluations = [sum(counts) for counts in zip(*(r[4] for r in results))]
     witness.success = bool(witness.objective < cfg.tol)
     witness.seed = cfg.seed
     witness.config = cfg.to_dict()
@@ -645,6 +645,7 @@ def solve(
         "starts_run": len(results),
         "best_start": start,
         "degenerate_restarts": int(sum(r[3] for r in results)),
-        "evaluations": int(sum(r[4] for r in results)),
+        "evaluations": sum(stage_evaluations),
+        "stage_evaluations": stage_evaluations,
     }
     return witness

@@ -31,6 +31,8 @@ version.  The suites, by instance kind:
   pinned       k = 1, d masses in R^d
   medium       as general with 1-3 Gaussians per mass, 5,000-20,000 points
   large        k = d = 2 or 3, otherwise as general, 20,000-40,000 points
+  xlarge       as large, 40,000-100,000 points (the sizes of the
+               benchmark solves)
 """
 
 from __future__ import annotations
@@ -58,11 +60,12 @@ SUITES = {
     "pinned": (40, (2_000, 5_000), (1, 1), 0.0),
     "medium": (100, (5_000, 20_000), (1, 3), 0.15),
     "large": (100, (20_000, 40_000), (1, 1), 0.15),
+    "xlarge": (40, (40_000, 100_000), (1, 1), 0.15),
 }
 
 
 def _dims(rng: np.random.Generator, suite: str) -> tuple[int, int]:
-    if suite == "large":
+    if suite in ("large", "xlarge"):
         k = int(rng.integers(2, 4))
         return k, k
     if suite == "pinned":

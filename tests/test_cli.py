@@ -10,8 +10,9 @@ from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from equipart.certify import verify_identities
-from equipart.cli import run
+from equipart.cli import build_parser, run
 from equipart.problems import ConstraintProblem, compile_forms
+from equipart.solver import SolverConfig
 
 from oracle import product_of_forms_oracle
 
@@ -387,6 +388,16 @@ def test_solve_end_to_end(tmp_path, capsys):
     assert doc["success"] is True and doc["seed"] == 3
     # round trip under the same schema
     assert json.loads(json.dumps(doc)) == doc
+
+
+def test_solve_flag_defaults_are_the_solver_config_defaults():
+    # the parser spells them as literals, so that building it loads no
+    # numpy; they must still be SolverConfig's
+    args = build_parser().parse_args(["solve", "--problem", "p.json", "--masses", "m.json"])
+    default = SolverConfig()
+    assert (args.seed, args.starts, args.tol, args.jobs) == (
+        default.seed, default.starts, default.tol, default.jobs
+    )
 
 
 def test_solve_refuses_a_stage_its_planes_cannot_cut_finely_enough(tmp_path, capsys):

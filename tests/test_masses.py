@@ -49,6 +49,15 @@ def test_sampled_mass_rejects_non_finite_input():
         SampledMass(np.zeros((2, 2)), [1.0, nan], "1.1")
 
 
+def test_sampled_mass_rejects_weights_whose_sum_overflows():
+    # every weight is finite, but their total is not, and every region mass
+    # divided by it would be NaN
+    with pytest.raises(RangeError, match="finite sum"):
+        SampledMass(np.zeros((1_000, 2)), np.full(1_000, 1e306), "1.1")
+    near = SampledMass(np.zeros((1_000, 2)), np.full(1_000, 1e305), "1.1")
+    assert near.total == pytest.approx(1e308)
+
+
 def test_sampled_mass_stores_coordinates_once_coordinate_major():
     pts = np.random.default_rng(3).standard_normal((50, 3))
     w = np.random.default_rng(4).uniform(0.1, 2.0, 50)

@@ -18,7 +18,7 @@ from equipart.exceptions import ConfigurationError, RangeError, ShapeError
 from equipart.masses import HyperplaneParam, sample_gaussian_mixture
 from equipart.problems import ConstraintProblem
 from equipart.solver import (
-    ANNEAL_SUBSAMPLE,
+    ANNEAL_POINTS,
     MAX_DEGENERATE_RESTARTS,
     SolverConfig,
     _subsample,
@@ -264,17 +264,20 @@ def test_config_rejects_a_tol_that_is_not_a_number(value):
     assert SolverConfig(tol=0).tol == 0 and SolverConfig(tol=np.float64(1e-4)).tol == 1e-4
 
 
-def test_subsample_strides_a_mass_down_to_anneal_subsample():
-    # a mass of at most ANNEAL_SUBSAMPLE points anneals whole; a larger one
-    # keeps every stride-th point and weight, at most ANNEAL_SUBSAMPLE of them
-    small = gaussian(ANNEAL_SUBSAMPLE, (20,), "1.1")
-    assert _subsample(small) is small
-    for n, stride in ((ANNEAL_SUBSAMPLE + 1, 2), (3 * ANNEAL_SUBSAMPLE + 7, 4)):
+@pytest.mark.parametrize("cap", sorted({cap for cap in ANNEAL_POINTS if cap is not None}))
+def test_subsample_strides_a_mass_down_to_each_anneal_cap(cap):
+    # a mass of at most `cap` points anneals whole; a larger one keeps every
+    # stride-th point and weight, at most `cap` of them; no cap (None)
+    # keeps the whole mass
+    small = gaussian(cap, (20,), "1.1")
+    assert _subsample(small, cap) is small
+    for n, stride in ((cap + 1, 2), (3 * cap + 7, 4)):
         mass = gaussian(n, (21,), "2.1")
-        sub = _subsample(mass)
-        assert sub.points.shape[0] <= ANNEAL_SUBSAMPLE and sub.label == "2.1"
+        sub = _subsample(mass, cap)
+        assert sub.points.shape[0] <= cap and sub.label == "2.1"
         assert np.array_equal(sub.points, mass.points[::stride])
         assert np.array_equal(sub.weights, mass.weights[::stride])
+        assert _subsample(mass, None) is mass
 
 
 def recorded_minimize_calls(monkeypatch):
@@ -325,8 +328,8 @@ def test_solver_is_gradient_only(monkeypatch):
 def test_every_start_runs_the_same_schedule(monkeypatch):
     # an unseeded (odd) start runs the 4 temperatures, iteration caps and
     # mass sets of a seeded (even) one: geometric from the handoff down to
-    # TAU_FINAL, each used once, the 2 warmest on the anneal subsample and
-    # the 2 coldest on the full sample
+    # TAU_FINAL, each used once, the 2 warmest on every 5th point, the
+    # third on every 2nd and the coldest on the full sample
     stages = []
     original = equipart.solver.minimize
 
@@ -336,7 +339,7 @@ def test_every_start_runs_the_same_schedule(monkeypatch):
         return original(fun, x0, args=args, **kwargs)
 
     monkeypatch.setattr(equipart.solver, "minimize", recording)
-    mass = gaussian(ANNEAL_SUBSAMPLE + 1, (22,), "1.1")
+    mass = gaussian(20_001, (22,), "1.1")
     cfg = SolverConfig(starts=2, tol=-1.0)
     w = solve(ConstraintProblem.of(1, m=(1,)), [mass], config=cfg)
     assert w.diagnostics["starts_run"] == 2
@@ -344,8 +347,8 @@ def test_every_start_runs_the_same_schedule(monkeypatch):
     assert odd == even
     handoff = equipart.solver.TAU_HANDOFF_FACTOR * equipart.solver._data_diameter([mass])
     taus = np.geomspace(handoff, equipart.solver.TAU_FINAL, 4)
-    sub, full = {(1, 1): (ANNEAL_SUBSAMPLE + 2) // 2}, {(1, 1): ANNEAL_SUBSAMPLE + 1}
-    assert even == [(tau, 50, sub if stage < 2 else full) for stage, tau in enumerate(taus)]
+    seen = (4_001, 4_001, 10_001, 20_001)
+    assert even == [(tau, 50, {(1, 1): n}) for tau, n in zip(taus, seen)]
 
 
 def test_a_degenerate_restart_starts_from_an_empty_memory(monkeypatch):
@@ -366,7 +369,8 @@ def test_a_degenerate_restart_starts_from_an_empty_memory(monkeypatch):
 
 def test_diagnostics_count_the_evaluations_of_every_start_run(monkeypatch):
     # `evaluations` sums the smoothed-objective evaluations of every stage
-    # of every attempt of every start run, redrawn attempts included
+    # of every attempt of every start run, redrawn attempts included, and
+    # `stage_evaluations` splits that sum by stage
     nfev = []
     original = equipart.solver.minimize
 
@@ -381,12 +385,14 @@ def test_diagnostics_count_the_evaluations_of_every_start_run(monkeypatch):
     w = solve(ConstraintProblem.of(2, m=(1, 0)), [m1], config=cfg)
     assert w.diagnostics["starts_run"] == 3 and len(nfev) == 3 * 4
     assert w.diagnostics["evaluations"] == sum(nfev)
+    assert w.diagnostics["stage_evaluations"] == [sum(nfev[stage::4]) for stage in range(4)]
     nfev.clear()
     m3 = gaussian(300, (14,), "3.1")
     problem = ConstraintProblem.of(3, m=(0, 0, 1), ortho=[(1, 2), (1, 3), (2, 3)])
     w = solve(problem, [m3], config=dataclasses.replace(FAST, starts=1))
     assert w.diagnostics["degenerate_restarts"] == MAX_DEGENERATE_RESTARTS + 1
     assert w.diagnostics["evaluations"] == sum(nfev) > 0
+    assert w.diagnostics["stage_evaluations"] == [sum(nfev[stage::4]) for stage in range(4)]
 
 
 def test_every_objective_evaluation_assembles_and_counts_regions(monkeypatch):
@@ -644,10 +650,12 @@ QUALITY_INSTANCES = [  # (k, m, a, ortho, d, points per mass), each certified in
     (3, (1, 0, 0), (0, 1, 0), [(1, 3)], 4, 3_000),
     (3, (1, 0, 1), (0, 0, 0), [], 4, 3_000),
     (3, (0, 0, 2), (1, 0, 0), [(1, 2), (2, 3)], 2, 3_000),
-    # past ANNEAL_SUBSAMPLE: the warm stages anneal on a subsample
+    # past the 5,000-point cap the warm stages anneal on a subsample, and
+    # past the 20,000-point cap so does the third stage
     (1, (2,), (0,), [], 2, 30_000),
     (2, (1, 1), (0, 1), [(1, 2)], 3, 20_000),
     (3, (1, 0, 0), (0, 0, 0), [(1, 2)], 4, 40_000),
+    (1, (2,), (0,), [], 2, 100_000),
 ]
 
 
@@ -858,8 +866,10 @@ def test_witness_json_schema():
     assert set(doc["residuals"]) == {"equipartition", "orthogonality", "containment"}
     assert doc["seed"] == 0 and doc["config"]["starts"] == 4
     assert set(doc["diagnostics"]) == {
-        "starts_run", "best_start", "degenerate_restarts", "evaluations"
+        "starts_run", "best_start", "degenerate_restarts", "evaluations", "stage_evaluations"
     }
     assert doc["diagnostics"]["starts_run"] >= 1
+    stages = doc["diagnostics"]["stage_evaluations"]
+    assert len(stages) == 4 and sum(stages) == doc["diagnostics"]["evaluations"]
     hp = doc["hyperplanes"][0]
     assert set(hp) == {"normal", "offset"}

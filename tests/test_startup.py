@@ -1,5 +1,6 @@
 """Start-up cost: importing the package, answering certificate queries and
-solving load no scipy module, and only jobs > 1 loads a process pool."""
+solving load no scipy module, only a solve loads numpy, and only jobs > 1
+loads a process pool."""
 
 import json
 import os
@@ -22,6 +23,7 @@ def scipy_modules():
     return modules("scipy")
 
 imported = scipy_modules()
+numpy_imported = modules("numpy")
 codes = []
 with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
     for argv in (
@@ -34,6 +36,7 @@ with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.St
     ):
         codes.append(equipart.cli.run(argv))
 queried = scipy_modules()
+numpy_queried = modules("numpy")
 pools = modules("concurrent.futures")
 mass = equipart.sample_gaussian_mixture(
     [{"mean": [0.0, 0.0], "cov": "I", "weight": 1}], 200, seed=0
@@ -43,7 +46,8 @@ equipart.solve(
     config=equipart.SolverConfig(starts=1),
 )
 print(json.dumps({"codes": codes, "imported": imported, "queried": queried,
-                  "solved": scipy_modules(), "pools": pools}))
+                  "solved": scipy_modules(), "pools": pools,
+                  "numpy": [numpy_imported, numpy_queried, "numpy" in sys.modules]}))
 """
 
 
@@ -64,6 +68,13 @@ def probe():
 def test_no_scipy_module_loads_even_after_a_solve(probe):
     assert probe["codes"] == [0, 0, 0, 0, 0, 0]
     assert probe["imported"] == [] and probe["queried"] == [] and probe["solved"] == []
+
+
+def test_only_a_solve_loads_numpy(probe):
+    # the package import and the certify-only subcommands load no numpy
+    # module; the solve after them does
+    assert probe["codes"] == [0, 0, 0, 0, 0, 0]
+    assert probe["numpy"] == [[], [], True]
 
 
 def test_no_process_pool_module_without_parallel_jobs(probe):
