@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import inspect
 import json
+import signal
 import sys
 
 from . import knownvalues
@@ -327,6 +328,10 @@ def run(argv=None) -> int:
 
 
 def main() -> None:
+    # a reader that closes stdout early ends the process as it ends `cat`,
+    # not with an OSError that `run` would report as a usage error
+    if hasattr(signal, "SIGPIPE"):
+        signal.signal(signal.SIGPIPE, signal.SIG_DFL)
     sys.exit(run())
 
 

@@ -61,6 +61,8 @@ def _build() -> list[KnownValue]:
             (2 ** (q + 1), base),
             (2 ** (q + 1) + 1, base + 2),
         ):
+            if (q, m) == (1, 3):
+                continue  # q=0 already gave (3, 5), as 2 ** (q + 1) + 1
             entries.append(
                 _exact(
                     ConstraintProblem.of(2, m=(m,)),
@@ -88,13 +90,14 @@ def _build() -> list[KnownValue]:
         )
     )
     for q in range(0, 4):
-        entries.append(
-            _exact(
-                ConstraintProblem.of(2, m=(2 ** (q + 1) - 1,), ortho=all_pairs(2)),
-                3 * 2**q - 1,
-                "restriction method (imported, not recomputed)",
+        if q:  # q=0 is the pair of orthogonal lines above
+            entries.append(
+                _exact(
+                    ConstraintProblem.of(2, m=(2 ** (q + 1) - 1,), ortho=all_pairs(2)),
+                    3 * 2**q - 1,
+                    "restriction method (imported, not recomputed)",
+                )
             )
-        )
         entries.append(
             _exact(
                 ConstraintProblem.of(2, m=(2 ** (q + 2) - 2,), ortho=all_pairs(2)),
@@ -314,9 +317,7 @@ def _build() -> list[KnownValue]:
     return entries
 
 
-_TABLE: dict[ConstraintProblem, KnownValue] = {}
-for _kv in _build():
-    _TABLE.setdefault(_kv.problem, _kv)
+_TABLE: dict[ConstraintProblem, KnownValue] = {kv.problem: kv for kv in _build()}
 
 
 def lookup(problem: ConstraintProblem) -> KnownValue | None:

@@ -14,7 +14,14 @@ Each suite prints one JSON line: solves, successes, starts run, smoothed
 objective evaluations, threshold misses (successful solves whose largest
 equipartition residual is 5e-3 or more) and the wall time of its solves.
 `--record FILE` also writes one JSON line per solve, so the success sets
-of two runs can be compared instance by instance.
+of two runs can be compared instance by instance:
+
+    PYTHONPATH=src python tests/solver_suites.py --compare other.jsonl this.jsonl
+
+runs no solves.  It prints one JSON line per suite and one for the total:
+the evaluations of both runs and their ratio (new / old), the successes
+lost and gained, the threshold misses added and removed, and the solves
+whose number of starts changed, each instance named "<suite> <seed> #<index>".
 
 Every instance has at most kd conditions, no stage cut by more planes
 than the dimension (`solve` refuses those), and a free normal direction
@@ -145,10 +152,55 @@ def run_suite(suite: str, record) -> dict:
     return {"suite": suite, "seeds": list(SEEDS), **summary, "wall_s": round(wall, 3)}
 
 
+def _read_record(path: str) -> dict:
+    with open(path) as f:
+        rows = [json.loads(line) for line in f if line.strip()]
+    return {(row["suite"], row["seed"], row["index"]): row for row in rows}
+
+
+def _missed(row: dict) -> bool:
+    return row["success"] and row["max_equipartition"] >= THRESHOLD
+
+
+def compare(old: dict, new: dict) -> list[dict]:
+    """Per suite and in total, how the solves recorded in `new` differ
+    from the same instances recorded in `old`."""
+    if old.keys() != new.keys():
+        raise SystemExit("the two records do not hold the same solves")
+    groups = {suite: [key for key in old if key[0] == suite] for suite in SUITES}
+    groups = {suite: keys for suite, keys in groups.items() if keys} | {"total": list(old)}
+    reports = []
+    for suite, keys in groups.items():
+
+        def changed(test):
+            return ["%s %d #%d" % key for key in keys if test(old[key], new[key])]
+
+        evaluations = [sum(run[key]["evaluations"] for key in keys) for run in (old, new)]
+        reports.append({
+            "suite": suite, "solves": len(keys), "evaluations": evaluations,
+            "ratio": round(evaluations[1] / evaluations[0], 4),
+            "successes_lost": changed(lambda a, b: a["success"] and not b["success"]),
+            "successes_gained": changed(lambda a, b: b["success"] and not a["success"]),
+            "misses_added": changed(lambda a, b: _missed(b) and not _missed(a)),
+            "misses_removed": changed(lambda a, b: _missed(a) and not _missed(b)),
+            "starts_changed": [["%s %d #%d" % key, old[key]["starts_run"], new[key]["starts_run"]]
+                               for key in keys
+                               if old[key]["starts_run"] != new[key]["starts_run"]],
+        })
+    return reports
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--record", help="also write one JSON line per solve to this file")
+    group = parser.add_mutually_exclusive_group()
+    group.add_argument("--record", help="also write one JSON line per solve to this file")
+    group.add_argument("--compare", nargs=2, metavar=("OLD", "NEW"),
+                       help="compare two --record files; runs no solves")
     args = parser.parse_args(argv)
+    if args.compare:
+        for report in compare(*map(_read_record, args.compare)):
+            print(json.dumps(report))
+        return 0
     record = open(args.record, "w") if args.record else None
     try:
         for suite in SUITES:

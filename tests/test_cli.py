@@ -1,6 +1,10 @@
 import contextlib
 import io
 import json
+import os
+import signal
+import subprocess
+import sys
 import tempfile
 import time
 from pathlib import Path
@@ -789,6 +793,26 @@ def test_usage_error_single_line(capsys):
 
 def test_unknown_subcommand(capsys):
     assert run(["frobnicate"]) == 2
+
+
+@pytest.mark.skipif(not hasattr(signal, "SIGPIPE"), reason="no SIGPIPE on this platform")
+def test_a_closed_stdout_ends_the_process_by_sigpipe():
+    # the reader of stdout is gone before the document is written: the
+    # process dies of SIGPIPE, as `cat` does, with no usage error
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "equipart.cli", "bound", "--k", "4", "--m", "1"],
+            stdout=write_end, stderr=subprocess.PIPE, text=True, timeout=60,
+            env={**os.environ, "PYTHONPATH": path},
+        )
+    finally:
+        os.close(write_end)
+    assert proc.stderr == ""
+    assert proc.returncode == -signal.SIGPIPE
 
 
 def test_missing_file_exit_2(capsys):

@@ -29,6 +29,11 @@ def test_lookup_miss():
     assert knownvalues.lookup(ConstraintProblem.of(4, m=(1,))) is None
 
 
+def test_no_problem_is_listed_twice():
+    problems = [kv.problem for kv in knownvalues._build()]
+    assert len(problems) == len(set(problems)) == len(knownvalues.entries())
+
+
 def test_lookup_ignores_ortho_listing_order():
     a = ConstraintProblem.of(3, m=(1, 1, 0), ortho=[(2, 3), (1, 3)])
     assert knownvalues.lookup(a) is not None
