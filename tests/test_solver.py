@@ -600,14 +600,15 @@ def test_minimize_starts_from_carried_pairs_with_the_unit_step():
     assert np.array_equal(trials[1], x0 + min(1 / np.sqrt(g0 @ g0), lbfgs.STPMAX) * -g0)
 
 
-def test_minimize_reaches_the_minima_scipy_lbfgsb_reaches():
-    # on fixed draws of smoothed objectives at the tail stages' iteration
-    # cap, most runs end no higher than scipy's L-BFGS-B, and over all
-    # draws evaluations stay within 5% of scipy's.  Both stop on
-    # max|g| <= 1e-5, which pins the value only to about 1e-8 on these
-    # objectives, so "no higher" allows 1e-7.  Some draws are unstable in
-    # scipy alone: its result moves by more than 1e-10 when x0 moves by
-    # one ulp.  Those are left out of the count
+def test_minimize_matches_scipy_lbfgsb():
+    # the same method as scipy's L-BFGS-B, checked on fixed draws of
+    # smoothed objectives at the tail stages' iteration cap: the final
+    # values agree to 1e-9, and over all draws evaluations stay within 5%
+    # of scipy's.  The two round H g differently (a two-loop recursion
+    # here, a compact matrix form there), and some runs amplify rounding
+    # until they end apart.  Such a draw shows itself in scipy alone: its
+    # result moves by more than 1e-10 when x0 moves by one ulp.  Those
+    # draws are left out of the value check, and must stay few
     optimize = pytest.importorskip("scipy.optimize")
     draws = []
 
@@ -622,7 +623,7 @@ def test_minimize_reaches_the_minima_scipy_lbfgsb_reaches():
                                  method="L-BFGS-B", jac=True, options={"maxiter": 50})
 
     collect()
-    reached, nfev, nfev_scipy = 0, 0, 0
+    compared, nfev, nfev_scipy = 0, 0, 0
     for x0, args in draws:
         ours = lbfgs.minimize(equipart.solver._objective, x0, args=args, maxiter=50)
         ref = scipy_run(x0, args)
@@ -630,55 +631,62 @@ def test_minimize_reaches_the_minima_scipy_lbfgsb_reaches():
         nudged = (np.nextafter(x0, np.inf), np.nextafter(x0, -np.inf),
                   x0 * (1 + 2**-52), x0 * (1 - 2**-53))
         if all(abs(scipy_run(x, args).fun - ref.fun) <= 1e-10 for x in nudged):
-            reached += ours.fun <= ref.fun + 1e-7
-    assert len(draws) == 50 and reached >= 40
+            compared += 1
+            assert abs(ours.fun - ref.fun) <= 1e-9
+    assert len(draws) == 50 and compared >= 40
     assert nfev <= 1.05 * nfev_scipy
 
 
-def recorded_line(values):
-    """phi for `_line_search` that returns values[i] at its i-th call (None
-    fails the trial), and the steps it was called with."""
+def recorded_line(line):
+    """phi for `_line_search` that returns line(stp), a (value, slope) pair
+    or None to fail the trial, and the steps it was called with."""
     steps = []
 
     def phi(stp):
         steps.append(stp)
-        return values[len(steps) - 1]
+        return line(stp)
 
     return phi, steps
 
 
-def test_line_search_accepts_the_first_sufficient_decrease():
-    # f(0) = 1, f'(0) = -2: stp 0.5 needs f <= 1 - 1e-3 * 0.5 * 2
-    phi, steps = recorded_line([1 - lbfgs.FTOL * 0.5 * 2])
-    assert lbfgs._line_search(phi, 1.0, -2.0, 0.5) == 0.5 and steps == [0.5]
-    phi, steps = recorded_line([2.0, 5.0, 0.0, -1.0])
-    assert lbfgs._line_search(phi, 1.0, -2.0, 1.0) == steps[2] and len(steps) == 3
+def parabola(stp):
+    # f(0) = 1, f'(0) = -2, least at stp = 1
+    return 1 - 2 * stp + stp * stp, -2 + 2 * stp
 
 
-@pytest.mark.parametrize("value", [1.0, 1.0 + 1e-12, 1.5, 10.0, 1e6])
-def test_line_search_backtracks_within_a_tenth_and_a_half(value):
-    # rejected trials of every height: a near-flat one wants the cap of
-    # half the step, a steep one the floor of a tenth; in between the
-    # step is the minimizer of the quadratic through f(0), f'(0), f(stp)
-    finit, ginit = 1.0, -2.0
-    phi, steps = recorded_line([value] * lbfgs.MAXLS)
-    assert lbfgs._line_search(phi, finit, ginit, 1.0) is None
-    assert len(steps) == lbfgs.MAXLS
-    for prev, stp in zip(steps, steps[1:]):
-        assert 0.1 * prev <= stp <= 0.5 * prev
-        quadratic = -ginit * prev**2 / (2 * (value - finit - ginit * prev))
-        assert stp == min(max(quadratic, 0.1 * prev), 0.5 * prev)
+def test_line_search_accepts_the_first_trial_meeting_both_conditions():
+    # sufficient decrease f <= 1 - FTOL stp 2 and curvature |f'| <= GTOL 2
+    for stp in (1.0, 0.2, 1.8):
+        phi, steps = recorded_line(parabola)
+        assert lbfgs._line_search(phi, 1.0, -2.0, stp) == stp and steps == [stp]
 
 
-def test_line_search_fails_on_a_bad_trial_or_after_maxls_rejections():
-    phi, steps = recorded_line([2.0, None, 0.0])
-    assert lbfgs._line_search(phi, 1.0, -2.0, 1.0) is None and len(steps) == 2
-    phi, steps = recorded_line([1.0] * (lbfgs.MAXLS - 1) + [0.0])
-    assert lbfgs._line_search(phi, 1.0, -2.0, 1.0) == steps[-1]
-    assert len(steps) == lbfgs.MAXLS
-    phi, steps = recorded_line([1.0] * lbfgs.MAXLS + [0.0])
-    assert lbfgs._line_search(phi, 1.0, -2.0, 1.0) is None
-    assert len(steps) == lbfgs.MAXLS
+def test_line_search_extends_a_step_whose_slope_is_still_steep():
+    # stp 0.01 decreases f enough, but f' = -1.98 fails the curvature
+    # test: the next trial is longer, at most 5 times the first
+    phi, steps = recorded_line(parabola)
+    stp = lbfgs._line_search(phi, 1.0, -2.0, 0.01)
+    assert 0.01 < steps[1] <= 0.05 and stp == steps[-1] and len(steps) <= 3
+    assert abs(parabola(stp)[1]) <= lbfgs.GTOL * 2
+
+
+def test_line_search_cuts_back_a_step_without_sufficient_decrease():
+    # f(3) = 4 is above f(0): the cubic through both ends is the parabola,
+    # so the second trial is its minimizer
+    phi, steps = recorded_line(parabola)
+    assert lbfgs._line_search(phi, 1.0, -2.0, 3.0) == 1.0 and steps == [3.0, 1.0]
+
+
+def test_line_search_fails_on_a_bad_trial_or_after_maxls_trials():
+    phi, steps = recorded_line(lambda stp: None)
+    assert lbfgs._line_search(phi, 1.0, -2.0, 1.0) is None and steps == [1.0]
+    phi, steps = recorded_line(lambda stp: None if stp < 3 else parabola(stp))
+    assert lbfgs._line_search(phi, 1.0, -2.0, 3.0) is None and len(steps) == 2
+    # a line that falls at the slope of its start never meets the
+    # curvature test, and the extrapolated steps stay below STPMAX
+    phi, steps = recorded_line(lambda stp: (1 - 2 * stp, -2.0))
+    assert lbfgs._line_search(phi, 1.0, -2.0, 1e-6) is None
+    assert len(steps) == lbfgs.MAXLS and steps[-1] < lbfgs.STPMAX
 
 
 QUALITY_INSTANCES = [  # (k, m, a, ortho, d, points per mass), each certified in relaxed mode
