@@ -319,6 +319,13 @@ def run(argv=None) -> int:
     except InternalConsistencyError as exc:
         print(json.dumps({"error": str(exc), "kind": "internal"}), file=sys.stderr)
         return EXIT_INTERNAL
+    except MemoryError as exc:
+        # a spec under MAX_SAMPLE_VALUES can still outgrow the free memory
+        print(
+            json.dumps({"error": f"MemoryError: {str(exc) or 'out of memory'}", "kind": "usage"}),
+            file=sys.stderr,
+        )
+        return EXIT_USAGE
     except (EquipartError, OSError, ValueError, KeyError) as exc:
         print(
             json.dumps({"error": f"{type(exc).__name__}: {exc}", "kind": "usage"}),

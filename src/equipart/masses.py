@@ -8,6 +8,8 @@ its complement.  Near-zero normals would describe the degenerate
 
 A `SampledMass` stores its coordinates once, coordinate-major: `coords`
 is a C-contiguous (d, N) array and `points` its (N, d) transposed view.
+`sample_gaussian_mixture` writes the mass in place: it draws straight
+into that array, which the mass then keeps without a copy.
 
 `region_masses` is the one region-mass kernel, shared by the solver's
 objective and its residuals.  It works in row layout: the n hyperplanes
@@ -134,7 +136,12 @@ class SampledMass:
             raise ShapeError("points must be a non-empty (N, d) array")
         if w.shape != (pts.shape[0],):
             raise ShapeError("weights must be a length-N vector")
-        if not (np.isfinite(pts).all() and np.isfinite(w).all()):
+        self._store(np.array(pts.T, order="C"), w.copy())
+
+    def _store(self, coords: np.ndarray, w: np.ndarray) -> None:
+        """Check and freeze a (d, N) C-contiguous float array and its
+        length-N weights, which this mass then owns, and take the total."""
+        if not (np.isfinite(coords).all() and np.isfinite(w).all()):
             raise RangeError("points and weights must be finite")
         if not (w > 0).all():
             raise ConfigurationError("all weights must be positive")
@@ -142,14 +149,22 @@ class SampledMass:
             total = float(w.sum())
         if not np.isfinite(total):
             raise RangeError(f"weights must have a finite sum, got {total}")
-        coords = np.array(pts.T, order="C")
-        w = w.copy()
         coords.flags.writeable = False
         w.flags.writeable = False
         self.coords = coords
         self.points = coords.T
         self.weights = w
         self.total = total
+
+    @classmethod
+    def _adopt(cls, coords: np.ndarray, w: np.ndarray, label: str) -> "SampledMass":
+        """A mass on a (d, N) C-contiguous float array and length-N float
+        weights that the caller has just built and keeps no other reference
+        to: the same checks as the constructor, without its copy."""
+        mass = object.__new__(cls)
+        mass.label = label
+        mass._store(coords, w)
+        return mass
 
     def __reduce__(self):
         # pickle (for worker processes) the coordinates once; unpickling
@@ -232,13 +247,24 @@ def sample_gaussian_mixture(
 
     rng = np.random.default_rng(seed)
     idx = rng.choice(len(mixture), size=n, p=comp_w / w_total)
+    if len(mixture) == 1:
+        del idx  # drawn only to keep the stream in step
     z = rng.standard_normal((n, d))
-    # drawn in the coordinate-major layout the mass keeps, one component at
-    # a time, so no per-point stack of factors is built
+    # drawn straight into the coordinate-major array the mass keeps, one
+    # component at a time, so no per-point stack of factors is built
     coords = np.empty((d, n))
-    for c, (mean, chol) in enumerate(zip(means, chols)):
-        coords[:, idx == c] = np.einsum("ij,nj->in", chol, z[idx == c]) + mean[:, None]
-    return SampledMass(points=coords.T, weights=np.full(n, total / n), label=label)
+    if len(mixture) == 1:
+        np.einsum("ij,nj->in", chols[0], z, out=coords)
+        coords += means[0][:, None]
+    else:
+        for c, (mean, chol) in enumerate(zip(means, chols)):
+            mask = idx == c
+            block = np.einsum("ij,nj->in", chol, z[mask])
+            block += mean[:, None]
+            coords[:, mask] = block
+            del mask, block
+    del z
+    return SampledMass._adopt(coords, np.full(n, total / n), label)
 
 
 # ----------------------------------------------------------------------

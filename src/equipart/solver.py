@@ -526,14 +526,10 @@ def _run_start(
     # well as the full sample at a fraction of the cost, and the third only
     # refines it, which a larger one does; the coldest runs on the full
     # sample, so it corrects for the subsamples and leaves the iterate that
-    # the hard objective scores.
-    subsampled = {
-        cap: {key: _subsample(mass, cap) for key, mass in by_key.items()}
-        for cap in set(ANNEAL_POINTS)
-    }
-    schedule = [(tau, subsampled[cap]) for tau, cap in zip(taus, ANNEAL_POINTS)]
+    # the hard objective scores.  Each stage's subsample is built just
+    # before it runs and dropped after, so none outlives its stage.
     restarts = 0
-    evaluations = [0] * len(schedule)
+    evaluations = [0] * len(taus)
     while True:
         if seeded:
             raw = _seeded_raw(problem, by_key, rng, d)
@@ -549,9 +545,11 @@ def _run_start(
         # a stage starts from the curvature the last one learned, not from
         # a steepest-descent step.  A redrawn attempt starts from no pairs.
         pairs: deque = deque(maxlen=MEMORY)
-        for stage, (tau, keys) in enumerate(schedule):
+        for stage, (tau, cap) in enumerate(zip(taus, ANNEAL_POINTS)):
+            keys = {key: _subsample(mass, cap) for key, mass in by_key.items()}
             anneal = (problem, keys, cont, d, float(tau))
             res = minimize(_objective, x, args=anneal, maxiter=ANNEAL_MAXITER, pairs=pairs)
+            del keys, anneal
             x = res.x
             evaluations[stage] += res.nfev
         planes = assemble_hyperplanes(x.reshape(problem.k, d + 1), problem, cont)

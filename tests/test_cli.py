@@ -512,6 +512,24 @@ def test_solve_oversized_mass_exit_2(tmp_path, capsys):
     assert json.loads(lines[0])["error"].startswith("RangeError: a mass of N=1000000000000")
 
 
+def test_solve_out_of_memory_exit_2(tmp_path, capsys, monkeypatch):
+    # a spec under MAX_SAMPLE_VALUES can still outgrow the free memory
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr("equipart.masses.sample_gaussian_mixture", exhausted)
+    masses = {"d": 2, "masses": [{"mixture": [{"mean": [0, 0]}], "N": 1000}]}
+    ppath, mpath = tmp_path / "p.json", tmp_path / "m.json"
+    ppath.write_text(json.dumps({"k": 1, "m": [1]}))
+    mpath.write_text(json.dumps(masses))
+    code = run(["solve", "--problem", str(ppath), "--masses", str(mpath)])
+    out, err = capture(capsys)
+    assert code == 2 and not out
+    lines = [line for line in err.splitlines() if line.strip()]
+    assert len(lines) == 1 and "Traceback" not in err
+    assert json.loads(lines[0]) == {"error": "MemoryError: out of memory", "kind": "usage"}
+
+
 def test_solve_zero_starts_exit_2(tmp_path, capsys):
     masses = {
         "d": 2,

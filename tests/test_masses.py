@@ -1,4 +1,6 @@
+import hashlib
 import pickle
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -170,6 +172,49 @@ def mixtures(draw):
 def test_mixture_points_match_the_stacked_factor_formula(mixture, n, seed):
     got = sample_gaussian_mixture(mixture, n, seed).points
     assert np.array_equal(got, reference_mixture_points(mixture, n, seed))
+
+
+# Fixed draws and the first 16 hex digits of sha256 over their coords,
+# weights and total bytes, recorded before the sampler drew in place.
+PINNED_DRAWS = [
+    ([{"mean": [0.5, -1.0, 2.0], "cov": "I"}], 1_000, 11, 1.0, "6b0e5e7c482e733c"),
+    ([{"mean": [3.0, -1.0], "cov": 0.25}], 1_000, 12, 1.0, "ca72addc1f6c1437"),
+    (
+        [
+            {"mean": [-2.0], "cov": 0.5, "weight": 1.0},
+            {"mean": [0.0], "cov": "I", "weight": 2.0},
+            {"mean": [4.0], "cov": [[3.0]], "weight": 0.5},
+        ],
+        1_001,
+        13,
+        2.5,
+        "23503d101733619d",
+    ),
+]
+
+
+@pytest.mark.parametrize("mixture, n, seed, total, digest", PINNED_DRAWS)
+def test_sampled_bytes_are_pinned(mixture, n, seed, total, digest):
+    mass = sample_gaussian_mixture(mixture, n, seed, total=total)
+    h = hashlib.sha256()
+    for part in (mass.coords, mass.weights, np.float64(mass.total)):
+        h.update(np.ascontiguousarray(part).tobytes())
+    assert h.hexdigest()[:16] == digest
+
+
+def test_sampler_holds_the_mass_about_once():
+    # the draw goes straight into the array the mass keeps: its traced peak
+    # is the normal deviates plus the mass, not a gathered copy on top
+    tracemalloc.start()
+    try:
+        mass = sample_gaussian_mixture([{"mean": [0.0, 1.0, -1.0]}], 200_000, seed=5)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.75 * (mass.coords.nbytes + mass.weights.nbytes)
+    assert mass.coords.flags.c_contiguous and mass.weights.flags.c_contiguous
+    assert not (mass.coords.flags.writeable or mass.weights.flags.writeable)
+    assert mass.points.base is mass.coords
 
 
 def test_region_masses_tie_splitting():
