@@ -8,8 +8,13 @@ its complement.  Near-zero normals would describe the degenerate
 
 A `SampledMass` stores its coordinates once, coordinate-major: `coords`
 is a C-contiguous (d, N) array and `points` its (N, d) transposed view.
-`sample_gaussian_mixture` writes the mass in place: it draws straight
-into that array, which the mass then keeps without a copy.
+Weights that are all equal, as a sampled mass's are, are stored as one
+value: `weights` is then a read-only zero-stride view of length N.  The
+rule holds however the mass is built (sampled, constructed, subsampled
+or unpickled), so a mass's arithmetic does not depend on how it was
+built.  `sample_gaussian_mixture` writes the mass in place: it draws
+straight into the coordinate array, which the mass then keeps without a
+copy.
 
 `region_masses` is the one region-mass kernel, shared by the solver's
 objective and its residuals.  It works in row layout: the n hyperplanes
@@ -51,6 +56,8 @@ UNIT_TOL = 1e-12
 # values are 800 MB before any work, so a larger spec is refused before
 # anything is drawn.
 MAX_SAMPLE_VALUES = 10**8
+# Points a mixture's components are scattered in at a time.
+SAMPLE_BLOCK = 16_384
 
 
 @dataclass(frozen=True)
@@ -120,8 +127,11 @@ class SampledMass:
 
     The coordinates are stored once, coordinate-major: `coords` is a
     C-contiguous (d, N) array and `points` its (N, d) transposed view.
-    Both, and `weights`, are read-only; `total` is the weight sum, taken
-    once at construction."""
+    `weights` is a length-N vector; when all its entries are equal it is
+    a zero-stride view of one value, otherwise a C-contiguous copy (use
+    np.ascontiguousarray for a dense array either way).  All three are
+    read-only; `total` is the weight sum, taken once at construction, and
+    bit for bit the sum of the dense weights."""
 
     points: np.ndarray
     weights: np.ndarray
@@ -136,11 +146,14 @@ class SampledMass:
             raise ShapeError("points must be a non-empty (N, d) array")
         if w.shape != (pts.shape[0],):
             raise ShapeError("weights must be a length-N vector")
-        self._store(np.array(pts.T, order="C"), w.copy())
+        self._store(np.array(pts.T, order="C"), w)
 
     def _store(self, coords: np.ndarray, w: np.ndarray) -> None:
-        """Check and freeze a (d, N) C-contiguous float array and its
-        length-N weights, which this mass then owns, and take the total."""
+        """Check and freeze a (d, N) C-contiguous float array, which this
+        mass then owns, and its length-N float weights, and take the total.
+        Equal weights are kept as one value in a zero-stride view, other
+        weights as a copy."""
+        w = np.broadcast_to(w[0], w.shape) if (w == w[0]).all() else w.copy()
         if not (np.isfinite(coords).all() and np.isfinite(w).all()):
             raise RangeError("points and weights must be finite")
         if not (w > 0).all():
@@ -158,9 +171,10 @@ class SampledMass:
 
     @classmethod
     def _adopt(cls, coords: np.ndarray, w: np.ndarray, label: str) -> "SampledMass":
-        """A mass on a (d, N) C-contiguous float array and length-N float
-        weights that the caller has just built and keeps no other reference
-        to: the same checks as the constructor, without its copy."""
+        """A mass on a (d, N) C-contiguous float array that the caller has
+        just built and keeps no other reference to, and its length-N float
+        weights: the same checks as the constructor, without its copy of
+        the coordinates."""
         mass = object.__new__(cls)
         mass.label = label
         mass._store(coords, w)
@@ -168,7 +182,8 @@ class SampledMass:
 
     def __reduce__(self):
         # pickle (for worker processes) the coordinates once; unpickling
-        # rebuilds the read-only coordinate-major layout and the total
+        # rebuilds the read-only coordinate-major layout, the total, and
+        # equal weights as one value
         return (SampledMass, (self.points, self.weights, self.label))
 
     @property
@@ -249,6 +264,8 @@ def sample_gaussian_mixture(
     idx = rng.choice(len(mixture), size=n, p=comp_w / w_total)
     if len(mixture) == 1:
         del idx  # drawn only to keep the stream in step
+    else:  # each point's component, in the smallest integer type that holds it
+        idx = idx.astype(np.min_scalar_type(len(mixture) - 1))
     z = rng.standard_normal((n, d))
     # drawn straight into the coordinate-major array the mass keeps, one
     # component at a time, so no per-point stack of factors is built
@@ -257,14 +274,18 @@ def sample_gaussian_mixture(
         np.einsum("ij,nj->in", chols[0], z, out=coords)
         coords += means[0][:, None]
     else:
-        for c, (mean, chol) in enumerate(zip(means, chols)):
-            mask = idx == c
-            block = np.einsum("ij,nj->in", chol, z[mask])
-            block += mean[:, None]
-            coords[:, mask] = block
-            del mask, block
+        # a mixture is scattered one block of points at a time, so each
+        # component's gathered deviates last a block, not the whole draw
+        for lo in range(0, n, SAMPLE_BLOCK):
+            zb, ib = z[lo : lo + SAMPLE_BLOCK], idx[lo : lo + SAMPLE_BLOCK]
+            out = coords[:, lo : lo + SAMPLE_BLOCK]
+            for c, (mean, chol) in enumerate(zip(means, chols)):
+                mask = ib == c
+                block = np.einsum("ij,nj->in", chol, zb[mask])
+                block += mean[:, None]
+                out[:, mask] = block
     del z
-    return SampledMass._adopt(coords, np.full(n, total / n), label)
+    return SampledMass._adopt(coords, np.broadcast_to(np.float64(total / n), (n,)), label)
 
 
 # ----------------------------------------------------------------------

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from equipart.exceptions import ConfigurationError, RangeError, ShapeError
 from equipart.masses import (
+    SAMPLE_BLOCK,
     HyperplaneParam,
     SampledMass,
     load_mass_spec,
@@ -15,6 +16,7 @@ from equipart.masses import (
     region_masses,
     sample_gaussian_mixture,
 )
+from equipart.solver import _subsample
 from oracle import reference_mixture_points, reference_region_masses, side_fractions
 
 
@@ -73,6 +75,27 @@ def test_sampled_mass_stores_coordinates_once_coordinate_major():
     assert again.points.base is again.coords and again.coords.flags.c_contiguous
     assert not (again.coords.flags.writeable or again.weights.flags.writeable)
     assert np.array_equal(again.coords, mass.coords) and again.total == mass.total
+
+
+def test_equal_weights_are_held_as_one_value():
+    # however the mass is built, equal weights are one float behind a
+    # read-only zero-stride view, so its arithmetic does not depend on the path
+    pts = np.random.default_rng(3).standard_normal((50_000, 2))
+    built = SampledMass(pts, np.full(50_000, 0.25), "1.1")
+    sampled = sample_gaussian_mixture([{"mean": [0.0, 0.0]}], 50_000, seed=3, total=12_500.0)
+    for mass in (built, sampled, pickle.loads(pickle.dumps(sampled)), _subsample(sampled, 5_000)):
+        assert mass.weights.strides == (0,) and not mass.weights.flags.writeable
+        assert np.array_equal(mass.weights, np.full(len(mass.points), 0.25))
+    w = np.random.default_rng(4).uniform(0.1, 2.0, 50_000)
+    unequal = SampledMass(pts, w, "1.1")
+    assert unequal.weights.flags.c_contiguous and not np.shares_memory(unequal.weights, w)
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 2_000, 20_000, 99_999, 272_000])
+def test_total_of_equal_weights_is_the_dense_sum(n):
+    for total in (1.0, 2.5, 1e-3):
+        mass = sample_gaussian_mixture([{"mean": [0.0]}], n, seed=n, total=total)
+        assert mass.total == float(np.full(n, total / n).sum())
 
 
 def test_sampler_refuses_a_non_finite_or_non_positive_total():
@@ -212,9 +235,34 @@ def test_sampler_holds_the_mass_about_once():
     finally:
         tracemalloc.stop()
     assert peak <= 1.75 * (mass.coords.nbytes + mass.weights.nbytes)
-    assert mass.coords.flags.c_contiguous and mass.weights.flags.c_contiguous
+    assert mass.coords.flags.c_contiguous and mass.weights.strides == (0,)
     assert not (mass.coords.flags.writeable or mass.weights.flags.writeable)
     assert mass.points.base is mass.coords
+
+
+def test_mixture_sampler_holds_the_mass_about_once():
+    # a mixture is scattered a block of points at a time: its traced peak
+    # stays under the one-component bound, with no gathered copy of its
+    # deviates and a one-byte component index per point
+    mixture = [{"mean": [0.0, 1.0, -1.0]}, {"mean": [2.0, 0.0, 0.0], "cov": 0.5, "weight": 2}]
+    tracemalloc.start()
+    try:
+        mass = sample_gaussian_mixture(mixture, 200_000, seed=5)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.75 * (mass.coords.nbytes + mass.weights.nbytes)
+
+
+def test_mixture_points_match_the_stacked_factor_formula_across_blocks():
+    mixture = [
+        {"mean": [-2.0, 0.0], "cov": 0.5},
+        {"mean": [0.0, 1.0], "weight": 2.0},
+        {"mean": [4.0, -1.0], "cov": [[3.0, 0.5], [0.5, 1.0]], "weight": 0.5},
+    ]
+    n = 3 * SAMPLE_BLOCK + 5
+    got = sample_gaussian_mixture(mixture, n, seed=14).points
+    assert np.array_equal(got, reference_mixture_points(mixture, n, seed=14))
 
 
 def test_region_masses_tie_splitting():
@@ -394,6 +442,40 @@ def test_region_mass_gradient_matches_central_differences_of_the_reference(cloud
     scale = np.abs(c).max() * mass.total * max(1.0, np.abs(mass.points).max()) / tau
     assert grad.shape == V.shape
     assert np.max(np.abs(grad - numeric)) <= 1e-7 * scale
+
+
+def with_dense_weights(mass):
+    """The same mass with its equal weights in a dense C-contiguous array,
+    the layout the one-value weights are checked against."""
+    dense = SampledMass(mass.points, mass.weights, mass.label)
+    dense.weights = np.ascontiguousarray(mass.weights)
+    return dense
+
+
+@pytest.mark.parametrize("n_planes", [1, 2, 3])
+def test_region_masses_of_equal_weights_match_dense_weights(n_planes):
+    # with more planes than one the product tree's table is dense and the
+    # masses and gradient are the same bit for bit; one plane's side-0 mass
+    # sums its fractions against a zero-stride table, in an einsum loop that
+    # takes w * sum(F), not sum(w * F), and agrees to rounding (4e-14 of the
+    # total at most over 2,000 to 100,000 points)
+    rng = np.random.default_rng(22)
+    mass = sample_gaussian_mixture([{"mean": [0.0, 0.5, -0.5]}], 20_000, seed=22, total=3.0)
+    dense = with_dense_weights(mass)
+    planes = [HyperplaneParam.of(rng.standard_normal(3), rng.normal(0.0, 0.3))
+              for _ in range(n_planes)]
+    c = rng.standard_normal(2**n_planes)
+    assert np.array_equal(region_masses(mass, planes, 1), region_masses(dense, planes, 1))
+    for tau in TAUS:
+        got = region_masses(mass, planes, 1, tau=tau)
+        want = region_masses(dense, planes, 1, tau=tau)
+        grad = region_masses(mass, planes, 1, tau=tau, cotangent=lambda r: c * r)[1]
+        want_grad = region_masses(dense, planes, 1, tau=tau, cotangent=lambda r: c * r)[1]
+        if n_planes > 1:
+            assert np.array_equal(got, want) and np.array_equal(grad, want_grad)
+        else:
+            assert np.max(np.abs(got - want)) <= 1e-12 * mass.total
+            assert np.max(np.abs(grad - want_grad)) <= 1e-12 * np.max(np.abs(want_grad))
 
 
 def test_region_masses_tie_on_several_planes_matches_reference():
