@@ -20,15 +20,15 @@ copy.
 objective and its residuals.  It works in row layout: the n hyperplanes
 in play are stacked into V (n, d+1), and one matmul over contiguous
 memory gives every signed distance as S = V[:, :d] @ coords - offset, an
-(n, N) array whose rows are contiguous.  Without a temperature tau the
-masses are hard: each row's side-1 bit is ORed into an orthant index and
-one weighted bincount is taken; points on a plane take the even tie split
-only when some |s| <= TIE_EPS.  At a temperature tau > 0 they are
-smoothed: S becomes side-0 fractions 0.5 + 0.5 tanh(S / 2 tau) =
-expit(S / tau), reduced with a binary product tree over the rows.
-Given a cotangent dL/dR, it also returns dL/dV for the plane vectors V
-by reverse-mode differentiation, without forming the Jacobian dR/dV.
-No copy of the points is made or cached.
+(n, N) array whose rows are contiguous.  S becomes, in place, the side-0
+fractions F: 0.5 + 0.5 tanh(S / 2 tau) = expit(S / tau) at a temperature
+tau > 0, and without one their tau -> 0 limit, the hard masses: 1 or 0
+off the planes and 1/2 where |s| <= TIE_EPS.  One binary product tree
+over the rows reduces F to the orthant masses; with hard fractions every
+product is w * 2^-(ties), exact.  Given a cotangent dL/dR, it also
+returns dL/dV for the plane vectors V by reverse-mode differentiation,
+without forming the Jacobian dR/dV.  No copy of the points is made or
+cached.
 
 No reduction over the point axis goes through BLAS (a dot product or a
 matrix product): OpenBLAS splits such a sum over N between its threads,
@@ -353,34 +353,6 @@ def load_mass_spec(
     return d, masses, points
 
 
-def _hard_region_masses(S: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """Orthant weights from signed distances S of shape (n, N).  Bit j of a
-    point's orthant index is set when it lies strictly on side 1 of plane
-    j; the tie-free case is one bincount over the points in input order.
-    A point on a plane (|s| <= TIE_EPS) splits its weight evenly between
-    the two sides of every plane it lies on."""
-    n = S.shape[0]
-    side1 = S < -TIE_EPS
-    idx = side1[0].astype(np.intp)
-    for j in range(1, n):
-        idx |= side1[j] << j
-    # a point is tied on a plane when s <= TIE_EPS but not s < -TIE_EPS
-    if np.count_nonzero(S <= TIE_EPS) == np.count_nonzero(side1):
-        return np.bincount(idx, weights=weights, minlength=2**n)
-    tied = np.abs(S) <= TIE_EPS
-    has_tie = tied.any(axis=0)
-    # an empty bincount comes back as int, hence the cast
-    out = np.bincount(
-        idx[~has_tie], weights=weights[~has_tie], minlength=2**n
-    ).astype(float, copy=False)
-    for p in np.flatnonzero(has_tie):
-        spread = np.zeros(1, dtype=np.intp)
-        for j in np.flatnonzero(tied[:, p]):
-            spread = np.concatenate([spread, spread | 1 << j])
-        out[idx[p] | spread] += weights[p] / spread.size
-    return out
-
-
 def _orthant_table(F, weights: np.ndarray) -> np.ndarray:
     """The binary product tree over the side-0 fraction rows F: one row of
     per-point weight per orthant of those planes, row index bit j the side
@@ -398,11 +370,30 @@ def _orthant_table(F, weights: np.ndarray) -> np.ndarray:
     return table
 
 
-def _smoothed_region_masses(
-    S: np.ndarray, mass: SampledMass, tau: float, cotangent: Callable | None = None
+def region_masses(
+    mass: SampledMass,
+    hyperplanes: Sequence[HyperplaneParam],
+    stage: int,
+    tau: float | None = None,
+    cotangent: Callable | None = None,
 ) -> np.ndarray | tuple[np.ndarray, np.ndarray]:
-    """Orthant weights with side-0 fractions F = expit(S / tau), evaluated
-    as 0.5 + 0.5 tanh(S / (2 tau)), which stays finite for any tau > 0.
+    """Mass of each orthant cut out by hyperplanes stage..k.
+
+    Returns 2^(k-stage+1) values summing to the mass total.  Orthant index:
+    bit j is the side of hyperplane stage+j, so index 0 is the all-side-0
+    region and flipping one hyperplane's orientation flips one bit.  A
+    point of weight w puts w times the product of its side fractions (f_j
+    on side 0 of plane j, 1 - f_j on side 1) in each orthant.  With
+    tau > 0 the masses are smoothed: f = expit(s / tau), evaluated as
+    0.5 + 0.5 tanh(s / (2 tau)), which stays finite for any tau > 0.  With
+    tau=None they are hard, the tau -> 0 limit: f is 1 when s > TIE_EPS,
+    0 when s < -TIE_EPS and 1/2 otherwise, so a point on a plane splits its
+    weight evenly between its sides.
+
+    With a `cotangent` (smoothed only), a function from the masses R to
+    dL/dR, returns (R, dL/dV) for the (k-stage+1, d+1) plane vectors V of
+    hyperplanes stage..k; R is bit for bit the same as without it.
+
     The product tree over all planes but the last is finished by summing
     each row of its table times the last plane's fractions in an einsum
     loop, not a matrix-vector product (see the module docstring).
@@ -411,10 +402,33 @@ def _smoothed_region_masses(
     times the other planes' orthant products from orthant o | 1<<j to o,
     so dL/dF_j = w h_j, h_j the differences c[o] - c[o | 1<<j] contracted
     with the other planes' fractions one plane at a time.  F_j has slope
-    F_j (1 - F_j) / tau, so dL/dV = (U x, -sum U) / tau, U_j = w F_j (1 - F_j) h_j."""
-    with np.errstate(over="ignore"):  # |S / 2tau| = inf saturates tanh, as it should
-        F = np.divide(S, 2 * tau, out=S)
-    np.tanh(F, out=F)
+    F_j (1 - F_j) / tau, so dL/dV = (U x, -sum U) / tau, U_j = w F_j (1 - F_j) h_j.
+    """
+    k = len(hyperplanes)
+    if not 1 <= stage <= k:
+        raise RangeError(f"stage {stage} out of range 1..{k}")
+    for h in hyperplanes:
+        if h.dim != mass.dim:
+            raise ShapeError(f"hyperplane in R^{h.dim} against mass in R^{mass.dim}")
+    if tau is None:
+        if cotangent is not None:
+            raise ConfigurationError("hard region masses are piecewise constant: no gradient")
+    elif not tau > 0:
+        raise ConfigurationError(f"smoothed region masses need tau > 0, got {tau}")
+    V = np.stack([h.vector for h in hyperplanes[stage - 1 :]])
+    F = V[:, :-1] @ mass.coords
+    F -= V[:, -1:]
+    # the signed distances become the side-0 fractions in place, by way of
+    # tanh(s / 2tau) or, for hard masses, its limit: the sign of s, 0 within
+    # TIE_EPS of a plane
+    if tau is None:
+        side1 = F < -TIE_EPS
+        np.greater(F, TIE_EPS, out=F)
+        F -= side1
+    else:
+        with np.errstate(over="ignore"):  # |s / 2tau| = inf saturates tanh, as it should
+            np.divide(F, 2 * tau, out=F)
+        np.tanh(F, out=F)
     F *= 0.5
     F += 0.5
     n = F.shape[0]
@@ -440,41 +454,3 @@ def _smoothed_region_masses(
         U[j] *= h[0]
     grad = np.column_stack([np.einsum("jn,kn->jk", U, mass.coords), -U.sum(axis=1)])
     return regions, grad / tau
-
-
-def region_masses(
-    mass: SampledMass,
-    hyperplanes: Sequence[HyperplaneParam],
-    stage: int,
-    tau: float | None = None,
-    cotangent: Callable | None = None,
-) -> np.ndarray | tuple[np.ndarray, np.ndarray]:
-    """Mass of each orthant cut out by hyperplanes stage..k.
-
-    Returns 2^(k-stage+1) values summing to the mass total.  Orthant index:
-    bit j is the side of hyperplane stage+j, so index 0 is the all-side-0
-    region and flipping one hyperplane's orientation flips one bit.  With
-    tau=None the masses are hard: a point is on side 0 when s > TIE_EPS,
-    on side 1 when s < -TIE_EPS and half on each side otherwise.  With
-    tau > 0 they are smoothed: side 0 gets the fraction expit(s / tau).
-    With a `cotangent` (smoothed only), a function from the masses R to
-    dL/dR, returns (R, dL/dV) for the (k-stage+1, d+1) plane vectors V of
-    hyperplanes stage..k; R is bit for bit the same as without it.
-    """
-    k = len(hyperplanes)
-    if not 1 <= stage <= k:
-        raise RangeError(f"stage {stage} out of range 1..{k}")
-    for h in hyperplanes:
-        if h.dim != mass.dim:
-            raise ShapeError(f"hyperplane in R^{h.dim} against mass in R^{mass.dim}")
-    if tau is None:
-        if cotangent is not None:
-            raise ConfigurationError("hard region masses are piecewise constant: no gradient")
-    elif not tau > 0:
-        raise ConfigurationError(f"smoothed region masses need tau > 0, got {tau}")
-    V = np.stack([h.vector for h in hyperplanes[stage - 1 :]])
-    S = V[:, :-1] @ mass.coords
-    S -= V[:, -1:]
-    if tau is None:
-        return _hard_region_masses(S, mass.weights)
-    return _smoothed_region_masses(S, mass, tau, cotangent)

@@ -517,9 +517,7 @@ def _run_start(
     final raw parameters, degenerate-restart count, smoothed-objective
     evaluations per stage, the witness of the final planes or None if
     they degenerate)."""
-    (start, problem, masses, points, seed, d, taus) = args
-    by_key = _organize_masses(problem, masses)
-    cont = _organize_points(problem, points, d)
+    (start, problem, by_key, cont, seed, d, taus) = args
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(0, start)))
     seeded = start % 2 == 0
     # The warm stages only locate the basin, which a small subsample does as
@@ -593,12 +591,12 @@ def solve(
             f"a stage-{problem.k - n + 1} mass needs 2^{n} regions, but {n} hyperplanes "
             f"in R^{d} cut at most {sum(math.comb(n, j) for j in range(d + 1))}"
         )
-    _organize_points(problem, points, d)  # bad points are refused before any start
+    cont = _organize_points(problem, points, d)  # bad points are refused before any start
     handoff = max(TAU_HANDOFF_FACTOR * _data_diameter(masses), TAU_FINAL)
     taus = np.geomspace(handoff, TAU_FINAL, len(ANNEAL_POINTS))
 
     results: list[tuple[int, float, np.ndarray, int, list[int], MassArrangementWitness | None]] = []
-    args = (problem, list(masses), list(points), cfg.seed, d, taus)
+    args = (problem, by_key, cont, cfg.seed, d, taus)
 
     def run_starts(run_map) -> None:
         """Run the starts in index order, `jobs` at a time through

@@ -455,17 +455,21 @@ def with_dense_weights(mass):
 @pytest.mark.parametrize("n_planes", [1, 2, 3])
 def test_region_masses_of_equal_weights_match_dense_weights(n_planes):
     # with more planes than one the product tree's table is dense and the
-    # masses and gradient are the same bit for bit; one plane's side-0 mass
-    # sums its fractions against a zero-stride table, in an einsum loop that
-    # takes w * sum(F), not sum(w * F), and agrees to rounding (4e-14 of the
-    # total at most over 2,000 to 100,000 points)
+    # masses and gradient are the same bit for bit; one plane's side-0 mass,
+    # hard or smoothed, sums its fractions against a zero-stride table, in an
+    # einsum loop that takes w * sum(F), not sum(w * F), and agrees to
+    # rounding (4e-14 of the total at most over 2,000 to 100,000 points)
     rng = np.random.default_rng(22)
     mass = sample_gaussian_mixture([{"mean": [0.0, 0.5, -0.5]}], 20_000, seed=22, total=3.0)
     dense = with_dense_weights(mass)
     planes = [HyperplaneParam.of(rng.standard_normal(3), rng.normal(0.0, 0.3))
               for _ in range(n_planes)]
     c = rng.standard_normal(2**n_planes)
-    assert np.array_equal(region_masses(mass, planes, 1), region_masses(dense, planes, 1))
+    got, want = region_masses(mass, planes, 1), region_masses(dense, planes, 1)
+    if n_planes > 1:
+        assert np.array_equal(got, want)
+    else:
+        assert np.max(np.abs(got - want)) <= 1e-12 * mass.total
     for tau in TAUS:
         got = region_masses(mass, planes, 1, tau=tau)
         want = region_masses(dense, planes, 1, tau=tau)
@@ -479,7 +483,7 @@ def test_region_masses_of_equal_weights_match_dense_weights(n_planes):
 
 
 def test_region_masses_tie_on_several_planes_matches_reference():
-    # point 0 lies on all three planes, point 1 on the last one only
+    # point 0 lies on the first three planes, point 1 on the last one only
     rng = np.random.default_rng(6)
     points = rng.standard_normal((10, 3))
     mass = SampledMass(points, rng.uniform(0.1, 2.0, 10), "1.1")
@@ -487,14 +491,37 @@ def test_region_masses_tie_on_several_planes_matches_reference():
     for anchor in (0, 0, 0, 1):
         normal = rng.standard_normal(3)
         planes.append(HyperplaneParam.of(normal, points[anchor] @ normal))
-    for stage in (1, 2, 3, 4):
-        got = region_masses(mass, planes, stage)
-        want = reference_region_masses(mass, vectors(planes[stage - 1 :]), "hard")
-        assert np.max(np.abs(got - want)) <= 1e-12 * mass.total
+    # and an integer grid cut along three of its lines, through a common
+    # grid point: about 270 of its 3,000 points lie on each plane
+    grid = SampledMass(
+        rng.integers(-5, 6, (3_000, 2)).astype(float), rng.uniform(0.1, 2.0, 3_000), "1.1"
+    )
+    grid_planes = [HyperplaneParam.of(*cut) for cut in (([1.0, 0.0], 0.0), ([0.0, 1.0], 2.0),
+                                                       ([1.0, 1.0], 2.0))]
+    for cloud, cuts in ((mass, planes), (grid, grid_planes)):
+        for stage in range(1, len(cuts) + 1):
+            got = region_masses(cloud, cuts, stage)
+            want = reference_region_masses(cloud, vectors(cuts[stage - 1 :]), "hard")
+            assert np.max(np.abs(got - want)) <= 1e-12 * cloud.total
     # alone, point 0 spreads evenly over the 8 orthants of the planes it is on
     alone = SampledMass(points[:1], [1.0], "1.1")
     got = region_masses(alone, planes, 1)
     assert np.count_nonzero(got) == 8 and np.allclose(got[got > 0], 0.125)
+
+
+def test_one_plane_hard_masses_peak_near_the_distances_alone():
+    # one plane's hard masses on a sampled mass: the signed distances turn
+    # into side fractions in place, and its zero-stride weights are read as
+    # they are, not copied
+    mass = sample_gaussian_mixture([{"mean": [0.0, 0.5, -0.5]}], 100_000, seed=23)
+    plane = HyperplaneParam.of([1.0, -0.5, 0.25], 0.1)
+    tracemalloc.start()
+    try:
+        region_masses(mass, [plane], 1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * 8 * mass.coords.shape[1]
 
 
 def test_smoothed_tiny_tau_stays_finite_on_a_plane():
