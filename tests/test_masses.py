@@ -492,7 +492,7 @@ def test_region_masses_tie_on_several_planes_matches_reference():
         normal = rng.standard_normal(3)
         planes.append(HyperplaneParam.of(normal, points[anchor] @ normal))
     # and an integer grid cut along three of its lines, through a common
-    # grid point: about 270 of its 3,000 points lie on each plane
+    # grid point: 234 to 259 of its 3,000 points lie on each plane
     grid = SampledMass(
         rng.integers(-5, 6, (3_000, 2)).astype(float), rng.uniform(0.1, 2.0, 3_000), "1.1"
     )
