@@ -21,7 +21,9 @@ from .exceptions import EquipartError, InternalConsistencyError, SearchSpaceErro
 from .families import FAMILIES
 from .jsontypes import SCHEMA_VERSION
 from .problems import (
+    ORTHO_UNIVERSES,
     ConstraintProblem,
+    classify,
     constraint_dimension,
     lower_bound_dim,
     ramos_L,
@@ -59,8 +61,6 @@ def _parse_ints(text: str, flag: str) -> tuple[int, ...]:
 def _parse_ortho(text: str | None, k: int):
     if not text:
         return ()
-    from .problems import ORTHO_UNIVERSES
-
     if text in ORTHO_UNIVERSES:
         return ORTHO_UNIVERSES[text](k)
     pairs = []
@@ -149,8 +149,6 @@ def _cmd_bound(args) -> int:
 
 
 def _cmd_classify(args) -> int:
-    from .problems import classify
-
     problem = _problem_from_args(args)
     label = classify(problem, args.d)
     _emit({"problem": problem.to_dict(), "d": args.d, "classification": label.to_dict()})

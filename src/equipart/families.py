@@ -1,9 +1,22 @@
 """Parametric families of tight certified instances.
 
 Each generator returns an instance together with the dimension d at which
-it is certifiable, and validates at construction time that the instance is
-tight (C = k*d).  Parameters follow the convention m1 = 2^(q+1) - t with
+it is certifiable.  Parameters follow the convention m1 = 2^(q+1) - t with
 1 <= t <= 2^q, for which the dimension is d = 2^q * (2^(k-1) + 1) - t.
+
+Every family is one cascade, built by `_cascade`:
+
+    m1 = 2^(q+1) - t - a1,
+    m_i = 2^q*(2^(i-2) - 1) + t + shift(i) + 2*a_{i-1} - a_i   (i >= 2),
+
+which refuses a negative entry and validates that the instance is tight
+(C = k*d).  A generator checks its own preconditions and names its shift,
+the masses a stage gives up to pay for the orthogonal pairs:
+
+    cascade, hs-cascade   0
+    ortho-full            i - 3
+    ortho-not12           i - 3, except 0 at i = 2 and -2 at i = 3
+    ortho-last            -j at i = k, for j = |ortho|; 0 elsewhere
 
 Note on `last_ortho_family`: the source derivation lists the first cascade
 entry as 2^q - t, but only 2^(q+1) - t makes the family tight and matches
@@ -14,7 +27,7 @@ verify tightness on every call.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .exceptions import FamilyDomainError, InternalConsistencyError, int_text
 from .gf2 import MAX_RING_CELLS
@@ -74,32 +87,45 @@ def _check_qt(q: int, t: int, k: int) -> None:
         raise FamilyDomainError(f"t must satisfy 1 <= t <= 2^q = {2 ** q}, got {int_text(t)}")
 
 
-def _normalize_a(a: Sequence[int] | None, k: int) -> tuple[int, ...]:
-    if a is None:
-        return (0,) * k
-    aa = tuple(int(x) for x in a)
+def _check_a(
+    a: Sequence[int] | None, k: int, t: int, slack: int, bound: int, bound_text: str
+) -> tuple[int, ...]:
+    """The containment vector, zero by default: k non-negative entries,
+    nondecreasing, with a2 <= 2*a1 + t - slack and a_(k-1) <= bound."""
+    aa = (0,) * k if a is None else tuple(int(x) for x in a)
     if len(aa) != k:
         raise FamilyDomainError(f"a must have length k={k}, got {aa}")
     if any(x < 0 for x in aa):
         raise FamilyDomainError(f"a entries must be non-negative, got {aa}")
+    if any(aa[i] > aa[i + 1] for i in range(k - 1)):
+        raise FamilyDomainError(f"a must be nondecreasing, got {aa}")
+    if k >= 2 and aa[1] > 2 * aa[0] + t - slack:
+        need = "2*a1 + t" + (f" - {slack}" if slack else "")
+        raise FamilyDomainError(f"need a2 <= {need}, got a={aa}, t={t}")
+    if k >= 2 and aa[k - 2] > bound:
+        raise FamilyDomainError(f"need a_(k-1) <= {bound_text} = {bound}, got a={aa}")
     return aa
 
 
-def _dimension(q: int, t: int, k: int) -> int:
-    return 2**q * (2 ** (k - 1) + 1) - t
-
-
-def _finish(
+def _cascade(
     family: str,
     params: dict,
-    m: list[int],
-    a: tuple[int, ...],
-    ortho,
+    q: int,
+    t: int,
     k: int,
-    d: int,
+    a: tuple[int, ...],
+    ortho: Iterable[Sequence[int]],
+    shift: Callable[[int], int],
 ) -> FamilyInstance:
+    """The cascade m1 = 2^(q+1) - t - a1 and, for i >= 2,
+    m_i = 2^q*(2^(i-2) - 1) + t + shift(i) + 2*a_{i-1} - a_i at
+    d = 2^q*(2^(k-1) + 1) - t, checked tight."""
+    m = [2 ** (q + 1) - t - a[0]]
+    for i in range(2, k + 1):
+        m.append(2**q * (2 ** (i - 2) - 1) + t + shift(i) + 2 * a[i - 2] - a[i - 1])
     if any(x < 0 for x in m):
         raise FamilyDomainError(f"{family}: generated cascade vector {m} has a negative entry")
+    d = 2**q * (2 ** (k - 1) + 1) - t
     problem = ConstraintProblem.of(k, m=m, a=a, ortho=ortho)
     c = constraint_dimension(problem)
     if c != k * d:
@@ -123,18 +149,9 @@ def cascade_family(
     _check_qt(q, t, k)
     if k < 1:
         raise FamilyDomainError(f"k must be >= 1, got {k}")
-    aa = _normalize_a(a, k)
-    if any(aa[i] > aa[i + 1] for i in range(k - 1)):
-        raise FamilyDomainError(f"a must be nondecreasing, got {aa}")
-    if k >= 2 and aa[1] > 2 * aa[0] + t:
-        raise FamilyDomainError(f"need a2 <= 2*a1 + t, got a={aa}, t={t}")
-    if k >= 2 and aa[k - 2] > 2**q - t:
-        raise FamilyDomainError(f"need a_(k-1) <= 2^q - t = {2 ** q - t}, got a={aa}")
-    m = [2 ** (q + 1) - t - aa[0]]
-    for i in range(2, k + 1):
-        m.append(2**q * (2 ** (i - 2) - 1) + t + 2 * aa[i - 2] - aa[i - 1])
-    d = _dimension(q, t, k)
-    return _finish("cascade", {"q": q, "t": t, "k": k, "a": aa}, m, aa, (), k, d)
+    aa = _check_a(a, k, t, 0, 2**q - t, "2^q - t")
+    params = {"q": q, "t": t, "k": k, "a": aa}
+    return _cascade("cascade", params, q, t, k, aa, (), lambda i: 0)
 
 
 def full_ortho_family(
@@ -151,29 +168,9 @@ def full_ortho_family(
     _check_qt(q, t, k)
     if k < 2:
         raise FamilyDomainError(f"orthogonality needs k >= 2, got {k}")
-    aa = _normalize_a(a, k)
-    if any(aa[i] > aa[i + 1] for i in range(k - 1)):
-        raise FamilyDomainError(f"a must be nondecreasing, got {aa}")
-    if aa[1] > 2 * aa[0] + t - 1:
-        raise FamilyDomainError(f"need a2 <= 2*a1 + t - 1, got a={aa}, t={t}")
-    bound = 2**q - t - k + 3
-    if aa[k - 2] > bound:
-        raise FamilyDomainError(
-            f"need a_(k-1) <= 2^q - t - k + 3 = {bound}, got a={aa}"
-        )
-    m = [2 ** (q + 1) - t - aa[0]]
-    for i in range(2, k + 1):
-        m.append(2**q * (2 ** (i - 2) - 1) + t + i - 3 + 2 * aa[i - 2] - aa[i - 1])
-    d = _dimension(q, t, k)
-    return _finish(
-        "full-orthogonality",
-        {"q": q, "t": t, "k": k, "a": aa},
-        m,
-        aa,
-        all_pairs(k),
-        k,
-        d,
-    )
+    aa = _check_a(a, k, t, 1, 2**q - t - k + 3, "2^q - t - k + 3")
+    params = {"q": q, "t": t, "k": k, "a": aa}
+    return _cascade("full-orthogonality", params, q, t, k, aa, all_pairs(k), lambda i: i - 3)
 
 
 def near_full_ortho_family(q: int, t: int, k: int) -> FamilyInstance:
@@ -188,18 +185,10 @@ def near_full_ortho_family(q: int, t: int, k: int) -> FamilyInstance:
         raise FamilyDomainError(f"this family needs k >= 3, got {k}")
     if 2**q < t + k - 3:
         raise FamilyDomainError(f"need 2^q >= t + k - 3, got q={q}, t={t}, k={k}")
-    m = [2 ** (q + 1) - t, t, 2**q + t - 2]
-    for i in range(4, k + 1):
-        m.append(2**q * (2 ** (i - 2) - 1) + t + i - 3)
-    d = _dimension(q, t, k)
-    return _finish(
-        "near-full-orthogonality",
-        {"q": q, "t": t, "k": k},
-        m,
-        (0,) * k,
-        excluding_first_pair(k),
-        k,
-        d,
+    params = {"q": q, "t": t, "k": k}
+    return _cascade(
+        "near-full-orthogonality", params, q, t, k, (0,) * k, excluding_first_pair(k),
+        lambda i: {2: 0, 3: -2}.get(i, i - 3),
     )
 
 
@@ -225,19 +214,9 @@ def last_ortho_family(
     j = len(oo)
     if not 1 <= j <= k - 1:
         raise FamilyDomainError(f"need 1 <= |ortho| <= k-1, got {j}")
-    m = [2 ** (q + 1) - t]
-    for i in range(2, k + 1):
-        m.append(2**q * (2 ** (i - 2) - 1) + t)
-    m[k - 1] -= j
-    d = _dimension(q, t, k)
-    return _finish(
-        "last-orthogonality",
-        {"q": q, "t": t, "k": k, "j": j},
-        m,
-        (0,) * k,
-        oo,
-        k,
-        d,
+    params = {"q": q, "t": t, "k": k, "j": j}
+    return _cascade(
+        "last-orthogonality", params, q, t, k, (0,) * k, oo, lambda i: -j if i == k else 0
     )
 
 
@@ -248,13 +227,8 @@ def ham_sandwich_cascade(q: int, k: int) -> FamilyInstance:
     _check_sizes(q, k)
     if k < 1:
         raise FamilyDomainError(f"k must be >= 1, got {k}")
-    inner = cascade_family(q, 2**q, k)
-    return FamilyInstance(
-        problem=inner.problem,
-        d=inner.d,
-        family="ham-sandwich-cascade",
-        params=(("q", q), ("k", k)),
-    )
+    params = {"q": q, "k": k}
+    return _cascade("ham-sandwich-cascade", params, q, 2**q, k, (0,) * k, (), lambda i: 0)
 
 
 FAMILIES = {

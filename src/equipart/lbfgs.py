@@ -30,10 +30,9 @@ place, so a sequence of calls on related objectives (the solver's tau
 stages) carries one memory from call to call.  L-BFGS-B always starts
 from none.
 
-A trial point whose value is not finite or is DEGENERATE_SCORE (what the
-solver's objective returns for a degenerate assembly), or whose gradient
-is not finite, fails the line search.  `minimize` never raises on its
-own account.
+A trial point whose value or gradient is not finite fails the line
+search (the solver's objective scores a degenerate assembly inf).
+`minimize` never raises on its own account.
 """
 
 from __future__ import annotations
@@ -43,8 +42,6 @@ from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
-
-DEGENERATE_SCORE = 1e9
 
 MEMORY = 10
 PGTOL = 1e-5
@@ -98,7 +95,7 @@ def minimize(
             nfev += 1
             last = (xt, float(ft), np.asarray(gt, dtype=float))
         ft, gt = last[1], last[2]
-        if not math.isfinite(ft) or ft == DEGENERATE_SCORE or not np.isfinite(gt).all():
+        if not math.isfinite(ft) or not np.isfinite(gt).all():
             return None
         return ft, float(gt @ d)
 

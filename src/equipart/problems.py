@@ -278,13 +278,6 @@ class Classification:
         }
 
 
-def _bumped_stage(p: ConstraintProblem, i: int) -> ConstraintProblem:
-    """m truncated after stage i with m_i incremented; a, ortho, extra kept."""
-    m = list(p.m[:i]) + [0] * (p.k - i)
-    m[i - 1] += 1
-    return ConstraintProblem(k=p.k, m=tuple(m), a=p.a, ortho=p.ortho, extra=p.extra)
-
-
 def classify(p: ConstraintProblem, d: int) -> Classification:
     """Label an instance known (or claimed) to hold at dimension d."""
     if d < 1:
@@ -299,11 +292,16 @@ def classify(p: ConstraintProblem, d: int) -> Classification:
         optimal = ramos_L(p.m[0], p.k) <= d < ramos_L(p.m[0] + 1, p.k)
     else:
         optimal = None
-    maximal = frozenset(
-        i
-        for i in range(1, p.k + 1)
-        if d < lower_bound_dim(_bumped_stage(p, i))
-    )
+    # Stage i is maximal iff bumping m_i and zeroing the later stages
+    # already forces a dimension above d: the bumped count is C less the
+    # later stages' conditions plus one unit of stage-i mass, w_i.
+    maximal = set()
+    rest, w = c, 1  # C without the stages after i; w_i = 2^(k-i+1) - 1
+    for i in range(p.k, 0, -1):
+        if d < -(-(rest + w) // p.k):
+            maximal.add(i)
+        rest -= p.m[i - 1] * w
+        w = 2 * w + 1
     j_max = 0
     while j_max + 1 in maximal:
         j_max += 1
@@ -311,7 +309,7 @@ def classify(p: ConstraintProblem, d: int) -> Classification:
     return Classification(
         lower_dim=lower,
         optimal=optimal,
-        maximal_stages=maximal,
+        maximal_stages=frozenset(maximal),
         j_maximal=j_max,
         balanced=balanced,
         tight=(c == p.k * d),

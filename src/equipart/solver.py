@@ -55,7 +55,7 @@ import numpy as np
 from . import jsontypes
 from .exceptions import ConfigurationError, EquipartError, RangeError, ShapeError
 from .jsontypes import SCHEMA_VERSION
-from .lbfgs import DEGENERATE_SCORE, MEMORY, minimize
+from .lbfgs import MEMORY, minimize
 from .masses import MIN_NORMAL_NORM, HyperplaneParam, SampledMass, parse_label, region_masses
 from .problems import ConstraintProblem
 
@@ -454,12 +454,12 @@ def _objective(
     """The smoothed objective at temperature tau and raw parameters x:
     assembly, then `_evaluate`.  Returns (objective, gradient with respect
     to x), the gradient pulled back through the assembly; a degenerate
-    assembly scores DEGENERATE_SCORE with a zero gradient."""
+    assembly scores inf with a zero gradient."""
     raw = x.reshape(problem.k, d + 1)
     tape: list = []
     planes = assemble_hyperplanes(raw, problem, cont, tape)
     if planes is None:
-        return DEGENERATE_SCORE, np.zeros_like(x)
+        return math.inf, np.zeros_like(x)
     *_, objective, grad = _evaluate(problem, by_key, cont, planes, tau)
     return objective, _assembly_vjp(raw, cont, planes, tape, grad).ravel()
 
@@ -557,7 +557,7 @@ def _run_start(
         if restarts > MAX_DEGENERATE_RESTARTS:
             break
     if planes is None:
-        return (start, DEGENERATE_SCORE, x, restarts, evaluations, None)
+        return (start, math.inf, x, restarts, evaluations, None)
     witness = _witness(planes, *_evaluate(problem, by_key, cont, planes)[:4])
     return (start, witness.objective, x, restarts, evaluations, witness)
 

@@ -130,6 +130,43 @@ def test_all_generators_tight_on_stated_box():
     assert checked > 200
 
 
+def closed_form(inst):
+    """(m, d) from the docstring of the generator that built `inst`, each
+    family's formula written out on its own."""
+    p = dict(inst.params)
+    q, k = p["q"], p["k"]
+    t = p.get("t")
+    if inst.family == "ham-sandwich-cascade":
+        m = [2**q] + [2 ** (q + i - 2) for i in range(2, k + 1)]
+        return m, 2 ** (q + k - 1)
+    d = 2**q * (2 ** (k - 1) + 1) - t
+    if inst.family in ("cascade", "full-orthogonality"):
+        a = p["a"]
+        ortho = inst.family == "full-orthogonality"
+        m = [2 ** (q + 1) - t - a[0]] + [
+            2**q * (2 ** (i - 2) - 1) + t + (i - 3 if ortho else 0) + 2 * a[i - 2] - a[i - 1]
+            for i in range(2, k + 1)
+        ]
+    elif inst.family == "near-full-orthogonality":
+        m = [2 ** (q + 1) - t, t, 2**q + t - 2]
+        m += [2**q * (2 ** (i - 2) - 1) + t + i - 3 for i in range(4, k + 1)]
+    else:
+        assert inst.family == "last-orthogonality"
+        m = [2 ** (q + 1) - t, t] + [(2 ** (i - 2) - 1) * 2**q + t for i in range(3, k + 1)]
+        m[-1] -= p["j"]
+    return m, d
+
+
+def test_families_match_their_closed_forms():
+    # tightness and certification would both pass a wrong but tight m
+    families = set()
+    for inst in stated_box():
+        m, d = closed_form(inst)
+        assert (inst.problem.m, inst.d) == (tuple(m), d), inst.provenance()
+        families.add(inst.family)
+    assert len(families) == len(FAMILIES)
+
+
 def test_every_instance_of_the_stated_box_certifies_strict():
     # the paper's claim: each instance is tight and certified.  The ones
     # whose ring (d+1)^k passes MAX_RING_CELLS, all at k = 5, are refused

@@ -307,6 +307,21 @@ def test_classify_ignores_listing_order(p, bump):
     assert classify(shuffled, d) == base
 
 
+@settings(max_examples=80, deadline=None)
+@given(problems(), st.integers(0, 5))
+def test_classify_maximal_stages_match_the_bumped_problems(p, bump):
+    # stage i is maximal iff the problem with m_i raised by one and the
+    # later stages zeroed has a counting bound above d
+    d = max(lower_bound_dim(p), 1) + bump
+
+    def bumped(i):
+        m = p.m[: i - 1] + (p.m[i - 1] + 1,) + (0,) * (p.k - i)
+        return ConstraintProblem(k=p.k, m=m, a=p.a, ortho=p.ortho, extra=p.extra)
+
+    expect = {i for i in range(1, p.k + 1) if d < lower_bound_dim(bumped(i))}
+    assert classify(p, d).maximal_stages == expect
+
+
 # ----------------------------------------------------------------------
 # domination
 # ----------------------------------------------------------------------

@@ -530,15 +530,15 @@ def test_minimize_maxiter_caps_the_iterations():
 
 
 def test_minimize_returns_a_degenerate_start_after_one_evaluation():
-    # the solver's objective scores a degenerate assembly DEGENERATE_SCORE
-    # with a zero gradient: the gradient test ends the run at x0
+    # the solver's objective scores a degenerate assembly inf with a zero
+    # gradient: the gradient test ends the run at x0
     x0 = np.array([0.3, -1.0, 2.0])
-    res = lbfgs.minimize(lambda x: (lbfgs.DEGENERATE_SCORE, np.zeros_like(x)), x0)
+    res = lbfgs.minimize(lambda x: (np.inf, np.zeros_like(x)), x0)
     assert res.nfev == 1 and res.nit == 0 and res.reason == lbfgs.GRADIENT
     assert np.array_equal(res.x, x0) and res.x is not x0
 
 
-@pytest.mark.parametrize("bad", [np.nan, np.inf, lbfgs.DEGENERATE_SCORE])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_minimize_treats_a_bad_trial_as_a_failed_step(bad):
     # the minimum (3, 0) lies beyond radius 2, where the value is bad; the
     # run must end inside, lower than it began, without raising
