@@ -20,7 +20,7 @@ from typing import Any, Iterable, Iterator
 
 from . import jsontypes, knownvalues
 from .certify import MODES, Certificate, check
-from .exceptions import ConfigurationError, RangeError, SearchSpaceError
+from .exceptions import ConfigurationError, RangeError, SearchSpaceError, int_text
 from .gf2 import RingShape
 from .problems import (
     Classification,
@@ -79,7 +79,7 @@ class AtlasQuery:
         for name in ("max_m", "max_a"):
             value = getattr(self, name)
             if value < 0:
-                raise ConfigurationError(f"{name} must be >= 0, got {value}")
+                raise ConfigurationError(f"{name} must be >= 0, got {int_text(value)}")
 
     @classmethod
     def from_spec(cls, doc: Any) -> "AtlasQuery":

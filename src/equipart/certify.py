@@ -32,6 +32,7 @@ from .exceptions import (
     EquipartError,
     InfeasibleByCountingError,
     RangeError,
+    int_text,
 )
 from .gf2 import RingShape, TruncatedPolynomial, product_of_forms
 from .problems import (
@@ -96,17 +97,18 @@ def check(
     if mode not in MODES:
         raise ConfigurationError(f"mode must be one of {MODES}, got {mode!r}")
     if d < 1:
-        raise RangeError(f"d must be >= 1, got {d}")
+        raise RangeError(f"d must be >= 1, got {int_text(d)}")
     form_count = constraint_dimension(p)
     kd = p.k * d
     if form_count > kd:
         raise InfeasibleByCountingError(
-            f"{form_count} conditions exceed the k*d = {kd} degrees of freedom; "
-            f"the instance cannot hold at d={d}"
+            f"{int_text(form_count)} conditions exceed the k*d = {int_text(kd)} "
+            f"degrees of freedom; the instance cannot hold at d={int_text(d)}"
         )
     if mode == "strict" and form_count != kd:
         raise DimensionMismatchError(
-            f"strict mode needs exactly k*d forms: D={form_count}, kd={kd}"
+            f"strict mode needs exactly k*d forms: D={int_text(form_count)}, "
+            f"kd={int_text(kd)}"
         )
     h = product_of_forms(RingShape(p.k, d), compile_forms(p))
     is_top = h.is_top()
@@ -220,9 +222,9 @@ def verify_vandermonde(k: int, j: int, d: int) -> bool:
     with exponents k-j, k-j-1, ..., 0.  Both sides are computed
     independently (linear-form folding vs direct monomial insertion)."""
     if not 1 <= j <= k - 1:
-        raise RangeError(f"need 1 <= j <= k-1, got j={j}, k={k}")
+        raise RangeError(f"need 1 <= j <= k-1, got j={int_text(j)}, k={int_text(k)}")
     if d < k - j:
-        raise RangeError(f"need d >= k-j = {k - j}, got d={d}")
+        raise RangeError(f"need d >= k-j = {k - j}, got d={int_text(d)}")
     shape = RingShape(k, d)  # refuses a huge ring before any form is built
     p = ConstraintProblem.of(k, ortho=[(r, s) for r, s in all_pairs(k) if r >= j])
     return _matches_permutation_sum(shape, p, list(range(k - j, -1, -1)))
@@ -233,9 +235,9 @@ def verify_dickson(k: int, i: int, d: int) -> bool:
     unit of stage-i mass, equals the permutation sum with exponents
     2^(k-i), 2^(k-i-1), ..., 1."""
     if not 1 <= i <= k:
-        raise RangeError(f"need 1 <= i <= k, got i={i}, k={k}")
+        raise RangeError(f"need 1 <= i <= k, got i={int_text(i)}, k={int_text(k)}")
     if d < 2 ** (k - i):
-        raise RangeError(f"need d >= 2^(k-i) = {2 ** (k - i)}, got d={d}")
+        raise RangeError(f"need d >= 2^(k-i) = {2 ** (k - i)}, got d={int_text(d)}")
     shape = RingShape(k, d)
     p = ConstraintProblem.of(k, m=[0] * (i - 1) + [1])
     return _matches_permutation_sum(shape, p, [2**e for e in range(k - i, -1, -1)])
@@ -247,9 +249,9 @@ def verify_pki_ortho(k: int, i: int, d: int) -> bool:
     containing i-1 points and pairwise orthogonal, equals the permutation
     sum with exponents k-1, k-2, ..., i-1."""
     if not 1 <= i <= k:
-        raise RangeError(f"need 1 <= i <= k, got i={i}, k={k}")
+        raise RangeError(f"need 1 <= i <= k, got i={int_text(i)}, k={int_text(k)}")
     if d < k - 1:
-        raise RangeError(f"need d >= k-1 = {k - 1}, got d={d}")
+        raise RangeError(f"need d >= k-1 = {k - 1}, got d={int_text(d)}")
     shape = RingShape(k, d)
     a = [0] * (i - 1) + [i - 1] * (k - i + 1)
     p = ConstraintProblem.of(k, a=a, ortho=[(r, s) for r, s in all_pairs(k) if r >= i])
@@ -261,7 +263,9 @@ def verify_identities(k: int, d: int) -> dict[str, dict[str, bool]]:
     (k, d), by family and index.  k < 1 or d < 1 is refused: no identity
     applies there, so a verdict over them would pass vacuously."""
     if k < 1 or d < 1:
-        raise RangeError(f"identities need k >= 1 and d >= 1, got k={k}, d={d}")
+        raise RangeError(
+            f"identities need k >= 1 and d >= 1, got k={int_text(k)}, d={int_text(d)}"
+        )
     return {
         "vandermonde": {
             f"j={j}": verify_vandermonde(k, j, d) for j in range(1, k) if d >= k - j

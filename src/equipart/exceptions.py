@@ -1,11 +1,14 @@
 """Exception hierarchy shared across the package."""
 
 
-def int_text(n: int) -> str:
-    """n for an error message: in decimal, or by its bit length once the
-    decimal would be long (Python refuses to print an int past 4300
-    digits, and a message must never fail to form)."""
-    return str(n) if n.bit_length() <= 64 else f"<{n.bit_length()}-bit integer>"
+def int_text(n: object) -> str:
+    """n for an error message: an int in decimal, or by its bit length
+    once the decimal would be long (Python refuses to print an int past
+    4300 digits, and a message must never fail to form); any other value
+    as `str` writes it."""
+    if isinstance(n, int) and n.bit_length() > 64:
+        return f"<{n.bit_length()}-bit integer>"
+    return str(n)
 
 
 class EquipartError(Exception):

@@ -71,7 +71,7 @@ def _check_sizes(q: int, k: int) -> None:
     `gf2.MAX_RING_CELLS` from q = 27 on, and a problem has at most
     `problems.MAX_K` hyperplanes."""
     if q < 0:
-        raise FamilyDomainError(f"q must be >= 0, got {q}")
+        raise FamilyDomainError(f"q must be >= 0, got {int_text(q)}")
     if q >= MAX_RING_CELLS.bit_length():
         raise FamilyDomainError(
             f"q must be < {MAX_RING_CELLS.bit_length()}, got {int_text(q)}: d >= 2^q "
@@ -148,7 +148,7 @@ def cascade_family(
     """
     _check_qt(q, t, k)
     if k < 1:
-        raise FamilyDomainError(f"k must be >= 1, got {k}")
+        raise FamilyDomainError(f"k must be >= 1, got {int_text(k)}")
     aa = _check_a(a, k, t, 0, 2**q - t, "2^q - t")
     params = {"q": q, "t": t, "k": k, "a": aa}
     return _cascade("cascade", params, q, t, k, aa, (), lambda i: 0)
@@ -164,10 +164,10 @@ def full_ortho_family(
     m_i = 2^q*(2^(i-2) - 1) + t + i - 3 + 2*a_{i-1} - a_i for i >= 2.
     """
     if t < 2:
-        raise FamilyDomainError(f"full orthogonality needs t >= 2, got {t}")
+        raise FamilyDomainError(f"full orthogonality needs t >= 2, got {int_text(t)}")
     _check_qt(q, t, k)
     if k < 2:
-        raise FamilyDomainError(f"orthogonality needs k >= 2, got {k}")
+        raise FamilyDomainError(f"orthogonality needs k >= 2, got {int_text(k)}")
     aa = _check_a(a, k, t, 1, 2**q - t - k + 3, "2^q - t - k + 3")
     params = {"q": q, "t": t, "k": k, "a": aa}
     return _cascade("full-orthogonality", params, q, t, k, aa, all_pairs(k), lambda i: i - 3)
@@ -182,7 +182,7 @@ def near_full_ortho_family(q: int, t: int, k: int) -> FamilyInstance:
     """
     _check_qt(q, t, k)
     if k < 3:
-        raise FamilyDomainError(f"this family needs k >= 3, got {k}")
+        raise FamilyDomainError(f"this family needs k >= 3, got {int_text(k)}")
     if 2**q < t + k - 3:
         raise FamilyDomainError(f"need 2^q >= t + k - 3, got q={q}, t={t}, k={k}")
     params = {"q": q, "t": t, "k": k}
@@ -204,7 +204,7 @@ def last_ortho_family(
     """
     _check_qt(q, t, k)
     if k < 3:
-        raise FamilyDomainError(f"this family needs k >= 3, got {k}")
+        raise FamilyDomainError(f"this family needs k >= 3, got {int_text(k)}")
     universe = last_orthogonal(k)
     oo = universe if ortho is None else frozenset((int(r), int(s)) for r, s in ortho)
     if not oo <= universe:
@@ -226,7 +226,7 @@ def ham_sandwich_cascade(q: int, k: int) -> FamilyInstance:
     alone bisects 2^(q+k-2) of them."""
     _check_sizes(q, k)
     if k < 1:
-        raise FamilyDomainError(f"k must be >= 1, got {k}")
+        raise FamilyDomainError(f"k must be >= 1, got {int_text(k)}")
     params = {"q": q, "k": k}
     return _cascade("ham-sandwich-cascade", params, q, 2**q, k, (0,) * k, (), lambda i: 0)
 

@@ -13,25 +13,32 @@ with the Frobenius identity l^(2^b) = sum_{i in l} u_i^(2^b) over GF(2):
 one shift-XOR pass per set bit of the multiplicity, the passes of one
 power s = 2^b run together.  Multiplying by u_i^s for i < k masks off
 the cells whose u_i exponent would pass d and shifts the rest s strides
-along axis i; the mask is built when first needed and dropped after
-its last use among the passes of that s.  Multiplying by u_k^s keeps
-the cell as it is: u_k is reduced once, when the support is read, which
-gives the same product because (u_k^{d+1}) is an ideal.  A cell whose
-u_k exponent passed d has only such descendants, and it never shares a
-position with a live cell of the same degree.  The live cells of a
+along axis i.  A mask depends only on the ring, the axis and s, so it
+is kept between products in `_masks`, whose charge is bounded by
+`MASK_CACHE_BITS`; a mask too large to keep (a slice of about 2^20
+cells or more) is built when first needed and dropped after its last
+use among the passes of that s.  A kept mask is the int a fresh build
+gives, so no result depends on what the cache holds.  Multiplying by
+u_k^s keeps the cell as it is: u_k is reduced once, when the support
+is read, which gives the same product because (u_k^{d+1}) is an ideal.
+A cell whose u_k exponent passed d has only such descendants, and it
+never shares a position with a live cell of the same degree.  The live cells of a
 degree-j slice have exponent sums in [j-d, j], so the support is read
 from the window of bits between the first and the last cell with such a
 sum: one bit for a product of kd forms.  The result is a
 `TruncatedPolynomial`: the ring and the sorted support read off that
-window."""
+window.  A strict certificate's product is zero or the top monomial, so
+the digests of those two supports are memoised per ring."""
 
 from __future__ import annotations
 
 import hashlib
 import json
 import math
+import threading
 from collections import Counter
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable
 
 from .exceptions import RangeError, ShapeError, int_text
@@ -40,6 +47,18 @@ from .exceptions import RangeError, ShapeError, int_text
 # is almost certainly a mistake.  The product kernel itself holds only a
 # (d+1)^(k-1) slice.
 MAX_RING_CELLS = 1 << 26
+
+# Budget of the axis masks kept between products, in bits: each kept mask
+# is charged its bit length plus MASK_ENTRY_BITS for its key and dict
+# slot, so many small masks are bounded as well as a few large ones.  A
+# mask charged more than an eighth of the budget (a slice of about 2^20
+# cells) is never kept, and one that would pass the budget empties the
+# cache first.
+MASK_CACHE_BITS = 1 << 23
+MASK_ENTRY_BITS = 1 << 11
+_masks: dict[tuple[int, int, int, int], int] = {}
+_mask_bits = 0  # the charges of the masks in _masks
+_masks_lock = threading.Lock()
 
 
 @dataclass(frozen=True)
@@ -51,9 +70,9 @@ class RingShape:
 
     def __post_init__(self) -> None:
         if not isinstance(self.k, int) or self.k < 1:
-            raise RangeError(f"k must be a positive integer, got {self.k!r}")
+            raise RangeError(f"k must be a positive integer, got {_given(self.k)}")
         if not isinstance(self.d, int) or self.d < 0:
-            raise RangeError(f"d must be a non-negative integer, got {self.d!r}")
+            raise RangeError(f"d must be a non-negative integer, got {_given(self.d)}")
         # (d+1)^k >= 2^(k b) with b = floor(log2(d+1)), past the cap once
         # k b reaches the cap's bit length, so a huge k or d is refused on
         # bit lengths, without forming the power
@@ -96,14 +115,29 @@ class TruncatedPolynomial:
 
     def digest(self) -> str:
         """SHA-256 of the canonical JSON {"d", "k", "support"}, sorted keys
-        and compact separators."""
-        doc = {
-            "k": self.shape.k,
-            "d": self.shape.d,
-            "support": [list(t) for t in self.terms],
-        }
-        text = json.dumps(doc, sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(text.encode("ascii")).hexdigest()
+        and compact separators; memoised for zero and the top monomial."""
+        k, d = self.shape.k, self.shape.d
+        if not self.terms or self.is_top():
+            return _strict_digest(k, d, bool(self.terms))
+        return _canonical_digest(k, d, self.terms)
+
+
+def _canonical_digest(k: int, d: int, terms: tuple[tuple[int, ...], ...]) -> str:
+    doc = {"k": k, "d": d, "support": [list(t) for t in terms]}
+    text = json.dumps(doc, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(text.encode("ascii")).hexdigest()
+
+
+@lru_cache(maxsize=1024)
+def _strict_digest(k: int, d: int, top: bool) -> str:
+    """The digest of the top monomial if `top`, else of zero."""
+    return _canonical_digest(k, d, ((d,) * k,) if top else ())
+
+
+def _given(value: object) -> str:
+    """A refused k or d for a message: an int as `int_text` writes it,
+    anything else by its repr."""
+    return int_text(value) if isinstance(value, int) else repr(value)
 
 
 def check_form(bits: tuple[int, ...], k: int) -> None:
@@ -150,7 +184,7 @@ def product_of_forms(
             nxt = acc if bits[k - 1] else 0
             for ax in range(k - 1):
                 if bits[ax]:
-                    mask = keep.pop(ax) if ax in keep else _axis_at_most(k, d, ax, d - s)
+                    mask = keep.pop(ax) if ax in keep else _axis_mask(k, d, ax, d - s)
                     nxt ^= (acc & mask) << s * strides[ax]
                     if last[ax] > g:
                         keep[ax] = mask
@@ -197,6 +231,25 @@ def _support(
             terms.append((*es, last))
         at = window.rfind("1", 0, at)
     return tuple(terms)
+
+
+def _axis_mask(k: int, d: int, ax: int, e: int) -> int:
+    """`_axis_at_most(k, d, ax, e)`, from `_masks` when kept there."""
+    global _mask_bits
+    key = (k, d, ax, e)
+    mask = _masks.get(key)
+    if mask is None:
+        mask = _axis_at_most(k, d, ax, e)
+        charge = mask.bit_length() + MASK_ENTRY_BITS
+        if charge <= MASK_CACHE_BITS >> 3:
+            with _masks_lock:  # keeps the charge exact under threads
+                if _mask_bits + charge > MASK_CACHE_BITS:
+                    _masks.clear()
+                    _mask_bits = 0
+                if key not in _masks:
+                    _masks[key] = mask
+                    _mask_bits += charge
+    return mask
 
 
 def _axis_at_most(k: int, d: int, ax: int, e: int) -> int:

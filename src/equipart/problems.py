@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from typing import Any, Iterable, Sequence
 
 from . import jsontypes
-from .exceptions import ContradictionError, RangeError, ShapeError
+from .exceptions import ContradictionError, RangeError, ShapeError, int_text
 from .gf2 import check_form
 
 
@@ -39,7 +39,7 @@ MAX_K = 1024
 
 def _check_k(k: int) -> None:
     if not 1 <= k <= MAX_K:
-        raise RangeError(f"k must be in 1..{MAX_K}, got k={k}")
+        raise RangeError(f"k must be in 1..{MAX_K}, got k={int_text(k)}")
 
 
 def all_pairs(k: int) -> frozenset[tuple[int, int]]:
@@ -89,7 +89,9 @@ class ConstraintProblem:
         for pair in self.ortho:
             r, s = pair
             if not (1 <= r < s <= self.k):
-                raise RangeError(f"orthogonality pair {pair} must satisfy 1<=r<s<=k")
+                raise RangeError(
+                    f"orthogonality pair ({int_text(r)}, {int_text(s)}) must satisfy 1<=r<s<=k"
+                )
         extra = tuple(sorted(tuple(bits) for bits in self.extra))
         for bits in extra:
             check_form(bits, self.k)
@@ -179,9 +181,9 @@ def ramos_L(m: int, k: int) -> int:
     """Degree-of-freedom lower bound ceil(m*(2^k - 1)/k) for the
     unconstrained m-mass, k-hyperplane problem."""
     if m < 1:
-        raise RangeError(f"ramos_L requires m >= 1, got {m}")
+        raise RangeError(f"ramos_L requires m >= 1, got {int_text(m)}")
     if k < 1:
-        raise RangeError(f"ramos_L requires k >= 1, got {k}")
+        raise RangeError(f"ramos_L requires k >= 1, got {int_text(k)}")
     return -(-(m * (2**k - 1)) // k)
 
 
@@ -189,9 +191,9 @@ def upper_U(m: int, k: int) -> int:
     """Best known general upper bound: with m = 2^q + r, 0 <= r < 2^q,
     returns 2^(q+k-1) + r."""
     if m < 1:
-        raise RangeError(f"upper_U requires m >= 1, got {m}")
+        raise RangeError(f"upper_U requires m >= 1, got {int_text(m)}")
     if k < 1:
-        raise RangeError(f"upper_U requires k >= 1, got {k}")
+        raise RangeError(f"upper_U requires k >= 1, got {int_text(k)}")
     q = m.bit_length() - 1
     r = m - (1 << q)
     return (1 << (q + k - 1)) + r

@@ -53,7 +53,7 @@ from typing import Sequence
 import numpy as np
 
 from . import jsontypes
-from .exceptions import ConfigurationError, EquipartError, RangeError, ShapeError
+from .exceptions import ConfigurationError, EquipartError, RangeError, ShapeError, int_text
 from .jsontypes import SCHEMA_VERSION
 from .lbfgs import MEMORY, minimize
 from .masses import MIN_NORMAL_NORM, HyperplaneParam, SampledMass, parse_label, region_masses
@@ -86,11 +86,11 @@ class SolverConfig:
             jsontypes.integer(getattr(self, name), name)
         jsontypes.number(self.tol, "tol")
         if self.seed < 0:
-            raise ConfigurationError(f"seed must be >= 0, got {self.seed}")
+            raise ConfigurationError(f"seed must be >= 0, got {int_text(self.seed)}")
         if self.starts < 1:
-            raise ConfigurationError(f"starts must be >= 1, got {self.starts}")
+            raise ConfigurationError(f"starts must be >= 1, got {int_text(self.starts)}")
         if self.jobs < 1:
-            raise ConfigurationError(f"jobs must be >= 1, got {self.jobs}")
+            raise ConfigurationError(f"jobs must be >= 1, got {int_text(self.jobs)}")
         if not math.isfinite(self.tol):
             raise RangeError(f"tol must be finite, got {self.tol}")
 

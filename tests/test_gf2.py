@@ -1,6 +1,9 @@
 import dataclasses
 import hashlib
+import random
 import re
+import sys
+import threading
 import time
 import tracemalloc
 
@@ -10,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 from equipart.certify import check
 from equipart.exceptions import RangeError, ShapeError
+from equipart import gf2
 from equipart.gf2 import RingShape, product_of_forms
 from equipart.problems import ConstraintProblem, all_pairs, compile_forms
 
@@ -324,6 +328,100 @@ def test_wide_one_form_product_holds_one_axis_mask():
     assert peak < 64 * 2**20
 
 
+def clear_masks():
+    gf2._masks.clear()
+    gf2._mask_bits = 0
+
+
+def test_kept_axis_masks_equal_fresh_builds():
+    # a mask from the cache, cold or warm, is the int a fresh build gives,
+    # and that int holds exactly the cells whose u_(ax+1) exponent is <= e
+    rnd = random.Random(30)
+    clear_masks()
+    for _ in range(200):
+        k = rnd.randint(2, 5)
+        d = rnd.randint(0, 9 if k < 5 else 4)
+        ax, e = rnd.randrange(k - 1), rnd.randint(0, d)
+        stride = (d + 1) ** (k - 2 - ax)
+        expect = sum(
+            1 << c for c in range((d + 1) ** (k - 1)) if c // stride % (d + 1) <= e
+        )
+        assert gf2._axis_mask(k, d, ax, e) == gf2._axis_at_most(k, d, ax, e) == expect
+        assert gf2._axis_mask(k, d, ax, e) == expect
+
+
+def test_mask_cache_stays_within_its_budget():
+    # rings large enough to fill the budget several times over: the cache
+    # empties itself before it would pass it, and never keeps a mask
+    # charged more than an eighth of it
+    clear_masks()
+    cleared = 0
+    for d in range(40, 140, 3):
+        for ax in range(3):
+            for e in (0, d // 2, d - 1):
+                before = len(gf2._masks)
+                gf2._axis_mask(4, d, ax, e)
+                cleared += len(gf2._masks) < before
+                charges = [m.bit_length() + gf2.MASK_ENTRY_BITS for m in gf2._masks.values()]
+                assert gf2._mask_bits == sum(charges) <= gf2.MASK_CACHE_BITS
+                assert max(charges, default=0) <= gf2.MASK_CACHE_BITS >> 3
+    assert cleared
+
+
+def test_mask_cache_charge_stays_exact_under_threads():
+    # four threads filling and emptying the cache, the interpreter
+    # switching between them as often as it can: a lost update would leave
+    # the charge apart from the masks kept (without the lock, this caught
+    # one in about a third of runs)
+    clear_masks()
+    keys = [(2, d, 0, e) for d in range(200) for e in range(d + 1)]  # 20,100 small masks
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [
+            threading.Thread(target=lambda seed=seed: [
+                gf2._axis_mask(*key) for key in random.Random(seed).sample(keys, len(keys))
+            ])
+            for seed in range(4)
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    charges = [m.bit_length() + gf2.MASK_ENTRY_BITS for m in gf2._masks.values()]
+    assert gf2._mask_bits == sum(charges) <= gf2.MASK_CACHE_BITS
+
+
+@settings(max_examples=150, deadline=None)
+@given(form_multisets())
+def test_products_do_not_depend_on_the_mask_cache(data):
+    k, d, forms = data
+    clear_masks()
+    cold = product_of_forms(RingShape(k, d), forms)
+    warm = product_of_forms(RingShape(k, d), forms)
+    assert cold.support() == warm.support()
+    assert cold.digest() == warm.digest()
+
+
+def test_wide_one_form_product_keeps_no_mask():
+    # the 2^25-cell masks are past the cache's per-mask limit: once the
+    # product returns, none of them is held
+    clear_masks()
+    tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        h = product_of_forms(RingShape(26, 1), [(1,) * 26])
+        after, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(h.support()) == 26
+    assert after - before < 2**20  # one 2^25-bit mask is 4 MB
+    assert not [key for key in gf2._masks if key[:2] == (26, 1)]
+
+
 # ----------------------------------------------------------------------
 # digest and immutability
 # ----------------------------------------------------------------------
@@ -334,6 +432,34 @@ def test_digest_hashes_the_canonical_json():
     assert h.digest() == hashlib.sha256(canonical.encode("ascii")).hexdigest()
     zero = product_of_forms(RingShape(2, 3), forms_of(*[(1, 1)] * 4))
     assert zero.digest() == hashlib.sha256(b'{"d":3,"k":2,"support":[]}').hexdigest()
+
+
+def canonical_digest(k, d, support):
+    cells = ",".join("[" + ",".join(map(str, t)) + "]" for t in support)
+    text = f'{{"d":{d},"k":{k},"support":[{cells}]}}'
+    return hashlib.sha256(text.encode("ascii")).hexdigest()
+
+
+def test_strict_digests_come_from_the_memo_and_hash_the_canonical_json():
+    # zero and the top monomial, the only products a strict certificate
+    # can have, take their digest from a per-ring memo; cold or warm, it
+    # is the hash of the canonical JSON
+    grid = [(k, d) for k in range(1, 5) for d in range(0, 6)]
+    gf2._strict_digest.cache_clear()
+    for warm in (False, True):
+        for k, d in grid:
+            shape = RingShape(k, d)
+            unit_forms = [tuple(int(j == i) for j in range(k)) for i in range(k)]
+            top = product_of_forms(shape, [f for f in unit_forms for _ in range(d)])
+            zero = product_of_forms(shape, [unit_forms[0]] * (d + 1))
+            assert top.is_top() and zero.is_zero()
+            assert top.digest() == canonical_digest(k, d, [(d,) * k])
+            assert zero.digest() == canonical_digest(k, d, [])
+        info = gf2._strict_digest.cache_info()
+        assert (info.hits, info.misses) == ((2 * len(grid), 2 * len(grid)) if warm else (0, 2 * len(grid)))
+    # any other support is hashed as it is
+    h = product_of_forms(RingShape(3, 2), [(1, 1, 1)] * 2)
+    assert h.digest() == canonical_digest(3, 2, h.support())
 
 
 def test_immutability():

@@ -1,11 +1,21 @@
 import json
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from equipart import knownvalues
-from equipart.certify import check
-from equipart.exceptions import ContradictionError, RangeError, ShapeError
+from equipart.atlas import AtlasQuery
+from equipart.certify import check, verify_dickson, verify_pki_ortho, verify_vandermonde
+from equipart.exceptions import (
+    ConfigurationError,
+    ContradictionError,
+    FamilyDomainError,
+    RangeError,
+    ShapeError,
+)
+from equipart.families import cascade_family, full_ortho_family, ham_sandwich_cascade
+from equipart.gf2 import RingShape
 from equipart.problems import (
     ConstraintProblem,
     all_pairs,
@@ -20,6 +30,7 @@ from equipart.problems import (
     ramos_L,
     upper_U,
 )
+from equipart.solver import SolverConfig
 
 
 @st.composite
@@ -186,6 +197,39 @@ def test_bad_extra_forms_raise_the_kernel_errors(form, error):
         ConstraintProblem.from_dict({"k": 2, "m": [1], "extra": [[1, 1], list(form)]})
     with pytest.raises(error):
         ConstraintProblem(k=2, m=(1, 0), a=(0, 0), extra=((1, 1), form))
+
+
+HUGE = 10**5000  # past the 4300 digits Python will print
+
+HUGE_REFUSALS = {
+    "check-d": (lambda: check(ConstraintProblem.of(1, [1]), -HUGE), RangeError),
+    "vandermonde-j": (lambda: verify_vandermonde(3, HUGE, 4), RangeError),
+    "dickson-i": (lambda: verify_dickson(3, -HUGE, 4), RangeError),
+    "pki-ortho-d": (lambda: verify_pki_ortho(3, 1, -HUGE), RangeError),
+    "ramos-L-m": (lambda: ramos_L(-HUGE, 2), RangeError),
+    "upper-U-m": (lambda: upper_U(-HUGE, 2), RangeError),
+    "upper-U-k": (lambda: upper_U(1, -HUGE), RangeError),
+    "ring-k": (lambda: RingShape(-HUGE, 2), RangeError),
+    "ring-d": (lambda: RingShape(2, -HUGE), RangeError),
+    "problem-k": (lambda: ConstraintProblem.of(HUGE), RangeError),
+    "problem-negative-k": (lambda: ConstraintProblem.of(-HUGE), RangeError),
+    "problem-ortho": (lambda: ConstraintProblem.of(2, ortho=[(1, HUGE)]), RangeError),
+    "atlas-max-m": (lambda: AtlasQuery(k=2, d_range=(2, 3), max_m=-HUGE), ConfigurationError),
+    "cascade-k": (lambda: cascade_family(0, 1, -HUGE), FamilyDomainError),
+    "ortho-full-t": (lambda: full_ortho_family(0, -HUGE, 3), FamilyDomainError),
+    "hs-cascade-k": (lambda: ham_sandwich_cascade(0, -HUGE), FamilyDomainError),
+    "solver-starts": (lambda: SolverConfig(starts=-HUGE), ConfigurationError),
+}
+
+
+@pytest.mark.parametrize("case", sorted(HUGE_REFUSALS))
+def test_huge_integers_are_refused_by_bit_length(case):
+    # a refusal must never fail to form its own message: the package's
+    # error is raised, naming the integer by its bit length
+    call, error = HUGE_REFUSALS[case]
+    with pytest.raises(error, match=re.escape(f"<{HUGE.bit_length()}-bit integer>")) as info:
+        call()
+    assert info.type is error
 
 
 # ----------------------------------------------------------------------
