@@ -22,10 +22,10 @@ gives, so no result depends on what the cache holds.  Multiplying by
 u_k^s keeps the cell as it is: u_k is reduced once, when the support
 is read, which gives the same product because (u_k^{d+1}) is an ideal.
 A cell whose u_k exponent passed d has only such descendants, and it
-never shares a position with a live cell of the same degree.  The live cells of a
-degree-j slice have exponent sums in [j-d, j], so the support is read
-from the window of bits between the first and the last cell with such a
-sum: one bit for a product of kd forms.  The result is a
+never shares a position with a live cell of the same degree.  The live
+cells of a degree-j slice have exponent sums in [j-d, j], so the support
+is read from the window of bits between the first and the last cell
+with such a sum: one bit for a product of kd forms.  The result is a
 `TruncatedPolynomial`: the ring and the sorted support read off that
 window.  A strict certificate's product is zero or the top monomial, so
 the digests of those two supports are memoised per ring."""

@@ -11,9 +11,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from equipart import gf2
 from equipart.certify import check
 from equipart.exceptions import RangeError, ShapeError
-from equipart import gf2
 from equipart.gf2 import RingShape, product_of_forms
 from equipart.problems import ConstraintProblem, all_pairs, compile_forms
 
