@@ -25,6 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import permutations
+from typing import Iterator
 
 from .exceptions import (
     ConfigurationError,
@@ -34,7 +35,7 @@ from .exceptions import (
     RangeError,
     int_text,
 )
-from .gf2 import RingShape, TruncatedPolynomial, product_of_forms
+from .gf2 import RingShape, TruncatedPolynomial, _largest_d, product_of_forms
 from .problems import (
     ConstraintProblem,
     all_pairs,
@@ -83,79 +84,68 @@ class Certificate:
         }
 
 
-def check(
-    p: ConstraintProblem,
-    d: int,
-    mode: str = "strict",
-    return_polynomial: bool = False,
-) -> Certificate | tuple[Certificate, TruncatedPolynomial]:
-    """Run the criterion for instance p at dimension d.
+def check(p: ConstraintProblem, d: int, mode: str = "strict") -> Certificate:
+    """Run the criterion for instance p at dimension d: the one-d case of
+    `check_range`.  Certified means the instance holds in R^d (for
+    arbitrary masses and flats); inconclusive asserts nothing."""
+    return next(check_range(p, d, d, mode))[0]
 
-    Certified means the instance holds in R^d (for arbitrary masses and
-    flats); inconclusive asserts nothing.
-    """
+
+def check_range(
+    p: ConstraintProblem, d_lo: int, d_hi: int, mode: str = "relaxed"
+) -> Iterator[tuple[Certificate, TruncatedPolynomial]]:
+    """(certificate, h) for each d from d_lo to d_hi, in order and lazily,
+    as `check` gives them, h being the product of p's forms at d: one
+    product, at d_hi or at the ring cap's largest d if smaller, truncated
+    to each smaller d.  A d past the cap is refused as `check` refuses it."""
     if mode not in MODES:
         raise ConfigurationError(f"mode must be one of {MODES}, got {mode!r}")
-    if d < 1:
-        raise RangeError(f"d must be >= 1, got {int_text(d)}")
     form_count = constraint_dimension(p)
-    kd = p.k * d
-    if form_count > kd:
-        raise InfeasibleByCountingError(
-            f"{int_text(form_count)} conditions exceed the k*d = {int_text(kd)} "
-            f"degrees of freedom; the instance cannot hold at d={int_text(d)}"
-        )
-    if mode == "strict" and form_count != kd:
-        raise DimensionMismatchError(
-            f"strict mode needs exactly k*d forms: D={int_text(form_count)}, "
-            f"kd={int_text(kd)}"
-        )
-    h = product_of_forms(RingShape(p.k, d), compile_forms(p))
-    is_top = h.is_top()
-    is_zero = h.is_zero()
-    certified = is_top if mode == "strict" else not is_zero
-    cert = Certificate(
-        problem=p,
-        d=d,
-        mode=mode,
-        form_count=form_count,
-        kd=kd,
-        verdict="certified" if certified else "inconclusive",
-        h_is_top=is_top,
-        h_is_zero=is_zero,
-        h_digest=h.digest(),
-        tight=(form_count == kd),
-    )
-    return (cert, h) if return_polynomial else cert
+    widest = None  # the one product, at the largest d it covers
+    for d in range(d_lo, d_hi + 1):
+        if d < 1:
+            raise RangeError(f"d must be >= 1, got {int_text(d)}")
+        kd = p.k * d
+        if form_count > kd:
+            raise InfeasibleByCountingError(
+                f"{int_text(form_count)} conditions exceed the k*d = {int_text(kd)} "
+                f"degrees of freedom; the instance cannot hold at d={int_text(d)}"
+            )
+        if mode == "strict" and form_count != kd:
+            raise DimensionMismatchError(
+                f"strict mode needs exactly k*d forms: D={int_text(form_count)}, "
+                f"kd={int_text(kd)}"
+            )
+        if widest is None or d > widest.shape.d:  # the latter only past the cap
+            shape = RingShape(p.k, max(d, min(d_hi, _largest_d(p.k))))
+            widest = product_of_forms(shape, compile_forms(p))
+        h = widest.truncate(d)
+        is_top, is_zero = h.is_top(), h.is_zero()
+        certified = is_top if mode == "strict" else not is_zero
+        yield Certificate(
+            problem=p, d=d, mode=mode, form_count=form_count, kd=kd,
+            verdict="certified" if certified else "inconclusive",
+            h_is_top=is_top, h_is_zero=is_zero, h_digest=h.digest(),
+            tight=(form_count == kd),
+        ), h
 
 
 def find_min_certified_d(
     p: ConstraintProblem, d_max: int, mode: str = "relaxed"
 ) -> tuple[int, Certificate] | None:
-    """Smallest d in [counting lower bound, d_max] where check certifies.
-
-    Strict mode is tied to tightness, so it only probes d = C/k (when that
-    is an integer); relaxed mode scans every d in the range.
-    """
+    """Smallest d in [counting lower bound, d_max] where check certifies:
+    the first certified d of one `check_range` call.  Strict mode is tied
+    to tightness, so its range is d = C/k alone, when that is an integer
+    in [counting lower bound, d_max]."""
     if mode not in MODES:
         raise ConfigurationError(f"mode must be one of {MODES}, got {mode!r}")
     lower = max(lower_bound_dim(p), 1)
-    if d_max < lower:
-        return None
     if mode == "strict":
-        c = constraint_dimension(p)
-        if c % p.k != 0:
+        count = constraint_dimension(p)
+        if count % p.k or not lower <= count // p.k <= d_max:
             return None
-        d = c // p.k
-        if not lower <= d <= d_max or d < 1:
-            return None
-        cert = check(p, d, "strict")
-        return (d, cert) if cert.certified else None
-    for d in range(lower, d_max + 1):
-        cert = check(p, d, "relaxed")
-        if cert.certified:
-            return (d, cert)
-    return None
+        lower = d_max = count // p.k
+    return next(((c.d, c) for c, _ in check_range(p, lower, d_max, mode) if c.certified), None)
 
 
 def transfer_by_domination(
@@ -236,8 +226,9 @@ def verify_dickson(k: int, i: int, d: int) -> bool:
     2^(k-i), 2^(k-i-1), ..., 1."""
     if not 1 <= i <= k:
         raise RangeError(f"need 1 <= i <= k, got i={int_text(i)}, k={int_text(k)}")
-    if d < 2 ** (k - i):
-        raise RangeError(f"need d >= 2^(k-i) = {2 ** (k - i)}, got d={int_text(d)}")
+    if d < 1 or isinstance(d, int) and d.bit_length() <= k - i:  # d < 2^(k-i)
+        power = 2 ** (k - i) if k - i < 64 else f"2^{int_text(k - i)}"
+        raise RangeError(f"need d >= 2^(k-i) = {power}, got d={int_text(d)}")
     shape = RingShape(k, d)
     p = ConstraintProblem.of(k, m=[0] * (i - 1) + [1])
     return _matches_permutation_sum(shape, p, [2**e for e in range(k - i, -1, -1)])

@@ -16,7 +16,7 @@ import sys
 
 from . import knownvalues
 from .atlas import REPORT_FORMATS, AtlasQuery, emit_report, enumerate_rows
-from .certify import MODES, check, verify_identities
+from .certify import MODES, check, check_range, verify_identities
 from .exceptions import EquipartError, InternalConsistencyError, SearchSpaceError
 from .families import FAMILIES
 from .jsontypes import SCHEMA_VERSION
@@ -118,13 +118,10 @@ def _add_problem_flags(sub) -> None:
 # ----------------------------------------------------------------------
 def _cmd_check(args) -> int:
     problem = _problem_from_args(args)
+    cert, h = next(check_range(problem, args.d, args.d, args.mode))
+    doc = cert.to_dict()
     if args.verbose:
-        cert, h = check(problem, args.d, args.mode, return_polynomial=True)
-        doc = cert.to_dict()
         doc["h_support"] = [list(t) for t in h.support()]
-    else:
-        cert = check(problem, args.d, args.mode)
-        doc = cert.to_dict()
     _emit(doc)
     return EXIT_OK if cert.certified else EXIT_INCONCLUSIVE
 

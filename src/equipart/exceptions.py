@@ -4,10 +4,15 @@
 def int_text(n: object) -> str:
     """n for an error message: an int in decimal, or by its bit length
     once the decimal would be long (Python refuses to print an int past
-    4300 digits, and a message must never fail to form); any other value
-    as `str` writes it."""
+    4300 digits, and a message must never fail to form); a tuple or list
+    as `str` writes it, but with each int entry through int_text; any
+    other value as `str` writes it."""
     if isinstance(n, int) and n.bit_length() > 64:
         return f"<{n.bit_length()}-bit integer>"
+    if isinstance(n, (tuple, list)):
+        text = ", ".join(int_text(x) if isinstance(x, int) else repr(x) for x in n)
+        text += "," if len(n) == 1 and isinstance(n, tuple) else ""
+        return f"({text})" if isinstance(n, tuple) else f"[{text}]"
     return str(n)
 
 

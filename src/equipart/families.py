@@ -94,16 +94,16 @@ def _check_a(
     nondecreasing, with a2 <= 2*a1 + t - slack and a_(k-1) <= bound."""
     aa = (0,) * k if a is None else tuple(int(x) for x in a)
     if len(aa) != k:
-        raise FamilyDomainError(f"a must have length k={k}, got {aa}")
+        raise FamilyDomainError(f"a must have length k={k}, got {int_text(aa)}")
     if any(x < 0 for x in aa):
-        raise FamilyDomainError(f"a entries must be non-negative, got {aa}")
+        raise FamilyDomainError(f"a entries must be non-negative, got {int_text(aa)}")
     if any(aa[i] > aa[i + 1] for i in range(k - 1)):
-        raise FamilyDomainError(f"a must be nondecreasing, got {aa}")
+        raise FamilyDomainError(f"a must be nondecreasing, got {int_text(aa)}")
     if k >= 2 and aa[1] > 2 * aa[0] + t - slack:
         need = "2*a1 + t" + (f" - {slack}" if slack else "")
-        raise FamilyDomainError(f"need a2 <= {need}, got a={aa}, t={t}")
+        raise FamilyDomainError(f"need a2 <= {need}, got a={int_text(aa)}, t={t}")
     if k >= 2 and aa[k - 2] > bound:
-        raise FamilyDomainError(f"need a_(k-1) <= {bound_text} = {bound}, got a={aa}")
+        raise FamilyDomainError(f"need a_(k-1) <= {bound_text} = {bound}, got a={int_text(aa)}")
     return aa
 
 

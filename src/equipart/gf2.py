@@ -28,7 +28,11 @@ is read from the window of bits between the first and the last cell
 with such a sum: one bit for a product of kd forms.  The result is a
 `TruncatedPolynomial`: the ring and the sorted support read off that
 window.  A strict certificate's product is zero or the top monomial, so
-the digests of those two supports are memoised per ring."""
+the digests of those two supports are memoised per ring.
+
+For d <= d', reducing mod (u1^{d+1}, ..., uk^{d+1}) is a ring map, so
+the product of forms at d is their product at d' with every term that
+has an exponent above d dropped: `TruncatedPolynomial.truncate`."""
 
 from __future__ import annotations
 
@@ -73,13 +77,7 @@ class RingShape:
             raise RangeError(f"k must be a positive integer, got {_given(self.k)}")
         if not isinstance(self.d, int) or self.d < 0:
             raise RangeError(f"d must be a non-negative integer, got {_given(self.d)}")
-        # (d+1)^k >= 2^(k b) with b = floor(log2(d+1)), past the cap once
-        # k b reaches the cap's bit length, so a huge k or d is refused on
-        # bit lengths, without forming the power
-        if self.d and (
-            self.k * ((self.d + 1).bit_length() - 1) >= MAX_RING_CELLS.bit_length()
-            or self.cells > MAX_RING_CELLS
-        ):
+        if self.d > _largest_d(self.k):  # no power of d is formed
             size = (
                 f"2^{self.k * math.log2(self.d + 1):.1f}"
                 if self.k.bit_length() <= 64
@@ -113,6 +111,16 @@ class TruncatedPolynomial:
     def support(self) -> tuple[tuple[int, ...], ...]:
         return self.terms
 
+    def truncate(self, d: int) -> TruncatedPolynomial:
+        """The image in the ring at d <= self.shape.d: the terms with every
+        exponent at most d."""
+        if d == self.shape.d:
+            return self
+        if d > self.shape.d:
+            raise RangeError(f"cannot truncate from d={self.shape.d} up to d={int_text(d)}")
+        terms = tuple(t for t in self.terms if max(t) <= d)
+        return TruncatedPolynomial(RingShape(self.shape.k, d), terms)
+
     def digest(self) -> str:
         """SHA-256 of the canonical JSON {"d", "k", "support"}, sorted keys
         and compact separators; memoised for zero and the top monomial."""
@@ -132,6 +140,13 @@ def _canonical_digest(k: int, d: int, terms: tuple[tuple[int, ...], ...]) -> str
 def _strict_digest(k: int, d: int, top: bool) -> str:
     """The digest of the top monomial if `top`, else of zero."""
     return _canonical_digest(k, d, ((d,) * k,) if top else ())
+
+
+def _largest_d(k: int) -> int:
+    """The largest d with (d+1)^k <= MAX_RING_CELLS: the k-th root of the
+    cap, rounded, is d + 1 or d + 2.  For k > 26 it is 0."""
+    root = round(MAX_RING_CELLS ** (1 / k))
+    return root - 1 if root**k <= MAX_RING_CELLS else root - 2
 
 
 def _given(value: object) -> str:

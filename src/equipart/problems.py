@@ -82,7 +82,7 @@ class ConstraintProblem:
         object.__setattr__(self, "ortho", frozenset(self.ortho))
         if len(self.m) != self.k or len(self.a) != self.k:
             raise ShapeError(
-                f"m and a must have length k={self.k}: m={self.m}, a={self.a}"
+                f"m and a must have length k={self.k}: m={int_text(self.m)}, a={int_text(self.a)}"
             )
         if any(x < 0 for x in self.m) or any(x < 0 for x in self.a):
             raise RangeError("m and a entries must be non-negative")
@@ -124,9 +124,9 @@ class ConstraintProblem:
         return tuple(sorted(self.ortho))
 
     def describe(self) -> str:
-        parts = [f"m={self.m}"]
+        parts = [f"m={int_text(self.m)}"]
         if any(self.a):
-            parts.append(f"a={self.a}")
+            parts.append(f"a={int_text(self.a)}")
         if self.ortho:
             parts.append("O={" + ",".join(f"({r},{s})" for r, s in self.sorted_ortho()) + "}")
         if self.extra:
@@ -184,6 +184,8 @@ def ramos_L(m: int, k: int) -> int:
         raise RangeError(f"ramos_L requires m >= 1, got {int_text(m)}")
     if k < 1:
         raise RangeError(f"ramos_L requires k >= 1, got {int_text(k)}")
+    if k > MAX_K:  # before 2^k is formed
+        raise RangeError(f"ramos_L requires k <= {MAX_K}, got {int_text(k)}")
     return -(-(m * (2**k - 1)) // k)
 
 
@@ -194,6 +196,8 @@ def upper_U(m: int, k: int) -> int:
         raise RangeError(f"upper_U requires m >= 1, got {int_text(m)}")
     if k < 1:
         raise RangeError(f"upper_U requires k >= 1, got {int_text(k)}")
+    if k > MAX_K:  # before 2^(q+k-1) is formed
+        raise RangeError(f"upper_U requires k <= {MAX_K}, got {int_text(k)}")
     q = m.bit_length() - 1
     r = m - (1 << q)
     return (1 << (q + k - 1)) + r

@@ -1,13 +1,17 @@
 import importlib
 import json
+import re
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from equipart import certify
 from equipart.certify import (
+    MODES,
     check,
+    check_range,
     find_min_certified_d,
     transfer_by_domination,
     verify_dickson,
@@ -245,6 +249,96 @@ def test_find_min_relaxed_scan():
 
 def test_find_min_respects_d_max():
     assert find_min_certified_d(ConstraintProblem.of(2, m=(1, 1)), 1, "strict") is None
+
+
+def test_find_min_at_the_ring_cap():
+    # the one product is taken at d_max or at the cap's d, whichever is
+    # smaller; k=2 allows d <= 8191 and k=5 allows d <= 35
+    found = find_min_certified_d(ConstraintProblem.of(2, m=(1, 1)), 10**5000)
+    assert found is not None and found[0] == 2
+    found = find_min_certified_d(ConstraintProblem.of(5, m=(3,)), 1000)
+    assert found is not None and found[0] == 33
+    # the counting bound d=38 is already past the cap
+    with pytest.raises(RangeError, match=re.escape("ring with k=5, d=38 ")):
+        find_min_certified_d(ConstraintProblem.of(5, m=(6,)), 1000)
+    with pytest.raises(RangeError) as err:
+        check(ConstraintProblem.of(5, m=(3,)), 36, "relaxed")
+    assert str(err.value) == "ring with k=5, d=36 has (d+1)^k = 2^26.0 cells, past the cap 2^26"
+
+
+# ----------------------------------------------------------------------
+# check_range: every d of a range read off one product
+# ----------------------------------------------------------------------
+def _per_d_outcomes(p, d_lo, d_hi, mode):
+    """(check, product_of_forms) at each d of the range, computed per d,
+    up to the first refusal, which ends the list as (type, message)."""
+    out = []
+    for d in range(d_lo, d_hi + 1):
+        try:
+            cert = check(p, d, mode)
+        except EquipartError as err:
+            return out + [(type(err), str(err))]
+        out.append((cert, product_of_forms(RingShape(p.k, d), compile_forms(p))))
+    return out
+
+
+def _range_outcomes(p, d_lo, d_hi, mode):
+    """What check_range yields over the range, ended as _per_d_outcomes
+    ends by the refusal that stopped it."""
+    out = []
+    try:
+        for cert, h in check_range(p, d_lo, d_hi, mode):
+            out.append((cert, h))
+    except EquipartError as err:
+        out.append((type(err), str(err)))
+    return out
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.integers(1, 3),
+    st.lists(st.integers(0, 3), min_size=1, max_size=3),
+    st.booleans(),
+    st.integers(0, 8),
+    st.integers(0, 6),
+    st.sampled_from(MODES),
+)
+def test_check_range_matches_check_at_every_d(k, m, ortho, d_lo, span, mode):
+    # refusals included: d < 1, too many forms, and strict off tightness
+    p = ConstraintProblem.of(k, m=m[:k], ortho=all_pairs(k) if ortho else ())
+    d_hi = d_lo + span
+    assert _range_outcomes(p, d_lo, d_hi, mode) == _per_d_outcomes(p, d_lo, d_hi, mode)
+
+
+def test_check_range_past_the_ring_cap():
+    # k=3 allows d <= 405, so the top of 400..410 passes the cap: d up to
+    # 405 is read off the product at 405, and d=406 is refused as check
+    # refuses it
+    p = ConstraintProblem.of(3, m=(1, 1))
+    outcomes = _range_outcomes(p, 400, 410, "relaxed")
+    assert [cert.d for cert, _ in outcomes[:-1]] == list(range(400, 406))
+    assert outcomes[-1][0] is RangeError and "k=3, d=406" in outcomes[-1][1]
+    assert outcomes == _per_d_outcomes(p, 400, 410, "relaxed")
+
+
+def test_check_range_takes_one_product(monkeypatch):
+    rings = []
+
+    def product(shape, forms):
+        rings.append(shape.d)
+        return product_of_forms(shape, forms)
+
+    monkeypatch.setattr(certify, "product_of_forms", product)
+    p = ConstraintProblem.of(3, m=(1,), ortho=all_pairs(3))
+    assert [cert.d for cert, _ in check_range(p, 4, 9, "relaxed")] == [4, 5, 6, 7, 8, 9]
+    assert rings == [9]
+    # a search stops at its first certified d, here 5, but takes its one
+    # product at d_max
+    rings.clear()
+    assert find_min_certified_d(p, 12)[0] == 5 and rings == [12]
+    rings.clear()
+    assert len(list(check_range(ConstraintProblem.of(3, m=(1, 1)), 400, 405))) == 6
+    assert rings == [405]
 
 
 # ----------------------------------------------------------------------

@@ -192,6 +192,22 @@ def test_product_of_forms_matches_oracle(data):
             assert check(problem, dd, "strict").certified == (expect == ((dd,) * k,))
 
 
+@settings(max_examples=100, deadline=None)
+@given(form_multisets())
+def test_truncate_matches_oracle_at_every_smaller_d(data):
+    # reducing mod u_i^(d'+1) is a ring map: the product at d, truncated
+    # to d' <= d, is the product at d'
+    k, d, forms = data
+    h = product_of_forms(RingShape(k, d), forms)
+    assert h.truncate(d) is h
+    for dd in range(d):
+        low = h.truncate(dd)
+        assert low.shape == RingShape(k, dd)
+        assert low.support() == product_of_forms_oracle(k, dd, forms).sorted_support()
+    with pytest.raises(RangeError, match=f"from d={d} up to d={d + 1}"):
+        h.truncate(d + 1)
+
+
 # Products whose live window sits at an edge of the slice.  The live cells
 # of a degree-j product have exponent sums in [j-d, j] over u1..u_{k-1}.
 WINDOW_EDGES = {

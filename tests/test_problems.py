@@ -1,18 +1,31 @@
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from equipart import knownvalues
 from equipart.atlas import AtlasQuery
-from equipart.certify import check, verify_dickson, verify_pki_ortho, verify_vandermonde
+from equipart.certify import (
+    check,
+    transfer_by_domination,
+    verify_dickson,
+    verify_pki_ortho,
+    verify_vandermonde,
+)
 from equipart.exceptions import (
     ConfigurationError,
     ContradictionError,
+    EquipartError,
     FamilyDomainError,
     RangeError,
     ShapeError,
+    int_text,
 )
 from equipart.families import cascade_family, full_ortho_family, ham_sandwich_cascade
 from equipart.gf2 import RingShape
@@ -219,17 +232,72 @@ HUGE_REFUSALS = {
     "ortho-full-t": (lambda: full_ortho_family(0, -HUGE, 3), FamilyDomainError),
     "hs-cascade-k": (lambda: ham_sandwich_cascade(0, -HUGE), FamilyDomainError),
     "solver-starts": (lambda: SolverConfig(starts=-HUGE), ConfigurationError),
+    "upper-U-huge-k": (lambda: upper_U(1, HUGE), RangeError),
+    "cascade-a": (lambda: cascade_family(0, 1, 2, a=[HUGE, 0]), FamilyDomainError),
+    "problem-m": (lambda: ConstraintProblem(k=2, m=(HUGE,), a=(0, 0)), ShapeError),
+    "transfer-describe": (  # the refusal describes the weaker problem
+        lambda: transfer_by_domination(
+            ConstraintProblem.of(2, m=(HUGE,)), check(ConstraintProblem.of(2, m=(1, 1)), 2)
+        ),
+        EquipartError,
+    ),
 }
 
+# Calls that once never returned, because they formed 2^k for the huge k.
+# Each runs in its own interpreter with a timeout, so that a relapse fails
+# its case instead of stalling the suite.
+HUGE_REFUSALS_IN_SUBPROCESS = {
+    "dickson-k": ("verify_dickson(HUGE, 1, 4)", RangeError),
+    "ramos-L-huge-k": ("ramos_L(1, HUGE)", RangeError),
+}
+REFUSAL_PROBE = """
+from equipart.certify import verify_dickson
+from equipart.exceptions import EquipartError
+from equipart.problems import ramos_L
+HUGE = 10**5000
+try:
+    {call}
+except EquipartError as err:
+    print(type(err).__name__, err)
+"""
+SRC = Path(__file__).resolve().parents[1] / "src"
 
-@pytest.mark.parametrize("case", sorted(HUGE_REFUSALS))
+
+def _refusal_in_subprocess(call: str) -> tuple[str, str]:
+    """(error type name, message) of `call` run in a fresh interpreter."""
+    path = os.pathsep.join(p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-c", REFUSAL_PROBE.format(call=call)],
+        capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert proc.returncode == 0, proc.stderr
+    name, _, message = proc.stdout.strip().partition(" ")
+    return name, message
+
+
+@pytest.mark.parametrize("case", sorted(HUGE_REFUSALS) + sorted(HUGE_REFUSALS_IN_SUBPROCESS))
 def test_huge_integers_are_refused_by_bit_length(case):
     # a refusal must never fail to form its own message: the package's
     # error is raised, naming the integer by its bit length
+    bits = re.escape(f"<{HUGE.bit_length()}-bit integer>")
+    if case in HUGE_REFUSALS_IN_SUBPROCESS:
+        call, error = HUGE_REFUSALS_IN_SUBPROCESS[case]
+        name, message = _refusal_in_subprocess(call)
+        assert name == error.__name__ and re.search(bits, message), (name, message)
+        return
     call, error = HUGE_REFUSALS[case]
-    with pytest.raises(error, match=re.escape(f"<{HUGE.bit_length()}-bit integer>")) as info:
+    with pytest.raises(error, match=bits) as info:
         call()
     assert info.type is error
+
+
+@pytest.mark.parametrize("vector", [
+    (), (1,), (1, 2), [], [3], [1, 2], ((0, 1), (1, 1)), (np.int64(3), 0), ("a",), (1.5, True),
+])
+def test_int_text_writes_a_normal_vector_as_str_does(vector):
+    # a refusal that prints a vector keeps its bytes for every normal value
+    assert int_text(vector) == str(vector)
 
 
 # ----------------------------------------------------------------------
