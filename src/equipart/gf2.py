@@ -77,7 +77,7 @@ class RingShape:
             raise RangeError(f"k must be a positive integer, got {_given(self.k)}")
         if not isinstance(self.d, int) or self.d < 0:
             raise RangeError(f"d must be a non-negative integer, got {_given(self.d)}")
-        if self.d > _largest_d(self.k):  # no power of d is formed
+        if self.d > _largest_d(self.k):  # (d+1)^k itself is never formed
             size = (
                 f"2^{self.k * math.log2(self.d + 1):.1f}"
                 if self.k.bit_length() <= 64
