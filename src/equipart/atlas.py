@@ -205,13 +205,13 @@ def enumerate_rows(query: AtlasQuery, jobs: int = 1) -> Iterator[AtlasRow]:
     """
     lo, hi = query.d_range
     if lo < 1 or hi < lo:
-        raise ConfigurationError(f"bad d range {query.d_range}")
+        raise ConfigurationError(f"bad d range {int_text(query.d_range)}")
     if query.mode not in MODES:
         raise ConfigurationError(f"bad mode {query.mode!r}")
     if query.k < 1:
-        raise ConfigurationError(f"k must be >= 1, got {query.k}")
+        raise ConfigurationError(f"k must be >= 1, got {int_text(query.k)}")
     if jobs < 1:
-        raise ConfigurationError(f"jobs must be >= 1, got {jobs}")
+        raise ConfigurationError(f"jobs must be >= 1, got {int_text(jobs)}")
     try:
         # every candidate's ring is at least this large; refusing here also
         # keeps a huge k from building its pairs or counting its box

@@ -12,7 +12,8 @@ the form characters, and a nonzero class already rules out a nonvanishing
 section.  Certificates record which mode produced them.
 
 Either way the criterion is one-sided: an inconclusive result never shows
-the instance fails at d.
+the instance fails at d.  A nonzero h stays nonzero as d grows (see `gf2`),
+so `find_min_certified_d` reads the smallest certified d off h's terms.
 
 The verify_* functions independently cross-check the closed-form
 expansions this machinery relies on (Vandermonde products, Dickson
@@ -23,9 +24,8 @@ through the same compile step and kernel as `check`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import permutations
-from typing import Iterator
 
 from .exceptions import (
     ConfigurationError,
@@ -85,58 +85,48 @@ class Certificate:
 
 
 def check(p: ConstraintProblem, d: int, mode: str = "strict") -> Certificate:
-    """Run the criterion for instance p at dimension d: the one-d case of
-    `check_range`.  Certified means the instance holds in R^d (for
-    arbitrary masses and flats); inconclusive asserts nothing."""
-    return next(check_range(p, d, d, mode))[0]
-
-
-def check_range(
-    p: ConstraintProblem, d_lo: int, d_hi: int, mode: str = "relaxed"
-) -> Iterator[tuple[Certificate, TruncatedPolynomial]]:
-    """(certificate, h) for each d from d_lo to d_hi, in order and lazily,
-    as `check` gives them, h being the product of p's forms at d: one
-    product, at d_hi or at the ring cap's largest d if smaller, truncated
-    to each smaller d.  A d past the cap is refused as `check` refuses it."""
+    """Run the criterion for instance p at dimension d.  Certified means
+    the instance holds in R^d (for arbitrary masses and flats);
+    inconclusive asserts nothing."""
     if mode not in MODES:
         raise ConfigurationError(f"mode must be one of {MODES}, got {mode!r}")
+    if d < 1:
+        raise RangeError(f"d must be >= 1, got {int_text(d)}")
     form_count = constraint_dimension(p)
-    widest = None  # the one product, at the largest d it covers
-    for d in range(d_lo, d_hi + 1):
-        if d < 1:
-            raise RangeError(f"d must be >= 1, got {int_text(d)}")
-        kd = p.k * d
-        if form_count > kd:
-            raise InfeasibleByCountingError(
-                f"{int_text(form_count)} conditions exceed the k*d = {int_text(kd)} "
-                f"degrees of freedom; the instance cannot hold at d={int_text(d)}"
-            )
-        if mode == "strict" and form_count != kd:
-            raise DimensionMismatchError(
-                f"strict mode needs exactly k*d forms: D={int_text(form_count)}, "
-                f"kd={int_text(kd)}"
-            )
-        if widest is None or d > widest.shape.d:  # the latter only past the cap
-            shape = RingShape(p.k, max(d, min(d_hi, _largest_d(p.k))))
-            widest = product_of_forms(shape, compile_forms(p))
-        h = widest.truncate(d)
-        is_top, is_zero = h.is_top(), h.is_zero()
-        certified = is_top if mode == "strict" else not is_zero
-        yield Certificate(
-            problem=p, d=d, mode=mode, form_count=form_count, kd=kd,
-            verdict="certified" if certified else "inconclusive",
-            h_is_top=is_top, h_is_zero=is_zero, h_digest=h.digest(),
-            tight=(form_count == kd),
-        ), h
+    kd = p.k * d
+    if form_count > kd:
+        raise InfeasibleByCountingError(
+            f"{int_text(form_count)} conditions exceed the k*d = {int_text(kd)} "
+            f"degrees of freedom; the instance cannot hold at d={int_text(d)}"
+        )
+    if mode == "strict" and form_count != kd:
+        raise DimensionMismatchError(
+            f"strict mode needs exactly k*d forms: D={int_text(form_count)}, "
+            f"kd={int_text(kd)}"
+        )
+    return _certificate(p, mode, product_of_forms(RingShape(p.k, d), compile_forms(p)))
+
+
+def _certificate(p: ConstraintProblem, mode: str, h: TruncatedPolynomial) -> Certificate:
+    """p's certificate at h's d, h being the product of p's forms there: a
+    tight product is zero or the top monomial, so nonzero certifies."""
+    form_count, kd, is_zero = constraint_dimension(p), p.k * h.shape.d, h.is_zero()
+    return Certificate(
+        problem=p, d=h.shape.d, mode=mode, form_count=form_count, kd=kd,
+        verdict="inconclusive" if is_zero else "certified",
+        h_is_top=h.is_top(), h_is_zero=is_zero, h_digest=h.digest(),
+        tight=(form_count == kd),
+    )
 
 
 def find_min_certified_d(
     p: ConstraintProblem, d_max: int, mode: str = "relaxed"
 ) -> tuple[int, Certificate] | None:
-    """Smallest d in [counting lower bound, d_max] where check certifies:
-    the first certified d of one `check_range` call.  Strict mode is tied
-    to tightness, so its range is d = C/k alone, when that is an integer
-    in [counting lower bound, d_max]."""
+    """Smallest d in [counting lower bound, d_max] where check certifies;
+    strict mode looks at the tight d = C/k alone.  A nonzero product stays
+    nonzero as d grows, so the answer is read off the largest exponents of
+    the first product with terms, taken over windows [d, 2d] capped by
+    d_max and the ring cap, where `RingShape` refuses a d past it."""
     if mode not in MODES:
         raise ConfigurationError(f"mode must be one of {MODES}, got {mode!r}")
     lower = max(lower_bound_dim(p), 1)
@@ -145,7 +135,15 @@ def find_min_certified_d(
         if count % p.k or not lower <= count // p.k <= d_max:
             return None
         lower = d_max = count // p.k
-    return next(((c.d, c) for c, _ in check_range(p, lower, d_max, mode) if c.certified), None)
+    d = lower
+    while d <= d_max:
+        shape = RingShape(p.k, max(d, min(d_max, 2 * d, _largest_d(p.k))))
+        h = product_of_forms(shape, compile_forms(p))
+        if h.terms:
+            found = max(lower, min(max(t) for t in h.terms))
+            return found, _certificate(p, mode, h.truncate(found))
+        d = shape.d + 1
+    return None
 
 
 def transfer_by_domination(
@@ -161,16 +159,12 @@ def transfer_by_domination(
         raise EquipartError(
             f"{weaker.describe()} is not dominated by {certificate.problem.describe()}"
         )
-    return Certificate(
+    return replace(
+        certificate,
         problem=weaker,
-        d=certificate.d,
         mode="relaxed",
         form_count=constraint_dimension(weaker),
         kd=weaker.k * certificate.d,
-        verdict="certified",
-        h_is_top=certificate.h_is_top,
-        h_is_zero=certificate.h_is_zero,
-        h_digest=certificate.h_digest,
         tight=False,
         derivation=(
             f"implied by domination from {certificate.problem.describe()} "
@@ -257,6 +251,7 @@ def verify_identities(k: int, d: int) -> dict[str, dict[str, bool]]:
         raise RangeError(
             f"identities need k >= 1 and d >= 1, got k={int_text(k)}, d={int_text(d)}"
         )
+    RingShape(k, d)  # every identity's ring; refused before k indices are formed
     return {
         "vandermonde": {
             f"j={j}": verify_vandermonde(k, j, d) for j in range(1, k) if d >= k - j

@@ -16,14 +16,16 @@ import sys
 
 from . import knownvalues
 from .atlas import REPORT_FORMATS, AtlasQuery, emit_report, enumerate_rows
-from .certify import MODES, check, check_range, verify_identities
+from .certify import MODES, check, verify_identities
 from .exceptions import EquipartError, InternalConsistencyError, SearchSpaceError
 from .families import FAMILIES
+from .gf2 import RingShape, product_of_forms
 from .jsontypes import SCHEMA_VERSION
 from .problems import (
     ORTHO_UNIVERSES,
     ConstraintProblem,
     classify,
+    compile_forms,
     constraint_dimension,
     lower_bound_dim,
     ramos_L,
@@ -118,9 +120,10 @@ def _add_problem_flags(sub) -> None:
 # ----------------------------------------------------------------------
 def _cmd_check(args) -> int:
     problem = _problem_from_args(args)
-    cert, h = next(check_range(problem, args.d, args.d, args.mode))
+    cert = check(problem, args.d, args.mode)
     doc = cert.to_dict()
     if args.verbose:
+        h = product_of_forms(RingShape(problem.k, args.d), compile_forms(problem))
         doc["h_support"] = [list(t) for t in h.support()]
     _emit(doc)
     return EXIT_OK if cert.certified else EXIT_INCONCLUSIVE

@@ -32,7 +32,8 @@ the digests of those two supports are memoised per ring.
 
 For d <= d', reducing mod (u1^{d+1}, ..., uk^{d+1}) is a ring map, so
 the product of forms at d is their product at d' with every term that
-has an exponent above d dropped: `TruncatedPolynomial.truncate`."""
+has an exponent above d dropped: `TruncatedPolynomial.truncate`.  So a
+product that is nonzero at d is nonzero at every d' >= d."""
 
 from __future__ import annotations
 
@@ -131,7 +132,7 @@ class TruncatedPolynomial:
 
 
 def _canonical_digest(k: int, d: int, terms: tuple[tuple[int, ...], ...]) -> str:
-    doc = {"k": k, "d": d, "support": [list(t) for t in terms]}
+    doc = {"k": k, "d": d, "support": terms}  # tuples encode as arrays
     text = json.dumps(doc, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(text.encode("ascii")).hexdigest()
 

@@ -287,12 +287,13 @@ class Classification:
 def classify(p: ConstraintProblem, d: int) -> Classification:
     """Label an instance known (or claimed) to hold at dimension d."""
     if d < 1:
-        raise RangeError(f"d must be >= 1, got {d}")
+        raise RangeError(f"d must be >= 1, got {int_text(d)}")
     c = constraint_dimension(p)
     lower = lower_bound_dim(p)
     if d < lower:
         raise ContradictionError(
-            f"d={d} is below the counting lower bound ceil({c}/{p.k})={lower}"
+            f"d={int_text(d)} is below the counting lower bound "
+            f"ceil({int_text(c)}/{int_text(p.k)})={int_text(lower)}"
         )
     if p.m[0] >= 1:
         optimal = ramos_L(p.m[0], p.k) <= d < ramos_L(p.m[0] + 1, p.k)

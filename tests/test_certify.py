@@ -11,7 +11,6 @@ from equipart import certify
 from equipart.certify import (
     MODES,
     check,
-    check_range,
     find_min_certified_d,
     transfer_by_domination,
     verify_dickson,
@@ -32,6 +31,7 @@ from equipart.problems import (
     all_pairs,
     compile_forms,
     constraint_dimension,
+    lower_bound_dim,
 )
 
 PROP_74_STYLE = ConstraintProblem.of(
@@ -266,62 +266,34 @@ def test_find_min_at_the_ring_cap():
     assert str(err.value) == "ring with k=5, d=36 has (d+1)^k = 2^26.0 cells, past the cap 2^26"
 
 
-# ----------------------------------------------------------------------
-# check_range: every d of a range read off one product
-# ----------------------------------------------------------------------
-def _per_d_outcomes(p, d_lo, d_hi, mode):
-    """(check, product_of_forms) at each d of the range, computed per d,
-    up to the first refusal, which ends the list as (type, message)."""
-    out = []
-    for d in range(d_lo, d_hi + 1):
-        try:
-            cert = check(p, d, mode)
-        except EquipartError as err:
-            return out + [(type(err), str(err))]
-        out.append((cert, product_of_forms(RingShape(p.k, d), compile_forms(p))))
-    return out
-
-
-def _range_outcomes(p, d_lo, d_hi, mode):
-    """What check_range yields over the range, ended as _per_d_outcomes
-    ends by the refusal that stopped it."""
-    out = []
-    try:
-        for cert, h in check_range(p, d_lo, d_hi, mode):
-            out.append((cert, h))
-    except EquipartError as err:
-        out.append((type(err), str(err)))
-    return out
-
-
-@settings(max_examples=80, deadline=None)
+@settings(max_examples=60, deadline=None)
 @given(
-    st.integers(1, 3),
-    st.lists(st.integers(0, 3), min_size=1, max_size=3),
+    st.integers(1, 4),
+    st.lists(st.integers(0, 2), min_size=1, max_size=4),
+    st.lists(st.integers(0, 3), max_size=4),
     st.booleans(),
-    st.integers(0, 8),
-    st.integers(0, 6),
+    st.integers(0, 14),
     st.sampled_from(MODES),
 )
-def test_check_range_matches_check_at_every_d(k, m, ortho, d_lo, span, mode):
-    # refusals included: d < 1, too many forms, and strict off tightness
-    p = ConstraintProblem.of(k, m=m[:k], ortho=all_pairs(k) if ortho else ())
-    d_hi = d_lo + span
-    assert _range_outcomes(p, d_lo, d_hi, mode) == _per_d_outcomes(p, d_lo, d_hi, mode)
+def test_find_min_is_the_first_d_check_certifies(k, m, a, ortho, d_max, mode):
+    # a scan of check from the counting bound up; strict mode refuses
+    # every d but the tight one
+    p = ConstraintProblem.of(
+        k, m=m[:k], a=(a + [0] * k)[:k], ortho=all_pairs(k) if ortho else ()
+    )
+    first = None
+    for d in range(max(lower_bound_dim(p), 1), d_max + 1):
+        try:
+            cert = check(p, d, mode)
+        except DimensionMismatchError:
+            continue
+        if cert.certified:
+            first = (d, cert)
+            break
+    assert find_min_certified_d(p, d_max, mode) == first
 
 
-def test_check_range_past_the_ring_cap():
-    # k=3 allows d <= 405, so the top of 400..410 passes the cap: d up to
-    # 405 is read off the product at 405, and d=406 is refused as check
-    # refuses it
-    p = ConstraintProblem.of(3, m=(1, 1))
-    outcomes = _range_outcomes(p, 400, 410, "relaxed")
-    assert [cert.d for cert, _ in outcomes[:-1]] == list(range(400, 406))
-    assert outcomes[-1][0] is RangeError and "k=3, d=406" in outcomes[-1][1]
-    assert outcomes == _per_d_outcomes(p, 400, 410, "relaxed")
-
-
-def test_check_range_takes_one_product(monkeypatch):
+def test_find_min_multiplies_over_windows(monkeypatch):
     rings = []
 
     def product(shape, forms):
@@ -329,16 +301,13 @@ def test_check_range_takes_one_product(monkeypatch):
         return product_of_forms(shape, forms)
 
     monkeypatch.setattr(certify, "product_of_forms", product)
+    # the window [4, 8] from the counting bound 4 finds a term at d=5
     p = ConstraintProblem.of(3, m=(1,), ortho=all_pairs(3))
-    assert [cert.d for cert, _ in check_range(p, 4, 9, "relaxed")] == [4, 5, 6, 7, 8, 9]
-    assert rings == [9]
-    # a search stops at its first certified d, here 5, but takes its one
-    # product at d_max
+    assert find_min_certified_d(p, 12)[0] == 5 and rings == [8]
+    # the window [1, 2], not the 4^13-cell ring at d_max 3
     rings.clear()
-    assert find_min_certified_d(p, 12)[0] == 5 and rings == [12]
-    rings.clear()
-    assert len(list(check_range(ConstraintProblem.of(3, m=(1, 1)), 400, 405))) == 6
-    assert rings == [405]
+    assert find_min_certified_d(ConstraintProblem.of(13, a=(1,) * 13), 3)[0] == 1
+    assert rings == [2]
 
 
 # ----------------------------------------------------------------------

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from equipart import knownvalues
-from equipart.atlas import AtlasQuery
+from equipart.atlas import AtlasQuery, enumerate_rows
 from equipart.certify import (
     check,
     transfer_by_domination,
@@ -228,6 +228,20 @@ HUGE_REFUSALS = {
     "problem-negative-k": (lambda: ConstraintProblem.of(-HUGE), RangeError),
     "problem-ortho": (lambda: ConstraintProblem.of(2, ortho=[(1, HUGE)]), RangeError),
     "atlas-max-m": (lambda: AtlasQuery(k=2, d_range=(2, 3), max_m=-HUGE), ConfigurationError),
+    "atlas-d-range": (
+        lambda: list(enumerate_rows(AtlasQuery(k=2, d_range=(-HUGE, 3)))), ConfigurationError
+    ),
+    "atlas-k": (
+        lambda: list(enumerate_rows(AtlasQuery(k=-HUGE, d_range=(2, 3)))), ConfigurationError
+    ),
+    "atlas-jobs": (
+        lambda: list(enumerate_rows(AtlasQuery(k=2, d_range=(2, 3)), jobs=-HUGE)),
+        ConfigurationError,
+    ),
+    "classify-d": (lambda: classify(ConstraintProblem.of(2, m=(1,)), -HUGE), RangeError),
+    "classify-below-count": (  # d and the count it falls below
+        lambda: classify(ConstraintProblem.of(2, m=(HUGE,)), HUGE), ContradictionError
+    ),
     "cascade-k": (lambda: cascade_family(0, 1, -HUGE), FamilyDomainError),
     "ortho-full-t": (lambda: full_ortho_family(0, -HUGE, 3), FamilyDomainError),
     "hs-cascade-k": (lambda: ham_sandwich_cascade(0, -HUGE), FamilyDomainError),
@@ -243,15 +257,17 @@ HUGE_REFUSALS = {
     ),
 }
 
-# Calls that once never returned, because they formed 2^k for the huge k.
+# Calls that once never returned, because they formed 2^k or looped over
+# k indices for the huge k.
 # Each runs in its own interpreter with a timeout, so that a relapse fails
 # its case instead of stalling the suite.
 HUGE_REFUSALS_IN_SUBPROCESS = {
     "dickson-k": ("verify_dickson(HUGE, 1, 4)", RangeError),
     "ramos-L-huge-k": ("ramos_L(1, HUGE)", RangeError),
+    "identities-k": ("verify_identities(HUGE, 4)", RangeError),
 }
 REFUSAL_PROBE = """
-from equipart.certify import verify_dickson
+from equipart.certify import verify_dickson, verify_identities
 from equipart.exceptions import EquipartError
 from equipart.problems import ramos_L
 HUGE = 10**5000
