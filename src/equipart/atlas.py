@@ -224,7 +224,7 @@ def enumerate_rows(query: AtlasQuery, jobs: int = 1) -> Iterator[AtlasRow]:
         count = f"~{estimate}" if small else f"over 2^{estimate.bit_length() - 1}"
         raise SearchSpaceError(
             f"search space too large: {count} candidates exceeds limit "
-            f"{query.candidate_limit}",
+            f"{int_text(query.candidate_limit)}",
             estimate if small else None,
         )
 

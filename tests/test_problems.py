@@ -24,6 +24,7 @@ from equipart.exceptions import (
     EquipartError,
     FamilyDomainError,
     RangeError,
+    SearchSpaceError,
     ShapeError,
     int_text,
 )
@@ -237,6 +238,10 @@ HUGE_REFUSALS = {
     "atlas-jobs": (
         lambda: list(enumerate_rows(AtlasQuery(k=2, d_range=(2, 3)), jobs=-HUGE)),
         ConfigurationError,
+    ),
+    "atlas-candidate-limit": (
+        lambda: list(enumerate_rows(AtlasQuery(k=2, d_range=(2, 3), candidate_limit=-HUGE))),
+        SearchSpaceError,
     ),
     "classify-d": (lambda: classify(ConstraintProblem.of(2, m=(1,)), -HUGE), RangeError),
     "classify-below-count": (  # d and the count it falls below
