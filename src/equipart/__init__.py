@@ -42,6 +42,7 @@ from .problems import (
     constraint_dimension,
     dominates,
     excluding_first_pair,
+    form_counts,
     last_orthogonal,
     lower_bound_dim,
     ramos_L,
@@ -93,6 +94,7 @@ __all__ = [
     "dominates",
     "excluding_first_pair",
     "find_min_certified_d",
+    "form_counts",
     "full_ortho_family",
     "ham_sandwich_cascade",
     "last_ortho_family",

@@ -1,6 +1,8 @@
 """The core decision procedure.
 
-An instance compiles to a multiset of D GF(2) linear forms.  Working in
+An instance compiles to a multiset of D GF(2) linear forms, held as a
+mapping from each of its at most 2^k - 1 distinct forms to its
+multiplicity (`form_counts`).  Working in
 Z2[u1..uk]/(u1^{d+1},...,uk^{d+1}), let h be the product of those forms.
 
 strict mode (D = k*d):  if h equals the top monomial u1^d*...*uk^d, the
@@ -18,7 +20,7 @@ so `find_min_certified_d` reads the smallest certified d off h's terms.
 The verify_* functions independently cross-check the closed-form
 expansions this machinery relies on (Vandermonde products, Dickson
 invariants, and their shifted product).  Each identity's left side is the
-product of the compiled forms of the instance it describes, so it runs
+product of the form counts of the instance it describes, so it runs
 through the same compile step and kernel as `check`.
 """
 
@@ -39,10 +41,10 @@ from .gf2 import RingShape, TruncatedPolynomial, _largest_d, product_of_forms
 from .problems import (
     ConstraintProblem,
     all_pairs,
-    compile_forms,
+    compile_forms,  # not called here; perfbench/tracing.py wraps this name
     constraint_dimension,
     dominates,
-    lower_bound_dim,
+    form_counts,
 )
 
 MODES = ("strict", "relaxed")
@@ -104,13 +106,17 @@ def check(p: ConstraintProblem, d: int, mode: str = "strict") -> Certificate:
             f"strict mode needs exactly k*d forms: D={int_text(form_count)}, "
             f"kd={int_text(kd)}"
         )
-    return _certificate(p, mode, product_of_forms(RingShape(p.k, d), compile_forms(p)))
+    shape = RingShape(p.k, d)  # refuses a ring past the cap before the forms are counted
+    return _certificate(p, mode, form_count, product_of_forms(shape, form_counts(p)))
 
 
-def _certificate(p: ConstraintProblem, mode: str, h: TruncatedPolynomial) -> Certificate:
-    """p's certificate at h's d, h being the product of p's forms there: a
-    tight product is zero or the top monomial, so nonzero certifies."""
-    form_count, kd, is_zero = constraint_dimension(p), p.k * h.shape.d, h.is_zero()
+def _certificate(
+    p: ConstraintProblem, mode: str, form_count: int, h: TruncatedPolynomial
+) -> Certificate:
+    """p's certificate at h's d, h being the product of p's form_count
+    forms there: a tight product is zero or the top monomial, so nonzero
+    certifies."""
+    kd, is_zero = p.k * h.shape.d, h.is_zero()
     return Certificate(
         problem=p, d=h.shape.d, mode=mode, form_count=form_count, kd=kd,
         verdict="inconclusive" if is_zero else "certified",
@@ -126,22 +132,28 @@ def find_min_certified_d(
     strict mode looks at the tight d = C/k alone.  A nonzero product stays
     nonzero as d grows, so the answer is read off the largest exponents of
     the first product with terms, taken over windows [d, 2d] capped by
-    d_max and the ring cap, where `RingShape` refuses a d past it."""
+    d_max and the ring cap, where `RingShape` refuses a d past it.  A d_max
+    that is not an int (a bool included) raises RangeError."""
     if mode not in MODES:
         raise ConfigurationError(f"mode must be one of {MODES}, got {mode!r}")
-    lower = max(lower_bound_dim(p), 1)
+    if isinstance(d_max, bool) or not isinstance(d_max, int):
+        raise RangeError(f"d_max must be an integer, got {d_max!r}")
+    count = constraint_dimension(p)
+    lower = max(-(-count // p.k), 1)  # the counting bound
     if mode == "strict":
-        count = constraint_dimension(p)
         if count % p.k or not lower <= count // p.k <= d_max:
             return None
         lower = d_max = count // p.k
-    d = lower
+    if lower > d_max:
+        return None
+    RingShape(p.k, lower)  # the first window's refusal, before the forms are counted
+    counts, d = form_counts(p), lower
     while d <= d_max:
         shape = RingShape(p.k, max(d, min(d_max, 2 * d, _largest_d(p.k))))
-        h = product_of_forms(shape, compile_forms(p))
+        h = product_of_forms(shape, counts)
         if h.terms:
             found = max(lower, min(max(t) for t in h.terms))
-            return found, _certificate(p, mode, h.truncate(found))
+            return found, _certificate(p, mode, count, h.truncate(found))
         d = shape.d + 1
     return None
 
@@ -193,9 +205,9 @@ def _permutation_sum(
 def _matches_permutation_sum(
     shape: RingShape, p: ConstraintProblem, exponents: list[int]
 ) -> bool:
-    """The product of compile_forms(p) in the ring equals the permutation
-    sum over u_i..u_k, with i = k + 1 - len(exponents)."""
-    lhs = product_of_forms(shape, compile_forms(p))
+    """The product of p's forms in the ring equals the permutation sum
+    over u_i..u_k, with i = k + 1 - len(exponents)."""
+    lhs = product_of_forms(shape, form_counts(p))
     variables = list(range(p.k + 1 - len(exponents), p.k + 1))
     return lhs.support() == _permutation_sum(p.k, variables, exponents)
 

@@ -25,8 +25,8 @@ from .problems import (
     ORTHO_UNIVERSES,
     ConstraintProblem,
     classify,
-    compile_forms,
     constraint_dimension,
+    form_counts,
     lower_bound_dim,
     ramos_L,
     upper_U,
@@ -123,7 +123,7 @@ def _cmd_check(args) -> int:
     cert = check(problem, args.d, args.mode)
     doc = cert.to_dict()
     if args.verbose:
-        h = product_of_forms(RingShape(problem.k, args.d), compile_forms(problem))
+        h = product_of_forms(RingShape(problem.k, args.d), form_counts(problem))
         doc["h_support"] = [list(t) for t in h.support()]
     _emit(doc)
     return EXIT_OK if cert.certified else EXIT_INCONCLUSIVE

@@ -4,31 +4,35 @@ The one operation the certificates need is the product of linear forms
 u_{i1}+...+u_{ij}, computed by `product_of_forms`.  A form is a plain
 0/1 tuple of length k, the form bits[0]*u1 + ... + bits[k-1]*uk, and
 `check_form` is the one check of it, shared by the kernel and by a
-problem's `extra` forms.  A product of j forms is
-homogeneous of degree j, so it is held as a (d+1)^(k-1) slice over the
-exponents of u1..u_{k-1}, the exponent of u_k being j minus the
-cell's exponent sum.  The slice is one Python int used as a bitset: bit
-c is row-major cell c.  Forms are grouped by multiplicity and applied
-with the Frobenius identity l^(2^b) = sum_{i in l} u_i^(2^b) over GF(2):
-one shift-XOR pass per set bit of the multiplicity, the passes of one
-power s = 2^b run together.  Multiplying by u_i^s for i < k masks off
-the cells whose u_i exponent would pass d and shifts the rest s strides
+problem's `extra` forms.  The kernel takes the forms as a mapping from
+each distinct form to its multiplicity (a list is counted first), so a
+problem of C forms costs work in its at most 2^k - 1 distinct ones.  A
+product of j forms is homogeneous of degree j, so it is held as a
+(d+1)^(k-1) slice over the exponents of u1..u_{k-1}, the exponent of
+u_k being j minus the cell's exponent sum.  The slice is one Python int
+used as a bitset: bit c is row-major cell c.  Forms are applied with the
+Frobenius identity l^(2^b) = sum_{i in l} u_i^(2^b) over GF(2): one
+shift-XOR pass per set bit of the multiplicity, the passes of one power
+s = 2^b run together.  Multiplying by u_i^s for i < k masks off the
+cells whose u_i exponent would pass d and shifts the rest s strides
 along axis i.  A mask depends only on the ring, the axis and s, so it
 is kept between products in `_masks`, whose charge is bounded by
-`MASK_CACHE_BITS`; a mask too large to keep (a slice of about 2^20
-cells or more) is built when first needed and dropped after its last
-use among the passes of that s.  A kept mask is the int a fresh build
-gives, so no result depends on what the cache holds.  Multiplying by
-u_k^s keeps the cell as it is: u_k is reduced once, when the support
-is read, which gives the same product because (u_k^{d+1}) is an ideal.
-A cell whose u_k exponent passed d has only such descendants, and it
-never shares a position with a live cell of the same degree.  The live
-cells of a degree-j slice have exponent sums in [j-d, j], so the support
-is read from the window of bits between the first and the last cell
-with such a sum: one bit for a product of kd forms.  The result is a
-`TruncatedPolynomial`: the ring and the sorted support read off that
-window.  A strict certificate's product is zero or the top monomial, so
-the digests of those two supports are memoised per ring.
+`MASK_CACHE_BITS`, and each axis of each pass costs one lookup there,
+one AND, one shift and one XOR.  A mask too large to keep (a slice of
+about 2^20 cells or more) is held by the product itself (`_Held`) from
+its first use among the passes of its s to its last.  A kept mask is the
+int a fresh build gives, so no result depends on what the cache holds.
+Multiplying by u_k^s keeps the cell as it is: u_k is reduced once, when
+the support is read, which gives the same product because (u_k^{d+1})
+is an ideal.  A cell whose u_k exponent passed d has only such
+descendants, and it never shares a position with a live cell of the
+same degree.  The live cells of a degree-j slice have exponent sums in
+[j-d, j], so the support is read from the window of bits between the
+first and the last cell with such a sum: one bit for a product of kd
+forms.  The result is a `TruncatedPolynomial`: the ring and the sorted
+support read off that window.  A strict certificate's product is zero
+or the top monomial, so the digests of those two supports are memoised
+per ring.
 
 For d <= d', reducing mod (u1^{d+1}, ..., uk^{d+1}) is a ring map, so
 the product of forms at d is their product at d' with every term that
@@ -44,7 +48,8 @@ import threading
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable
+from itertools import compress
+from typing import Iterable, Mapping
 
 from .exceptions import RangeError, ShapeError, int_text
 
@@ -168,46 +173,83 @@ def check_form(bits: tuple[int, ...], k: int) -> None:
 
 
 def product_of_forms(
-    shape: RingShape, forms: Iterable[tuple[int, ...]]
+    shape: RingShape,
+    forms: Iterable[tuple[int, ...]] | Mapping[tuple[int, ...], int],
 ) -> TruncatedPolynomial:
     """Product of the linear forms, starting from 1.  A form is a 0/1 tuple
-    of length k, the form bits[0]*u1 + ... + bits[k-1]*uk.
+    of length k, the form bits[0]*u1 + ... + bits[k-1]*uk.  `forms` is an
+    iterable of forms or a mapping from each distinct form to its
+    multiplicity, as `problems.form_counts` gives a problem's forms; a
+    list and its mapping give the same product.
 
     The result depends only on the multiset of forms, not their order.
     The running product of degree j is a bitset over the exponents of
     u1..u_{k-1}, and a form of multiplicity n costs one pass per set bit
     of n (see the module docstring).  Each distinct form is checked once,
-    by `check_form`.
+    by `check_form`, and a multiplicity that is not a positive int (a
+    bool included) raises RangeError.
     """
-    counts = Counter(forms)
-    for bits in counts:
-        check_form(bits, shape.k)
     k, d = shape.k, shape.d
-    strides = [(d + 1) ** (k - 2 - ax) for ax in range(k - 1)]
+    counts = forms if isinstance(forms, Mapping) else Counter(forms)
+    for bits, n in counts.items():
+        check_form(bits, k)
+        if type(n) is not int or n < 1:
+            raise RangeError(
+                f"form {bits!r} needs a positive int multiplicity, got {_given(n)}"
+            )
+    axes = range(k - 1)
+    strides = [(d + 1) ** (k - 2 - ax) for ax in axes]
+    # a kept mask comes from `_masks` at each use; one too large to keep
+    # is held by `_Held` from its first use among the passes of its power
+    # to its last
+    kept = (d + 1) ** (k - 1) + MASK_ENTRY_BITS <= MASK_CACHE_BITS >> 3
+    mask_of = _axis_mask if kept else _Held(d, counts).mask
     acc = 1  # the unit: exponent tuple 0, slice cell 0
-    j = 0
     for b in range(max(counts.values(), default=0).bit_length()):
-        s = 1 << b
-        group = [bits for bits, n in counts.items() if n >> b & 1]
-        # axis -> index in the group of the last form that moves along it
-        last = {ax: g for g, bits in enumerate(group) for ax in range(k - 1) if bits[ax]}
-        keep = {}  # axis -> cells whose exponent stays <= d after u_axis^s
-        for g, bits in enumerate(group):
-            if s > d or not acc:
+        s, e = 1 << b, d - (1 << b)
+        if e < 0:
+            return TruncatedPolynomial(shape, ())
+        for bits, n in counts.items():
+            if not n >> b & 1:
+                continue
+            if not acc:
                 return TruncatedPolynomial(shape, ())
             # u_k^s keeps the cell; u_i^s for i < k moves it s strides
             # along axis i
-            nxt = acc if bits[k - 1] else 0
-            for ax in range(k - 1):
-                if bits[ax]:
-                    mask = keep.pop(ax) if ax in keep else _axis_mask(k, d, ax, d - s)
-                    nxt ^= (acc & mask) << s * strides[ax]
-                    if last[ax] > g:
-                        keep[ax] = mask
-                    del mask  # freed before the next axis builds its own
+            nxt = acc if bits[-1] else 0
+            for ax in compress(axes, bits):
+                nxt ^= (acc & mask_of(k, d, ax, e)) << s * strides[ax]
             acc = nxt
-            j += s
-    return TruncatedPolynomial(shape, _support(d, strides, j, acc))
+    return TruncatedPolynomial(shape, _support(d, strides, sum(counts.values()), acc))
+
+
+class _Held:
+    """The axis masks of one product in a ring whose masks are too large
+    to keep in `_masks`.  `mask` is called like `_axis_mask`; it builds a
+    mask at its first use among the passes of its power and drops it after
+    its last, so a power whose forms share no axis holds one mask at a
+    time.  Holding every mask of a power would take 100 MB for k=26, d=1,
+    and building a mask at every use would cost about as much as the pass
+    that uses it."""
+
+    def __init__(self, d: int, counts: Mapping[tuple[int, ...], int]) -> None:
+        self.masks: dict[tuple[int, int], int] = {}
+        self.uses: Counter[tuple[int, int]] = Counter()  # (ax, e) -> passes left
+        for bits, n in counts.items():
+            for b in range(min(n.bit_length(), d.bit_length())):  # 2^b <= d
+                if n >> b & 1:
+                    axes = compress(range(len(bits) - 1), bits)
+                    self.uses.update((ax, d - (1 << b)) for ax in axes)
+
+    def mask(self, k: int, d: int, ax: int, e: int) -> int:
+        key = ax, e
+        mask = self.masks.pop(key, None)
+        if mask is None:
+            mask = _axis_mask(k, d, ax, e)
+        self.uses[key] -= 1
+        if self.uses[key]:
+            self.masks[key] = mask
+        return mask
 
 
 def _support(

@@ -6,8 +6,10 @@ contains a prescribed (a_i - 1)-dimensional flat, and the pairs listed in
 `ortho` are orthogonal.  `extra` holds any further characters imposed
 directly as linear forms: 0/1 tuples of length k, checked by the kernel's
 `check_form` and kept sorted, so that neither `ortho` nor `extra` depends
-on listing order.  `compile_forms` turns an instance into the plain 0/1
-tuples the product kernel multiplies.
+on listing order.  `form_counts` turns an instance into what the product
+kernel multiplies: a mapping from each distinct form, a plain 0/1 tuple,
+to its multiplicity, at most 2^k - 1 entries however large C is.
+`compile_forms` lists the same multiset form by form.
 
 Every scalar condition consumes one of the k*d degrees of freedom of the
 arrangement, which gives the counting bound  k * Delta >= C  with
@@ -206,15 +208,43 @@ def upper_U(m: int, k: int) -> int:
 # ----------------------------------------------------------------------
 # compilation into linear forms
 # ----------------------------------------------------------------------
-def compile_forms(p: ConstraintProblem) -> list[tuple[int, ...]]:
-    """Translate the instance into its multiset of GF(2) linear forms, each
-    a 0/1 tuple of length k, the input of `product_of_forms`.
+def form_counts(p: ConstraintProblem) -> dict[tuple[int, ...], int]:
+    """The instance's multiset of GF(2) linear forms as a mapping from each
+    distinct form, a 0/1 tuple of length k, to its multiplicity: the input
+    of `product_of_forms`.
 
     Stage i contributes m_i copies of every nonzero vector supported on
-    coordinates i..k; containment contributes a_i copies of e_i;
-    each orthogonal pair contributes e_r + e_s; extra forms pass through.
-    The output is a fresh list whose length always equals
-    constraint_dimension(p).
+    coordinates i..k, so a form whose first 1 is at coordinate i gets
+    m_1 + ... + m_i; e_i gets a_i more; each orthogonal pair adds 1 to
+    e_r + e_s; each listing of an extra form adds 1.  The mapping holds at
+    most 2^k - 1 forms, however large C is, and is built in O(2^k) steps
+    plus one per pair and per extra form; its multiplicities sum to
+    constraint_dimension(p).  It is a fresh dict.
+    """
+    counts: dict[tuple[int, ...], int] = {}
+    for i, m in enumerate(p.m, 1):
+        if m:
+            for bits in _stage_forms(p.k, i):
+                counts[bits] = counts.get(bits, 0) + m
+    for i, a in enumerate(p.a, 1):
+        if a:
+            bits = _indicator(p.k, i)
+            counts[bits] = counts.get(bits, 0) + a
+    for r, s in p.ortho:
+        bits = _indicator(p.k, r, s)
+        counts[bits] = counts.get(bits, 0) + 1
+    for bits in p.extra:
+        counts[bits] = counts.get(bits, 0) + 1
+    return counts
+
+
+def compile_forms(p: ConstraintProblem) -> list[tuple[int, ...]]:
+    """The same multiset as `form_counts(p)`, listed form by form: stage
+    i's m_i copies of every nonzero vector on coordinates i..k, then a_i
+    copies of e_i, then e_r + e_s for each orthogonal pair in sorted order,
+    then the extra forms.  The output is a fresh list whose length always
+    equals constraint_dimension(p); the kernel takes the mapping instead,
+    which does not grow with C.
     """
     forms: list[tuple[int, ...]] = []
     for i, m in enumerate(p.m, 1):

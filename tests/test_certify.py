@@ -1,6 +1,7 @@
 import importlib
 import json
 import re
+import time
 from pathlib import Path
 
 import numpy as np
@@ -308,6 +309,29 @@ def test_find_min_multiplies_over_windows(monkeypatch):
     rings.clear()
     assert find_min_certified_d(ConstraintProblem.of(13, a=(1,) * 13), 3)[0] == 1
     assert rings == [2]
+
+
+@pytest.mark.parametrize("d_max", [5.0, 4.5, "7", True])
+def test_find_min_refuses_a_d_max_that_is_not_an_int(monkeypatch, d_max):
+    # 5.0 and 4.5 once returned d = 2, "7" raised a bare TypeError and
+    # True returned None; now each is refused before any product is taken
+    products = []
+    monkeypatch.setattr(certify, "product_of_forms", lambda *args: products.append(args))
+    with pytest.raises(RangeError, match=re.escape(f"d_max must be an integer, got {d_max!r}")):
+        find_min_certified_d(ConstraintProblem.of(2, m=(1, 1)), d_max)
+    assert not products
+
+
+def test_ring_refusals_come_before_the_forms_are_counted():
+    # 2^21 - 1 distinct forms, whose counts would take seconds and hundreds
+    # of MB to build: the ring at the counting bound d = 69906 is refused
+    # first
+    p = ConstraintProblem.of(30, m=[0] * 9 + [1])
+    for call in (lambda: check(p, 69906, "relaxed"), lambda: find_min_certified_d(p, 10**6)):
+        start = time.perf_counter()
+        with pytest.raises(RangeError, match=re.escape("ring with k=30, d=69906 ")):
+            call()
+        assert time.perf_counter() - start < 0.1
 
 
 # ----------------------------------------------------------------------

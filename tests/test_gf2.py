@@ -6,6 +6,8 @@ import sys
 import threading
 import time
 import tracemalloc
+from collections import Counter
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -179,6 +181,7 @@ def test_product_of_forms_matches_oracle(data):
     k, d, forms = data
     h = product_of_forms(RingShape(k, d), forms)
     assert h.support() == product_of_forms_oracle(k, d, forms).sorted_support()
+    assert product_of_forms(RingShape(k, d), Counter(forms)) == h  # the same as a mapping
     # check's verdicts at every d' that fits the forms agree with the oracle
     problem = ConstraintProblem.of(k, extra=forms)
     for dd in range(1, 7 if k < 5 else 4):
@@ -190,6 +193,64 @@ def test_product_of_forms_matches_oracle(data):
         assert relaxed.h_is_top == (expect == ((dd,) * k,))
         if len(forms) == k * dd:
             assert check(problem, dd, "strict").certified == (expect == ((dd,) * k,))
+
+
+@st.composite
+def counted_forms(draw):
+    """(k, d, counts): up to 3 distinct forms, each of multiplicity up to
+    2^7, so that a product takes up to eight powers.  d reaches 300 for
+    one variable and 150 for two, where such multiplicities still leave
+    terms; three and four variables get d <= 16 and d <= 6, which keeps
+    the oracle fast, and mostly multiplicities below 10, which leave
+    terms there."""
+    k = draw(st.integers(1, 4))
+    d = draw(st.integers(0, (300, 150, 16, 6)[k - 1]))
+    distinct = draw(
+        st.lists(
+            st.tuples(*[st.integers(0, 1)] * k).filter(any),
+            min_size=1, max_size=3, unique=True,
+        )
+    )
+    n = st.integers(1, 1 << 7) if k < 3 else st.one_of(st.integers(1, 9), st.integers(1, 1 << 7))
+    return k, d, {bits: draw(n) for bits in distinct}
+
+
+@pytest.mark.parametrize("budget", [gf2.MASK_CACHE_BITS, 0], ids=["kept", "held"])
+@settings(max_examples=60, deadline=None)
+@given(counted_forms())
+def test_counted_product_matches_oracle(budget, data):
+    # with no mask budget no ring's masks are kept, so each product holds
+    # its own from the first use of a mask in a power to the last
+    k, d, counts = data
+    forms = [bits for bits, n in counts.items() for _ in range(n)]
+    expect = product_of_forms_oracle(k, d, forms).sorted_support()
+    with mock.patch.object(gf2, "MASK_CACHE_BITS", budget):
+        assert product_of_forms(RingShape(k, d), counts).support() == expect
+
+
+def test_product_past_the_kept_masks_matches_oracle():
+    # a 4^10 = 2^20-cell slice, past the line below which every mask of a
+    # ring is kept, so the product holds its masks itself; the forms share
+    # axes within a power and across the powers 1 and 2
+    k, d = 11, 3
+    assert (d + 1) ** (k - 1) + gf2.MASK_ENTRY_BITS > gf2.MASK_CACHE_BITS >> 3
+
+    def form(*coords):
+        return tuple(int(i + 1 in coords) for i in range(k))
+
+    counts = {form(1, 2): 3, form(1, 3): 2, form(2, 11): 1, (1,) * k: 1, form(1): 2}
+    forms = [bits for bits, n in counts.items() for _ in range(n)]
+    h = product_of_forms(RingShape(k, d), counts)
+    assert h.terms and h == product_of_forms(RingShape(k, d), forms)
+    assert h.support() == product_of_forms_oracle(k, d, forms).sorted_support()
+
+
+@pytest.mark.parametrize("n", [-1, 0, True, False, 1.5, 2.0, "2", None])
+def test_product_of_forms_refuses_a_multiplicity_that_is_not_a_positive_int(n):
+    # a Counter keeps a negative count: {(1, 0): -1, (0, 1): 2} once gave
+    # the product ((3, 2),)
+    with pytest.raises(RangeError, match=re.escape("form (1, 0) needs a positive int multiplicity")):
+        product_of_forms(RingShape(2, 3), {(1, 0): n, (0, 1): 2})
 
 
 @settings(max_examples=100, deadline=None)

@@ -1,5 +1,6 @@
 import json
 import os
+from collections import Counter
 import re
 import subprocess
 import sys
@@ -38,6 +39,7 @@ from equipart.problems import (
     constraint_dimension,
     dominates,
     excluding_first_pair,
+    form_counts,
     last_orthogonal,
     MAX_K,
     lower_bound_dim,
@@ -376,12 +378,40 @@ def test_compiled_lists_are_fresh():
     assert compile_forms(p) == expect
     forms.clear()
     assert compile_forms(p) == expect
+    counts = form_counts(p)
+    counts.clear()
+    assert form_counts(p) == Counter(expect)
 
 
 @settings(max_examples=80, deadline=None)
 @given(problems())
 def test_compile_length_matches_constraint_dimension(p):
     assert len(compile_forms(p)) == constraint_dimension(p)
+
+
+def test_form_counts_examples():
+    # a form whose first 1 is at coordinate i gets m_1 + ... + m_i; e_i
+    # gets a_i more; a pair and each listing of an extra form add 1
+    assert form_counts(ConstraintProblem.of(2, m=(1, 1))) == {(1, 0): 1, (1, 1): 1, (0, 1): 2}
+    p = ConstraintProblem.of(
+        3, m=(2, 1, 0), a=(0, 1, 3), ortho=[(1, 3)], extra=[(1, 1, 1), (1, 1, 1)]
+    )
+    assert form_counts(p) == {
+        (1, 0, 0): 2, (1, 1, 0): 2, (1, 0, 1): 2 + 1, (1, 1, 1): 2 + 2,
+        (0, 1, 0): 3 + 1, (0, 1, 1): 3,
+        (0, 0, 1): 3 + 3,
+    }
+    assert sum(form_counts(p).values()) == constraint_dimension(p) == 24
+    assert form_counts(ConstraintProblem.of(3)) == {}
+
+
+@settings(max_examples=80, deadline=None)
+@given(problems())
+def test_form_counts_are_the_compiled_multiset(p):
+    counts = form_counts(p)
+    assert counts == Counter(compile_forms(p))
+    assert sum(counts.values()) == constraint_dimension(p)
+    assert len(counts) <= 2**p.k - 1
 
 
 # ----------------------------------------------------------------------
