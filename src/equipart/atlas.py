@@ -65,7 +65,6 @@ class AtlasQuery:
     mode: str = "strict"
     max_m: int = 2
     max_a: int = 0
-    allow_ortho: bool = True
     allow_affine: bool = False
     ortho_universe: str | frozenset = "all"
     require_optimal: bool = False
@@ -80,6 +79,11 @@ class AtlasQuery:
             value = getattr(self, name)
             if value < 0:
                 raise ConfigurationError(f"{name} must be >= 0, got {int_text(value)}")
+        # without allow_affine every a is zero, and a max_a would go unread
+        if self.max_a > 0 and not self.allow_affine:
+            raise ConfigurationError(
+                f"max_a={int_text(self.max_a)} needs allow_affine; without it every a is 0"
+            )
 
     @classmethod
     def from_spec(cls, doc: Any) -> "AtlasQuery":
@@ -92,7 +96,6 @@ class AtlasQuery:
             "mode": jsontypes.text,
             "max_m": jsontypes.integer,
             "max_a": jsontypes.integer,
-            "allow_ortho": jsontypes.boolean,
             "allow_affine": jsontypes.boolean,
             "ortho_universe": _universe_from_spec,
             "require_optimal": jsontypes.boolean,
@@ -112,8 +115,6 @@ class AtlasQuery:
         )
 
     def universe_pairs(self) -> tuple[tuple[int, int], ...]:
-        if not self.allow_ortho:
-            return ()
         if isinstance(self.ortho_universe, str):
             try:
                 builder = ORTHO_UNIVERSES[self.ortho_universe]

@@ -193,20 +193,29 @@ def _cmd_identities(args) -> int:
 
 
 def _cmd_atlas(args) -> int:
+    # the query flags' defaults; the parser leaves a flag not given None
+    flags = {
+        "k": 2, "d_lo": 2, "d_hi": 2, "mode": "strict", "max_m": 2, "max_a": 0,
+        "no_ortho": False, "universe": "all",
+    }
+    given = {name: getattr(args, name) for name in flags if getattr(args, name) is not None}
     if args.spec:
+        if given:
+            names = ", ".join("--" + name.replace("_", "-") for name in given)
+            raise _UsageExit(f"--spec takes no query flags, got {names}")
         with open(args.spec, "r", encoding="utf-8") as fh:
             spec = json.load(fh)
         query = AtlasQuery.from_spec(spec)
     else:
+        flags.update(given)
         query = AtlasQuery(
-            k=args.k,
-            d_range=(args.d_lo, args.d_hi),
-            mode=args.mode,
-            max_m=args.max_m,
-            max_a=args.max_a,
-            allow_ortho=not args.no_ortho,
-            allow_affine=args.max_a > 0,
-            ortho_universe=args.universe,
+            k=flags["k"],
+            d_range=(flags["d_lo"], flags["d_hi"]),
+            mode=flags["mode"],
+            max_m=flags["max_m"],
+            max_a=flags["max_a"],
+            allow_affine=flags["max_a"] > 0,
+            ortho_universe=frozenset() if flags["no_ortho"] else flags["universe"],
         )
     rows = list(enumerate_rows(query, jobs=args.jobs))
     doc = emit_report(rows, args.format)
@@ -238,18 +247,21 @@ def _cmd_solve(args) -> int:
 def build_parser() -> _Parser:
     parser = _Parser(prog="equipart", description=__doc__)
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=0, help="master RNG seed (default 0)")
-    common.add_argument("-v", "--verbose", action="count", default=0)
-    common.add_argument("--cite", action="store_true", help="print provenance notes to stderr")
+    common.add_argument("--seed", type=int, default=0, help="master RNG seed of solve (default 0)")
+    cite = argparse.ArgumentParser(add_help=False)
+    cite.add_argument("--cite", action="store_true", help="print provenance notes to stderr")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("check", help="run the certification criterion", parents=[common])
     _add_problem_flags(p)
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--mode", choices=MODES, default="strict")
+    p.add_argument(
+        "-v", "--verbose", action="count", default=0, help="add the product's support, h_support"
+    )
     p.set_defaults(func=_cmd_check)
 
-    p = sub.add_parser("bound", parents=[common], help="condition count and dimension bounds")
+    p = sub.add_parser("bound", parents=[common, cite], help="condition count and dimension bounds")
     _add_problem_flags(p)
     p.set_defaults(func=_cmd_bound)
 
@@ -258,7 +270,9 @@ def build_parser() -> _Parser:
     p.add_argument("--d", type=int, required=True)
     p.set_defaults(func=_cmd_classify)
 
-    p = sub.add_parser("families", parents=[common], help="generate a tight certified instance")
+    p = sub.add_parser(
+        "families", parents=[common, cite], help="generate a tight certified instance"
+    )
     p.add_argument("family", choices=sorted(FAMILIES))
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--t", type=int, default=None)
@@ -273,15 +287,20 @@ def build_parser() -> _Parser:
     p.set_defaults(func=_cmd_identities)
 
     p = sub.add_parser("atlas", parents=[common], help="enumerate certified instances")
-    p.add_argument("--spec", default=None, help="query JSON file")
-    p.add_argument("--k", type=int, default=2)
-    p.add_argument("--d-lo", type=int, default=2)
-    p.add_argument("--d-hi", type=int, default=2)
-    p.add_argument("--mode", choices=MODES, default="strict")
-    p.add_argument("--max-m", type=int, default=2)
-    p.add_argument("--max-a", type=int, default=0)
-    p.add_argument("--no-ortho", action="store_true")
-    p.add_argument("--universe", default="all", help="ortho universe: all/last/not12")
+    p.add_argument("--spec", default=None, help="query JSON file, instead of the query flags")
+    # the query flags default to None, so that one given beside --spec is
+    # seen; _cmd_atlas fills in their defaults
+    p.add_argument("--k", type=int, help="(default 2)")
+    p.add_argument("--d-lo", type=int, help="(default 2)")
+    p.add_argument("--d-hi", type=int, help="(default 2)")
+    p.add_argument("--mode", choices=MODES, help="(default strict)")
+    p.add_argument("--max-m", type=int, help="(default 2)")
+    p.add_argument("--max-a", type=int, help="(default 0)")
+    universe = p.add_mutually_exclusive_group()
+    universe.add_argument(
+        "--no-ortho", action="store_true", default=None, help="search no orthogonality"
+    )
+    universe.add_argument("--universe", help="ortho universe: all/last/not12 (default all)")
     p.add_argument("--format", choices=REPORT_FORMATS, default="json")
     p.add_argument("--jobs", type=int, default=1)
     p.set_defaults(func=_cmd_atlas)

@@ -172,19 +172,20 @@ class SampledMass:
     @classmethod
     def _adopt(cls, coords: np.ndarray, w: np.ndarray, label: str) -> "SampledMass":
         """A mass on a (d, N) C-contiguous float array that the caller has
-        just built and keeps no other reference to, and its length-N float
-        weights: the same checks as the constructor, without its copy of
-        the coordinates."""
+        just built and keeps no other reference to, and its float weights,
+        length N or one value for all N: the same checks as the
+        constructor, without its copy of the coordinates."""
         mass = object.__new__(cls)
         mass.label = label
-        mass._store(coords, w)
+        mass._store(coords, np.broadcast_to(w, coords.shape[1:]))
         return mass
 
     def __reduce__(self):
-        # pickle (for worker processes) the coordinates once; unpickling
-        # rebuilds the read-only coordinate-major layout, the total, and
-        # equal weights as one value
-        return (SampledMass, (self.points, self.weights, self.label))
+        # pickle (for worker processes) the coordinates once and equal
+        # weights as their one value; unpickling rebuilds the read-only
+        # coordinate-major layout, the total, and equal weights as one value
+        w = self.weights
+        return (SampledMass._adopt, (self.coords, w[0] if w.strides == (0,) else w, self.label))
 
     @property
     def dim(self) -> int:
@@ -285,7 +286,7 @@ def sample_gaussian_mixture(
                 block += mean[:, None]
                 out[:, mask] = block
     del z
-    return SampledMass._adopt(coords, np.broadcast_to(np.float64(total / n), (n,)), label)
+    return SampledMass._adopt(coords, np.float64(total / n), label)
 
 
 # ----------------------------------------------------------------------

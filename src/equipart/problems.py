@@ -9,7 +9,7 @@ directly as linear forms: 0/1 tuples of length k, checked by the kernel's
 on listing order.  `form_counts` turns an instance into what the product
 kernel multiplies: a mapping from each distinct form, a plain 0/1 tuple,
 to its multiplicity, at most 2^k - 1 entries however large C is.
-`compile_forms` lists the same multiset form by form.
+`compile_forms` expands the mapping into a list, form by form.
 
 Every scalar condition consumes one of the k*d degrees of freedom of the
 arrangement, which gives the counting bound  k * Delta >= C  with
@@ -239,24 +239,12 @@ def form_counts(p: ConstraintProblem) -> dict[tuple[int, ...], int]:
 
 
 def compile_forms(p: ConstraintProblem) -> list[tuple[int, ...]]:
-    """The same multiset as `form_counts(p)`, listed form by form: stage
-    i's m_i copies of every nonzero vector on coordinates i..k, then a_i
-    copies of e_i, then e_r + e_s for each orthogonal pair in sorted order,
-    then the extra forms.  The output is a fresh list whose length always
-    equals constraint_dimension(p); the kernel takes the mapping instead,
-    which does not grow with C.
+    """`form_counts(p)` listed form by form: each distinct form as many
+    times as it counts, grouped, in the mapping's order.  The output is a
+    fresh list whose length always equals constraint_dimension(p); the
+    kernel takes the mapping instead, which does not grow with C.
     """
-    forms: list[tuple[int, ...]] = []
-    for i, m in enumerate(p.m, 1):
-        if m:
-            forms.extend(_stage_forms(p.k, i) * m)
-    for i, a in enumerate(p.a, 1):
-        if a:
-            forms.extend([_indicator(p.k, i)] * a)
-    for r, s in sorted(p.ortho):
-        forms.append(_indicator(p.k, r, s))
-    forms.extend(p.extra)
-    return forms
+    return [bits for bits, n in form_counts(p).items() for _ in range(n)]
 
 
 def _indicator(k: int, *coords: int) -> tuple[int, ...]:

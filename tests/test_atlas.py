@@ -7,7 +7,7 @@ from equipart import atlas
 from equipart.atlas import AtlasQuery, emit_report, enumerate_rows
 from equipart.certify import check
 from equipart.exceptions import ConfigurationError, SearchSpaceError
-from equipart.problems import ConstraintProblem
+from equipart.problems import ConstraintProblem, all_pairs
 
 
 def keys(rows):
@@ -134,6 +134,14 @@ def test_known_reference_attached():
     assert row.known is not None and row.known_ref() == "=4"
 
 
+def test_known_interval_reference():
+    # an inexact reference prints as its interval [lo,hi]
+    q = AtlasQuery(k=4, d_range=(8, 8), mode="relaxed", max_m=1)
+    by_key = {r.problem: r for r in enumerate_rows(q)}
+    row = by_key[ConstraintProblem.of(4, m=(1,), ortho=all_pairs(4))]
+    assert not row.known.exact and row.known_ref() == "[6,8]"
+
+
 def test_search_space_refusal():
     q = AtlasQuery(
         k=3, d_range=(2, 40), mode="strict", max_m=9, max_a=9,
@@ -188,5 +196,7 @@ def test_custom_universe_and_no_ortho():
     q = AtlasQuery(k=3, d_range=(4, 4), mode="strict", max_m=2, ortho_universe=frozenset({(2, 3)}))
     found = keys(enumerate_rows(q))
     assert (ConstraintProblem.of(3, m=(1, 1, 1), ortho=[(2, 3)]), 4) in found
-    q2 = AtlasQuery(k=3, d_range=(4, 4), mode="strict", max_m=2, allow_ortho=False)
-    assert all(not r.problem.ortho for r in enumerate_rows(q2))
+    # no orthogonality is the empty universe
+    q2 = AtlasQuery(k=3, d_range=(4, 4), mode="strict", max_m=2, ortho_universe=())
+    rows = list(enumerate_rows(q2))
+    assert rows and all(not r.problem.ortho for r in rows)

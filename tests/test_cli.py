@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import json
@@ -731,7 +732,6 @@ ATLAS_SPECS = maybe(
             "mode": maybe(st.sampled_from(["strict", "relaxed", "loose"])),
             "max_m": maybe(st.integers(-1, 2)),
             "max_a": maybe(st.integers(0, 1)),
-            "allow_ortho": maybe(st.booleans()),
             "allow_affine": maybe(st.booleans()),
             "ortho_universe": maybe(st.sampled_from(["all", "last", "not12", "none"]) | PAIRS),
             "require_optimal": maybe(st.booleans()),
@@ -837,3 +837,152 @@ def test_missing_file_exit_2(capsys):
     code = run(["solve", "--problem", "/nonexistent.json", "--masses", "/also-missing.json"])
     _, err = capture(capsys)
     assert code == 2
+
+
+# ----------------------------------------------------------------------
+# every option changes the output
+# ----------------------------------------------------------------------
+SOLVE = ["solve", "--problem", "P", "--masses", "M"]
+CASCADE = ["families", "cascade", "--q", "0", "--t", "1", "--k", "3"]
+ATLAS_SPEC = {"k": 2, "d_range": [2, 3]}
+
+# (subcommand, option) -> (argv, the option's words): the run with those
+# words appended must differ from the run without them in stdout, stderr
+# or the exit code.  "P", "M" and "S" stand for a problem, a mass spec
+# and an atlas spec written to files.
+OPTION_PAIRS = {
+    ("check", "--k"): (["check", "--m", "1,1,2", "--d", "4"], ["--k", "3"]),
+    ("check", "--m"): (["check", "--k", "3", "--d", "4"], ["--m", "1,1,2"]),
+    ("check", "--a"): (["check", "--k", "2", "--m", "1", "--d", "2"], ["--a", "0,1"]),
+    ("check", "--ortho"): (["check", "--k", "2", "--m", "1", "--d", "2"], ["--ortho", "1-2"]),
+    ("check", "--extra"): (["check", "--k", "2", "--m", "1", "--d", "2"], ["--extra", "01"]),
+    ("check", "--d"): (["check", "--k", "3", "--m", "1,1,2"], ["--d", "4"]),
+    ("check", "--mode"): (["check", "--k", "2", "--m", "1", "--d", "2"], ["--mode", "relaxed"]),
+    ("check", "--verbose"): (["check", "--k", "3", "--m", "1,1,2", "--d", "4"], ["-v"]),
+    ("bound", "--cite"): (["bound", "--k", "3", "--m", "1,1,2"], ["--cite"]),
+    ("bound", "--k"): (["bound", "--m", "1"], ["--k", "4"]),
+    ("bound", "--m"): (["bound", "--k", "2"], ["--m", "1"]),
+    ("bound", "--a"): (["bound", "--k", "2"], ["--a", "1"]),
+    ("bound", "--ortho"): (["bound", "--k", "2"], ["--ortho", "1-2"]),
+    ("bound", "--extra"): (["bound", "--k", "2"], ["--extra", "01"]),
+    ("classify", "--k"): (["classify", "--m", "1", "--d", "2"], ["--k", "2"]),
+    ("classify", "--m"): (["classify", "--k", "2", "--d", "2"], ["--m", "1"]),
+    ("classify", "--a"): (["classify", "--k", "2", "--m", "1", "--d", "2"], ["--a", "1"]),
+    ("classify", "--ortho"): (["classify", "--k", "2", "--m", "1", "--d", "2"], ["--ortho", "1-2"]),
+    ("classify", "--extra"): (["classify", "--k", "2", "--m", "1", "--d", "2"], ["--extra", "01"]),
+    ("classify", "--d"): (["classify", "--k", "2", "--m", "1"], ["--d", "2"]),
+    ("families", "--cite"): (CASCADE, ["--cite"]),
+    ("families", "--q"): (["families", "cascade", "--t", "1", "--k", "3"], ["--q", "0"]),
+    ("families", "--t"): (["families", "cascade", "--q", "0", "--k", "3"], ["--t", "1"]),
+    ("families", "--k"): (["families", "cascade", "--q", "0", "--t", "1"], ["--k", "3"]),
+    ("families", "--a"): (CASCADE, ["--a", "0,0,1"]),
+    ("families", "--ortho"): (
+        ["families", "ortho-last", "--q", "1", "--t", "1", "--k", "3"], ["--ortho", "2-3"]
+    ),
+    ("identities", "--k"): (["identities", "--d", "4"], ["--k", "3"]),
+    ("identities", "--d"): (["identities", "--k", "3"], ["--d", "4"]),
+    ("atlas", "--spec"): (["atlas"], ["--spec", "S"]),
+    ("atlas", "--k"): (["atlas"], ["--k", "1"]),
+    ("atlas", "--d-lo"): (["atlas", "--d-hi", "3"], ["--d-lo", "3"]),
+    ("atlas", "--d-hi"): (["atlas"], ["--d-hi", "3"]),
+    ("atlas", "--mode"): (["atlas"], ["--mode", "relaxed"]),
+    ("atlas", "--max-m"): (["atlas", "--k", "1", "--d-hi", "3"], ["--max-m", "3"]),
+    ("atlas", "--max-a"): (["atlas"], ["--max-a", "1"]),
+    ("atlas", "--no-ortho"): (["atlas", "--d-hi", "4"], ["--no-ortho"]),
+    ("atlas", "--universe"): (["atlas", "--k", "3", "--d-hi", "3"], ["--universe", "last"]),
+    ("atlas", "--format"): (["atlas"], ["--format", "csv"]),
+    ("solve", "--problem"): (["solve", "--masses", "M"], ["--problem", "P"]),
+    ("solve", "--masses"): (["solve", "--problem", "P"], ["--masses", "M"]),
+    ("solve", "--seed"): (SOLVE, ["--seed", "3"]),
+    ("solve", "--starts"): (SOLVE, ["--starts", "1"]),
+    ("solve", "--tol"): (SOLVE, ["--tol", "0.01"]),
+    ("solve", "--jobs"): (SOLVE, ["--jobs", "0"]),
+}
+
+# Options that change no output, each kept for the benchmark call that
+# passes it.
+UNREAD_OPTIONS = {
+    # perfbench/workloads.py cli_ops appends --seed N to every CLI_INVOCATIONS entry
+    **{(command, "--seed"): "cli_ops" for command in
+       ("check", "bound", "classify", "families", "identities", "atlas")},
+    # perfbench/workloads.py _jobs2_speedup runs enumerate_rows(query, jobs=2),
+    # the call that --jobs makes
+    ("atlas", "--jobs"): "_jobs2_speedup",
+}
+
+
+def _parser_options():
+    """(subcommand, option) for every option of every subcommand, by its
+    last spelling, --help left out."""
+    (subparsers,) = [
+        a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    ]
+    return {
+        (command, action.option_strings[-1])
+        for command, sub in subparsers.choices.items()
+        for action in sub._actions
+        if action.option_strings and action.option_strings[-1] != "--help"
+    }
+
+
+def test_every_option_is_in_the_change_table_or_named_unread():
+    assert OPTION_PAIRS.keys().isdisjoint(UNREAD_OPTIONS)
+    assert _parser_options() == OPTION_PAIRS.keys() | UNREAD_OPTIONS.keys()
+
+
+@pytest.mark.parametrize("key", sorted(OPTION_PAIRS), ids="{0[0]} {0[1]}".format)
+def test_every_option_changes_the_output(tmp_path, key):
+    files = {"P": {"k": 1, "m": [1]}, "S": ATLAS_SPEC,
+             "M": {"d": 1, "masses": [{"label": "1.1", "mixture": [{"mean": [0]}], "N": 50}]}}
+    for name, doc in files.items():
+        (tmp_path / name).write_text(json.dumps(doc))
+    base, words = OPTION_PAIRS[key]
+    paths = {name: str(tmp_path / name) for name in files}
+    argv = [paths.get(word, word) for word in base]
+    with_option = argv + [paths.get(word, word) for word in words]
+    assert run_quiet(argv) != run_quiet(with_option)
+
+
+@pytest.mark.parametrize("argv", [
+    ["bound", "--k", "2", "--m", "1", "-v"],
+    ["classify", "--k", "2", "--m", "1", "--d", "2", "--verbose"],
+    ["check", "--k", "3", "--m", "1,1,2", "--d", "4", "--cite"],
+    ["identities", "--k", "3", "--d", "4", "--cite"],
+    ["atlas", "--cite"],
+    ["atlas", "-v"],
+    ["solve", "--problem", "p.json", "--masses", "m.json", "-v"],
+])
+def test_flags_that_a_subcommand_does_not_read_exit_2(argv):
+    code, out, err = run_quiet(argv)
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"].startswith("unrecognized arguments: ")
+
+
+@pytest.mark.parametrize("flags", [["--k", "3"], ["--d-hi", "9"], ["--max-m", "5"],
+                                   ["--mode", "strict"], ["--no-ortho"], ["--universe", "all"]])
+def test_atlas_spec_refuses_query_flags(flags):
+    code, out, err = run_with_documents(["atlas", *flags], spec=ATLAS_SPEC)
+    assert code == 2 and out == ""
+    name = flags[0]
+    assert json.loads(err) == {"error": f"--spec takes no query flags, got {name}", "kind": "usage"}
+
+
+def test_atlas_no_ortho_refuses_a_universe():
+    code, out, err = run_quiet(["atlas", "--no-ortho", "--universe", "last"])
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"] == "argument --universe: not allowed with argument --no-ortho"
+
+
+def test_atlas_spec_max_a_without_allow_affine_exit_2():
+    code, out, err = run_with_documents(["atlas"], spec={**ATLAS_SPEC, "max_a": 3})
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"] == (
+        "ConfigurationError: max_a=3 needs allow_affine; without it every a is 0"
+    )
+
+
+def test_atlas_no_ortho_is_the_empty_universe():
+    code, out, _ = run_quiet(["atlas", "--k", "3", "--d-hi", "4", "--no-ortho"])
+    spec = {"k": 3, "d_range": [2, 4], "ortho_universe": []}
+    assert (code, out) == run_with_documents(["atlas"], spec=spec)[:2]
+    assert code == 0 and all(not row["problem"]["ortho"] for row in json.loads(out)["rows"])

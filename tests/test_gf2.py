@@ -7,6 +7,7 @@ import threading
 import time
 import tracemalloc
 from collections import Counter
+from itertools import groupby
 from unittest import mock
 
 import numpy as np
@@ -115,7 +116,8 @@ def test_product_of_forms_single_variable():
 def test_product_of_forms_cascade_instance():
     # 12 forms of the (1,1,2)-cascade over 3 hyperplanes hit the top class
     forms = compile_forms(ConstraintProblem.of(3, m=(1, 1, 2)))
-    assert len(forms) == 12 and forms[-2:] == [(0, 0, 1)] * 2
+    # grouped in mask order: e3 once from each of stages 1 and 2, twice from 3
+    assert len(forms) == 12 and forms[4:8] == [(0, 0, 1)] * 4
     h = product_of_forms(RingShape(3, 4), forms)
     assert h.support() == ((4, 4, 4),)
 
@@ -123,7 +125,11 @@ def test_product_of_forms_cascade_instance():
 def test_product_of_forms_full_ortho_negative_control():
     # 3 copies of all 7 nonzero vectors plus the 3 pair forms vanish at d=9
     forms = compile_forms(ConstraintProblem.of(3, m=(3,), ortho=all_pairs(3)))
-    assert forms[-3:] == [(1, 1, 0), (1, 0, 1), (0, 1, 1)]
+    # grouped in mask order; each pair form is one run of 3 + 1
+    assert [(bits, len(list(run))) for bits, run in groupby(forms)] == [
+        ((1, 0, 0), 3), ((0, 1, 0), 3), ((1, 1, 0), 4), ((0, 0, 1), 3),
+        ((1, 0, 1), 4), ((0, 1, 1), 4), ((1, 1, 1), 3),
+    ]
     assert product_of_forms(RingShape(3, 9), forms).is_zero()
 
 

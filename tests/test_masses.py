@@ -91,6 +91,18 @@ def test_equal_weights_are_held_as_one_value():
     assert unequal.weights.flags.c_contiguous and not np.shares_memory(unequal.weights, w)
 
 
+def test_a_pickled_mass_sends_equal_weights_as_one_value():
+    # a worker process gets the 1.6 MB of coordinates and one weight, not
+    # 0.8 MB more of copies of it
+    mass = sample_gaussian_mixture([{"mean": [0.0, 0.0]}], 100_000, seed=5)
+    data = pickle.dumps(mass)
+    assert len(data) < 1_700_000
+    again = pickle.loads(data)
+    assert again.weights.strides == (0,) and not again.weights.flags.writeable
+    assert again.weights.shape == (100_000,) and again.total == mass.total
+    assert again.coords.tobytes() == mass.coords.tobytes() and again.label == mass.label
+
+
 @pytest.mark.parametrize("n", [1, 2, 7, 2_000, 20_000, 99_999, 272_000])
 def test_total_of_equal_weights_is_the_dense_sum(n):
     for total in (1.0, 2.5, 1e-3):

@@ -1,6 +1,7 @@
 import json
 import os
 from collections import Counter
+from itertools import groupby
 import re
 import subprocess
 import sys
@@ -327,6 +328,8 @@ def test_int_text_writes_a_normal_vector_as_str_does(vector):
 # compilation
 # ----------------------------------------------------------------------
 def test_compile_forms_examples():
+    # form_counts(p) expanded: each distinct form's copies in one run, the
+    # runs in the mapping's order
     assert compile_forms(ConstraintProblem.of(2, m=(1, 0))) == [
         (1, 0),
         (0, 1),
@@ -335,8 +338,8 @@ def test_compile_forms_examples():
     assert compile_forms(ConstraintProblem.of(2, m=(1, 1))) == [
         (1, 0),
         (0, 1),
-        (1, 1),
         (0, 1),
+        (1, 1),
     ]
 
 
@@ -357,13 +360,14 @@ def test_compile_forms_fully_constrained_k4():
     )
     forms = compile_forms(p)
     assert len(forms) == 32 == constraint_dimension(p)
-    # stage-1 forms, then 2 e3 and 3 e4, the 6 pairs in order, the extras
-    # in sorted order
-    assert forms[15:20] == [(0, 0, 1, 0)] * 2 + [(0, 0, 0, 1)] * 3
-    assert forms[20:26] == [
-        (1, 1, 0, 0), (1, 0, 1, 0), (1, 0, 0, 1), (0, 1, 1, 0), (0, 1, 0, 1), (0, 0, 1, 1)
+    # the 15 stage-1 forms in mask order, each in one run: e3 gains 2 from
+    # a and e4 gains 3, each pair form 1, each extra form 1
+    assert [(bits, len(list(run))) for bits, run in groupby(forms)] == [
+        ((1, 0, 0, 0), 1), ((0, 1, 0, 0), 2), ((1, 1, 0, 0), 2), ((0, 0, 1, 0), 4),
+        ((1, 0, 1, 0), 2), ((0, 1, 1, 0), 3), ((1, 1, 1, 0), 1), ((0, 0, 0, 1), 5),
+        ((1, 0, 0, 1), 2), ((0, 1, 0, 1), 3), ((1, 1, 0, 1), 1), ((0, 0, 1, 1), 3),
+        ((1, 0, 1, 1), 1), ((0, 1, 1, 1), 1), ((1, 1, 1, 1), 1),
     ]
-    assert forms[26:] == list(p.extra) == sorted(forms[26:])
 
 
 def test_compiled_lists_are_fresh():
@@ -371,7 +375,10 @@ def test_compiled_lists_are_fresh():
     # not change what the next call returns
     p = ConstraintProblem.of(3, m=(2, 1, 0))
     expect = compile_forms(p)
-    assert expect[-3:] == [(0, 1, 0), (0, 0, 1), (0, 1, 1)]
+    assert [(bits, len(list(run))) for bits, run in groupby(expect)] == [
+        ((1, 0, 0), 2), ((0, 1, 0), 3), ((1, 1, 0), 2), ((0, 0, 1), 3),
+        ((1, 0, 1), 2), ((0, 1, 1), 3), ((1, 1, 1), 2),
+    ]
     forms = compile_forms(p)
     forms[0] = (1, 1, 1)
     del forms[1:]

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 import os
 import subprocess
 import sys
@@ -687,6 +688,71 @@ def test_line_search_fails_on_a_bad_trial_or_after_maxls_trials():
     phi, steps = recorded_line(lambda stp: (1 - 2 * stp, -2.0))
     assert lbfgs._line_search(phi, 1.0, -2.0, 1e-6) is None
     assert len(steps) == lbfgs.MAXLS and steps[-1] < lbfgs.STPMAX
+
+
+def wavy_line(s, q, r, w):
+    """phi(a) = 1 - s a + q a^2 + r sin(w a) and its slope, as the two
+    scalar functions scipy's dcsrch takes."""
+    return (
+        lambda a: 1 - s * a + q * a * a + r * math.sin(w * a),
+        lambda a: -s + 2 * q * a + r * w * math.cos(w * a),
+    )
+
+
+def line_search_against_dcsrch(f, g, stp):
+    """Run the port and scipy's DCSRCH from the same first trial and check
+    they agree; returns scipy's task."""
+    dcsrch = pytest.importorskip("scipy.optimize._dcsrch")
+    g0 = g(0.0)
+    ours = lbfgs._line_search(lambda a: (f(a), g(a)), f(0.0), g0, stp)
+    search = dcsrch.DCSRCH(f, g, lbfgs.FTOL, lbfgs.GTOL, lbfgs.XTOL, 0.0, lbfgs.STPMAX)
+    # scipy tests its MAXLS-th trial on its (MAXLS + 1)-th iteration
+    ref, _, _, task = search(stp, phi0=f(0.0), derphi0=g0, maxiter=lbfgs.MAXLS + 1)
+    if task.startswith(b"CONV"):
+        assert ours == ref
+    elif task.startswith(b"WARNING: dcsrch did not converge"):
+        assert ours is None
+    else:
+        # scipy drops the step of a search that cannot progress; the port
+        # takes it, as L-BFGS-B does: the best step so far
+        assert ours is not None
+        if task.startswith((b"WARNING: XTOL", b"WARNING: ROUNDING")):
+            assert ours == search.stx
+    return task
+
+
+def test_line_search_psi_step_matches_dcsrch():
+    # a first trial that decreases f, but by less than FTOL stp |f'(0)|,
+    # takes stage 1's step on psi; s is drawn so that the trial a lands
+    # in that band
+    rng = np.random.default_rng(7)
+    tasks = []
+    while len(tasks) < 200:
+        q, r, w, a = rng.uniform((0.1, 0, 0.1, 0.1), (2, 0.5, 10, 4))
+        base = q * a * a + r * math.sin(w * a)
+        lo = max(base / a, r * w)  # f(a) <= f(0) and f'(0) < 0
+        hi = (base - lbfgs.FTOL * a * r * w) / (a * (1 - lbfgs.FTOL))
+        if not lo < hi:
+            continue
+        f, g = wavy_line(lo + rng.uniform() * (hi - lo), q, r, w)
+        if not 1.0 + a * (lbfgs.FTOL * g(0.0)) < f(a) <= 1.0:
+            continue  # rounded out of the band
+        tasks.append(line_search_against_dcsrch(f, g, a))
+    assert tasks.count(b"CONVERGENCE") >= 190
+
+
+def test_line_search_matches_dcsrch_on_random_lines():
+    # bounded lines from any first trial; some searches end with the
+    # interval below XTOL, where the port takes the best step so far
+    rng = np.random.default_rng(11)
+    tasks = []
+    while len(tasks) < 300:
+        s, q, r, w = rng.uniform((0.1, 0.01, 0, 0.1), (3, 2, 1, 20))
+        if r * w >= s:
+            continue  # f'(0) < 0
+        tasks.append(line_search_against_dcsrch(*wavy_line(s, q, r, w), rng.uniform(0.01, 5)))
+    assert tasks.count(b"CONVERGENCE") >= 250
+    assert tasks.count(b"WARNING: XTOL TEST SATISFIED") >= 1
 
 
 QUALITY_INSTANCES = [  # (k, m, a, ortho, d, points per mass), each certified in relaxed mode
