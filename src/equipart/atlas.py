@@ -51,11 +51,22 @@ REPORT_COLUMNS = (
 REPORT_FORMATS = ("json", "csv", "markdown")
 
 
-def _universe_from_spec(value: Any, what: str) -> str | frozenset:
-    """A universe name, or a list of [r, s] pairs."""
-    if not isinstance(value, list):
-        return jsontypes.text(value, what)
-    return frozenset(jsontypes.pairs(value, what))
+def _d_range(value: Any, what: str) -> tuple[int, int]:
+    if len(jsontypes.items(value, what)) != 2:
+        raise ConfigurationError(f"{what} must be [lo, hi], got {value!r}")
+    return tuple(jsontypes.integers(value, what))
+
+
+def _universe(value: Any, what: str) -> str | frozenset:
+    """A universe name, or pairs: a spec's [r, s] lists or any collection."""
+    if isinstance(value, (list, tuple, set, frozenset)):
+        return frozenset(jsontypes.pairs(list(value), what))
+    if jsontypes.text(value, what) not in ORTHO_UNIVERSES:
+        raise ConfigurationError(
+            f"unknown ortho universe {value!r}; "
+            f"expected one of {sorted(ORTHO_UNIVERSES)} or an explicit pair set"
+        )
+    return value
 
 
 @dataclass(frozen=True)
@@ -72,11 +83,21 @@ class AtlasQuery:
     require_balanced: bool = False
     candidate_limit: int = 2_000_000
 
+    # the one check of each field, by its spec name, in the order spec errors list them
+    _checks = {
+        "k": jsontypes.integer, "d_range": _d_range, "mode": jsontypes.text,
+        "max_m": jsontypes.integer, "max_a": jsontypes.integer, "allow_affine": jsontypes.boolean,
+        "ortho_universe": _universe, "require_optimal": jsontypes.boolean,
+        "require_balanced": jsontypes.boolean, "candidate_limit": jsontypes.integer,
+        "require_maximal_j": lambda v, what: v if v is None else jsontypes.integer(v, what),
+    }
+
     def __post_init__(self) -> None:
+        for name, check in self._checks.items():
+            object.__setattr__(self, name, check(getattr(self, name), name))
         # a negative bound would leave an empty box and an empty report
         # that looks like an answer
-        for name in ("max_m", "max_a"):
-            value = getattr(self, name)
+        for name, value in (("max_m", self.max_m), ("max_a", self.max_a)):
             if value < 0:
                 raise ConfigurationError(f"{name} must be >= 0, got {int_text(value)}")
         # without allow_affine every a is zero, and a max_a would go unread
@@ -84,55 +105,33 @@ class AtlasQuery:
             raise ConfigurationError(
                 f"max_a={int_text(self.max_a)} needs allow_affine; without it every a is 0"
             )
+        if not 1 <= self.d_range[0] <= self.d_range[1]:
+            raise ConfigurationError(f"bad d range {int_text(self.d_range)}")
+        if self.mode not in MODES:
+            raise ConfigurationError(f"bad mode {self.mode!r}")
+        if self.k < 1:
+            raise ConfigurationError(f"k must be >= 1, got {int_text(self.k)}")
 
     @classmethod
     def from_spec(cls, doc: Any) -> "AtlasQuery":
         """Build a query from a parsed query-spec document: {"k": int,
-        "d_range": [lo, hi]} plus any of the other fields, with
-        "ortho_universe" a universe name or a list of [r, s] pairs.  Raises
-        ConfigurationError when a field is unknown or has the wrong JSON
-        type."""
-        checks = {
-            "mode": jsontypes.text,
-            "max_m": jsontypes.integer,
-            "max_a": jsontypes.integer,
-            "allow_affine": jsontypes.boolean,
-            "ortho_universe": _universe_from_spec,
-            "require_optimal": jsontypes.boolean,
-            "require_balanced": jsontypes.boolean,
-            "candidate_limit": jsontypes.integer,
-            "require_maximal_j": lambda v, what: None if v is None else jsontypes.integer(v, what),
-        }
-        doc = jsontypes.obj(doc, "atlas spec", ("k", "d_range", *checks))
-        d_range = jsontypes.field(doc, "d_range", jsontypes.items)
-        if len(d_range) != 2:
-            raise ConfigurationError(f"d_range must be [lo, hi], got {d_range!r}")
-        fields = {key: check(doc[key], key) for key, check in checks.items() if key in doc}
-        return cls(
-            k=jsontypes.field(doc, "k", jsontypes.integer),
-            d_range=tuple(jsontypes.integer(x, f"d_range[{i}]") for i, x in enumerate(d_range)),
-            **fields,
-        )
+        "d_range": [lo, hi]} plus any other field, "ortho_universe" a
+        universe name or a list of [r, s] pairs.  A field that is unknown,
+        missing or of the wrong JSON type raises ConfigurationError."""
+        doc = jsontypes.obj(doc, "atlas spec", tuple(cls._checks))
+        for key in ("d_range", "k"):  # every other field has a default
+            jsontypes.field(doc, key, lambda value, what: value)
+        return cls(**doc)
 
     def universe_pairs(self) -> tuple[tuple[int, int], ...]:
         if isinstance(self.ortho_universe, str):
-            try:
-                builder = ORTHO_UNIVERSES[self.ortho_universe]
-            except KeyError:
-                raise ConfigurationError(
-                    f"unknown ortho universe {self.ortho_universe!r}; "
-                    f"expected one of {sorted(ORTHO_UNIVERSES)} or an explicit pair set"
-                )
-            return tuple(sorted(builder(self.k)))
-        return tuple(sorted({tuple(p) for p in self.ortho_universe}))
+            return tuple(sorted(ORTHO_UNIVERSES[self.ortho_universe](self.k)))
+        return tuple(sorted(self.ortho_universe))
 
     def candidate_estimate(self) -> int:
         lo, hi = self.d_range
-        n_d = max(0, hi - lo + 1)
-        n_m = (self.max_m + 1) ** self.k
         n_a = (self.max_a + 1) ** self.k if self.allow_affine else 1
-        n_o = 2 ** len(self.universe_pairs())
-        return n_d * n_m * n_a * n_o
+        return (hi - lo + 1) * (self.max_m + 1) ** self.k * n_a * 2 ** len(self.universe_pairs())
 
 
 @dataclass(frozen=True)
@@ -204,19 +203,12 @@ def enumerate_rows(query: AtlasQuery, jobs: int = 1) -> Iterator[AtlasRow]:
     the rows are first asked for, so a wrapper installed in its place sees
     every sequential check.
     """
-    lo, hi = query.d_range
-    if lo < 1 or hi < lo:
-        raise ConfigurationError(f"bad d range {int_text(query.d_range)}")
-    if query.mode not in MODES:
-        raise ConfigurationError(f"bad mode {query.mode!r}")
-    if query.k < 1:
-        raise ConfigurationError(f"k must be >= 1, got {int_text(query.k)}")
     if jobs < 1:
         raise ConfigurationError(f"jobs must be >= 1, got {int_text(jobs)}")
     try:
         # every candidate's ring is at least this large; refusing here also
         # keeps a huge k from building its pairs or counting its box
-        RingShape(query.k, lo)
+        RingShape(query.k, query.d_range[0])
     except RangeError as exc:
         raise SearchSpaceError(f"search space too large: {exc}") from None
     estimate = query.candidate_estimate()

@@ -40,6 +40,7 @@ from .exceptions import (
 from .gf2 import RingShape, TruncatedPolynomial, _largest_d, product_of_forms
 from .problems import (
     ConstraintProblem,
+    _integer,
     all_pairs,
     compile_forms,  # not called here; perfbench/tracing.py wraps this name
     constraint_dimension,
@@ -90,6 +91,11 @@ def check(p: ConstraintProblem, d: int, mode: str = "strict") -> Certificate:
     """Run the criterion for instance p at dimension d.  Certified means
     the instance holds in R^d (for arbitrary masses and flats);
     inconclusive asserts nothing."""
+    return _certificate(p, mode, *_product(p, d, mode))
+
+
+def _product(p: ConstraintProblem, d: int, mode: str) -> tuple[int, TruncatedPolynomial]:
+    """check's refusals, then p's form count and product at d (`check -v`)."""
     if mode not in MODES:
         raise ConfigurationError(f"mode must be one of {MODES}, got {mode!r}")
     if d < 1:
@@ -107,7 +113,7 @@ def check(p: ConstraintProblem, d: int, mode: str = "strict") -> Certificate:
             f"kd={int_text(kd)}"
         )
     shape = RingShape(p.k, d)  # refuses a ring past the cap before the forms are counted
-    return _certificate(p, mode, form_count, product_of_forms(shape, form_counts(p)))
+    return form_count, product_of_forms(shape, form_counts(p))
 
 
 def _certificate(
@@ -136,8 +142,7 @@ def find_min_certified_d(
     that is not an int (a bool included) raises RangeError."""
     if mode not in MODES:
         raise ConfigurationError(f"mode must be one of {MODES}, got {mode!r}")
-    if isinstance(d_max, bool) or not isinstance(d_max, int):
-        raise RangeError(f"d_max must be an integer, got {d_max!r}")
+    d_max = _integer(d_max, "d_max")
     count = constraint_dimension(p)
     lower = max(-(-count // p.k), 1)  # the counting bound
     if mode == "strict":

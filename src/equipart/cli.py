@@ -16,17 +16,15 @@ import sys
 
 from . import knownvalues
 from .atlas import REPORT_FORMATS, AtlasQuery, emit_report, enumerate_rows
-from .certify import MODES, check, verify_identities
+from .certify import MODES, _certificate, _product, check, verify_identities
 from .exceptions import EquipartError, InternalConsistencyError, SearchSpaceError
 from .families import FAMILIES
-from .gf2 import RingShape, product_of_forms
 from .jsontypes import SCHEMA_VERSION
 from .problems import (
     ORTHO_UNIVERSES,
     ConstraintProblem,
     classify,
     constraint_dimension,
-    form_counts,
     lower_bound_dim,
     ramos_L,
     upper_U,
@@ -120,10 +118,10 @@ def _add_problem_flags(sub) -> None:
 # ----------------------------------------------------------------------
 def _cmd_check(args) -> int:
     problem = _problem_from_args(args)
-    cert = check(problem, args.d, args.mode)
+    form_count, h = _product(problem, args.d, args.mode)
+    cert = _certificate(problem, args.mode, form_count, h)
     doc = cert.to_dict()
     if args.verbose:
-        h = product_of_forms(RingShape(problem.k, args.d), form_counts(problem))
         doc["h_support"] = [list(t) for t in h.support()]
     _emit(doc)
     return EXIT_OK if cert.certified else EXIT_INCONCLUSIVE

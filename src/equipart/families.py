@@ -34,12 +34,13 @@ from .gf2 import MAX_RING_CELLS
 from .problems import (
     MAX_K,
     ConstraintProblem,
+    _integer,
+    _integers,
     all_pairs,
     constraint_dimension,
     excluding_first_pair,
     last_orthogonal,
 )
-
 
 @dataclass(frozen=True)
 class FamilyInstance:
@@ -64,12 +65,12 @@ class FamilyInstance:
         }
 
 
-def _check_sizes(q: int, k: int) -> None:
-    """Refuse a negative q, and a q or k no instance could have, before
-    2^q or the k cascade entries are built (for a huge q or k, gigabytes):
-    every family's d is at least 2^q, which puts the ring (d+1)^k past
-    `gf2.MAX_RING_CELLS` from q = 27 on, and a problem has at most
-    `problems.MAX_K` hyperplanes."""
+def _check_sizes(q: int, k: int) -> tuple[int, int]:
+    """q and k as ints, refusing a negative q, and a q or k no instance
+    could have, before 2^q or the k cascade entries are built: every d is
+    at least 2^q, which puts the ring (d+1)^k past `gf2.MAX_RING_CELLS`
+    from q = 27 on, and a problem has at most `problems.MAX_K` hyperplanes."""
+    q, k = _integer(q, "q", FamilyDomainError), _integer(k, "k", FamilyDomainError)
     if q < 0:
         raise FamilyDomainError(f"q must be >= 0, got {int_text(q)}")
     if q >= MAX_RING_CELLS.bit_length():
@@ -79,12 +80,14 @@ def _check_sizes(q: int, k: int) -> None:
         )
     if k > MAX_K:
         raise FamilyDomainError(f"k must be <= {MAX_K}, got {int_text(k)}")
+    return q, k
 
 
-def _check_qt(q: int, t: int, k: int) -> None:
-    _check_sizes(q, k)
+def _check_qt(q: int, t: int, k: int) -> tuple[int, int, int]:
+    (q, k), t = _check_sizes(q, k), _integer(t, "t", FamilyDomainError)
     if not 1 <= t <= 2**q:
         raise FamilyDomainError(f"t must satisfy 1 <= t <= 2^q = {2 ** q}, got {int_text(t)}")
+    return q, t, k
 
 
 def _check_a(
@@ -92,7 +95,7 @@ def _check_a(
 ) -> tuple[int, ...]:
     """The containment vector, zero by default: k non-negative entries,
     nondecreasing, with a2 <= 2*a1 + t - slack and a_(k-1) <= bound."""
-    aa = (0,) * k if a is None else tuple(int(x) for x in a)
+    aa = (0,) * k if a is None else _integers(a, "a", FamilyDomainError)
     if len(aa) != k:
         raise FamilyDomainError(f"a must have length k={k}, got {int_text(aa)}")
     if any(x < 0 for x in aa):
@@ -146,7 +149,7 @@ def cascade_family(
     a_{k-1} <= 2^q - t.  Produces m1 = 2^(q+1) - t - a1 and
     m_i = 2^q*(2^(i-2) - 1) + t + 2*a_{i-1} - a_i for i >= 2.
     """
-    _check_qt(q, t, k)
+    q, t, k = _check_qt(q, t, k)
     if k < 1:
         raise FamilyDomainError(f"k must be >= 1, got {int_text(k)}")
     aa = _check_a(a, k, t, 0, 2**q - t, "2^q - t")
@@ -163,9 +166,9 @@ def full_ortho_family(
     and a_{k-1} <= 2^q - t - k + 3.  Produces m1 = 2^(q+1) - t - a1 and
     m_i = 2^q*(2^(i-2) - 1) + t + i - 3 + 2*a_{i-1} - a_i for i >= 2.
     """
-    if t < 2:
+    if _integer(t, "t", FamilyDomainError) < 2:
         raise FamilyDomainError(f"full orthogonality needs t >= 2, got {int_text(t)}")
-    _check_qt(q, t, k)
+    q, t, k = _check_qt(q, t, k)
     if k < 2:
         raise FamilyDomainError(f"orthogonality needs k >= 2, got {int_text(k)}")
     aa = _check_a(a, k, t, 1, 2**q - t - k + 3, "2^q - t - k + 3")
@@ -180,7 +183,7 @@ def near_full_ortho_family(q: int, t: int, k: int) -> FamilyInstance:
     m = (2^(q+1)-t, t, 2^q+t-2, ...) with m_i = 2^q*(2^(i-2)-1)+t+i-3
     for i >= 4.
     """
-    _check_qt(q, t, k)
+    q, t, k = _check_qt(q, t, k)
     if k < 3:
         raise FamilyDomainError(f"this family needs k >= 3, got {int_text(k)}")
     if 2**q < t + k - 3:
@@ -202,11 +205,11 @@ def last_ortho_family(
     pairs (r,k).  Produces m = (2^(q+1)-t, t, 2^q+t, 3*2^q+t, ...) with
     the last entry lowered by j = |ortho|.
     """
-    _check_qt(q, t, k)
+    q, t, k = _check_qt(q, t, k)
     if k < 3:
         raise FamilyDomainError(f"this family needs k >= 3, got {int_text(k)}")
     universe = last_orthogonal(k)
-    oo = universe if ortho is None else frozenset((int(r), int(s)) for r, s in ortho)
+    oo = universe if ortho is None else frozenset(map(tuple, ortho))
     if not oo <= universe:
         raise FamilyDomainError(
             f"ortho must be a subset of the last-hyperplane pairs {sorted(universe)}"
@@ -224,7 +227,7 @@ def ham_sandwich_cascade(q: int, k: int) -> FamilyInstance:
     """The t = 2^q cascade: in dimension 2^(q+k-1), hyperplanes i..k
     equipartition 2^(q+i-1) masses at every stage; the last hyperplane
     alone bisects 2^(q+k-2) of them."""
-    _check_sizes(q, k)
+    q, k = _check_sizes(q, k)
     if k < 1:
         raise FamilyDomainError(f"k must be >= 1, got {int_text(k)}")
     params = {"q": q, "k": k}

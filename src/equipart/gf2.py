@@ -79,9 +79,9 @@ class RingShape:
     d: int
 
     def __post_init__(self) -> None:
-        if not isinstance(self.k, int) or self.k < 1:
+        if type(self.k) is not int or self.k < 1:
             raise RangeError(f"k must be a positive integer, got {_given(self.k)}")
-        if not isinstance(self.d, int) or self.d < 0:
+        if type(self.d) is not int or self.d < 0:
             raise RangeError(f"d must be a non-negative integer, got {_given(self.d)}")
         if self.d > _largest_d(self.k):  # (d+1)^k itself is never formed
             size = (

@@ -1,12 +1,12 @@
 """JSON type checks for the documents the CLI reads (the atlas query spec,
-the mass spec and the problem document) and for `SolverConfig`, whose
-fields the witness echoes as JSON.
+the mass spec and the problem document) and for `AtlasQuery` and
+`SolverConfig`, which check their own fields with them.
 
 Each check returns the value when it has the expected JSON type and raises
 `ConfigurationError` naming the field otherwise, so a malformed document
 exits 2 with one error line instead of failing deep inside the
-computation.  Booleans are not accepted as numbers, and `obj`, given the
-field names a reader reads, refuses any other field.
+computation.  Booleans are not accepted as numbers, a tuple passes as an
+array, and `obj`, given the field names a reader reads, refuses others.
 
 `SCHEMA_VERSION` is the schema version every JSON document the package
 writes carries.
@@ -40,8 +40,8 @@ def obj(value: Any, what: str, keys: tuple[str, ...] | None = None) -> dict:
     return value
 
 
-def items(value: Any, what: str) -> list:
-    if not isinstance(value, list):
+def items(value: Any, what: str) -> list | tuple:
+    if not isinstance(value, (list, tuple)):
         _fail(what, "a JSON array", value)
     return value
 

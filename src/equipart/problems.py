@@ -24,6 +24,7 @@ from __future__ import annotations
 import functools
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Any, Iterable, Sequence
 
 from . import jsontypes
@@ -39,20 +40,33 @@ from .gf2 import check_form
 MAX_K = 1024
 
 
-def _check_k(k: int) -> None:
+def _integer(value: Any, what: str, error: type = RangeError) -> int:
+    """value as an int: anything with `__index__` (numpy's too) but a bool."""
+    if isinstance(value, bool) or not hasattr(type(value), "__index__"):
+        raise error(f"{what} must be an integer, got {value!r}")
+    return value.__index__()
+
+
+def _integers(values: Sequence, what: str, error: type = RangeError) -> tuple[int, ...]:
+    return tuple(_integer(x, f"{what}[{i}]", error) for i, x in enumerate(values))
+
+
+def _check_k(k: int) -> int:
+    k = _integer(k, "k")
     if not 1 <= k <= MAX_K:
         raise RangeError(f"k must be in 1..{MAX_K}, got k={int_text(k)}")
+    return k
 
 
 def all_pairs(k: int) -> frozenset[tuple[int, int]]:
     """Full orthogonality: every pair (r,s), 1 <= r < s <= k."""
-    _check_k(k)
+    k = _check_k(k)
     return frozenset((r, s) for r in range(1, k + 1) for s in range(r + 1, k + 1))
 
 
 def last_orthogonal(k: int) -> frozenset[tuple[int, int]]:
     """Pairs (r,k) for r < k: every earlier hyperplane orthogonal to the last."""
-    _check_k(k)
+    k = _check_k(k)
     return frozenset((r, k) for r in range(1, k))
 
 
@@ -77,28 +91,29 @@ class ConstraintProblem:
     extra: tuple[tuple[int, ...], ...] = ()
 
     def __post_init__(self) -> None:
-        _check_k(self.k)
-        # a direct caller may pass lists; tuples keep the problem hashable
-        object.__setattr__(self, "m", tuple(self.m))
-        object.__setattr__(self, "a", tuple(self.a))
-        object.__setattr__(self, "ortho", frozenset(self.ortho))
-        if len(self.m) != self.k or len(self.a) != self.k:
-            raise ShapeError(
-                f"m and a must have length k={self.k}: m={int_text(self.m)}, a={int_text(self.a)}"
-            )
-        if any(x < 0 for x in self.m) or any(x < 0 for x in self.a):
+        # the one check of every field: ints only (a numpy integer is stored as an int)
+        k = _check_k(self.k)
+        m, a = tuple(self.m), tuple(self.a)
+        ortho, extra = tuple(map(tuple, self.ortho)), tuple(map(tuple, self.extra))
+        if not {int}.issuperset(map(type, chain(m, a, *ortho, *extra))):
+            m, a = _integers(m, "m"), _integers(a, "a")
+            ortho = [_integers(p, f"ortho[{i}]") for i, p in enumerate(ortho)]
+            extra = [_integers(b, f"extra[{i}]") for i, b in enumerate(extra)]
+        if len(m) != k or len(a) != k:
+            raise ShapeError(f"m and a must have length k={k}: m={int_text(m)}, a={int_text(a)}")
+        if any(x < 0 for x in m) or any(x < 0 for x in a):
             raise RangeError("m and a entries must be non-negative")
-        for pair in self.ortho:
-            r, s = pair
-            if not (1 <= r < s <= self.k):
+        for r, s in ortho:
+            if not (1 <= r < s <= k):
                 raise RangeError(
                     f"orthogonality pair ({int_text(r)}, {int_text(s)}) must satisfy 1<=r<s<=k"
                 )
-        extra = tuple(sorted(tuple(bits) for bits in self.extra))
-        for bits in extra:
-            check_form(bits, self.k)
         # stored sorted, so listing order changes neither equality nor hash
-        object.__setattr__(self, "extra", extra)
+        extra = tuple(sorted(extra))
+        for bits in extra:
+            check_form(bits, k)
+        for name, value in dict(k=k, m=m, a=a, ortho=frozenset(ortho), extra=extra).items():
+            object.__setattr__(self, name, value)
 
     @classmethod
     def of(
@@ -114,12 +129,8 @@ class ConstraintProblem:
         `ortho` takes (r,s) pairs with 1-based indices; `extra` takes
         linear forms as 0/1 sequences of length k.
         """
-        _check_k(k)
-        mm = tuple(int(x) for x in m) + (0,) * (k - len(tuple(m)))
-        aa = tuple(int(x) for x in a) + (0,) * (k - len(tuple(a)))
-        oo = frozenset((int(r), int(s)) for r, s in ortho)
-        xs = tuple(tuple(int(b) for b in v) for v in extra)
-        return cls(k=k, m=mm, a=aa, ortho=oo, extra=xs)
+        k, m, a = _check_k(k), tuple(m), tuple(a)
+        return cls(k, m + (0,) * (k - len(m)), a + (0,) * (k - len(a)), ortho, extra)
 
     # ------------------------------------------------------------------
     def sorted_ortho(self) -> tuple[tuple[int, int], ...]:
@@ -179,30 +190,30 @@ def lower_bound_dim(p: ConstraintProblem) -> int:
     return -(-c // p.k)
 
 
+def _bound_args(bound: str, m: int, k: int) -> tuple[int, int]:
+    m, k = _integer(m, "m"), _integer(k, "k")
+    if m < 1:
+        raise RangeError(f"{bound} requires m >= 1, got {int_text(m)}")
+    if k < 1:
+        raise RangeError(f"{bound} requires k >= 1, got {int_text(k)}")
+    if k > MAX_K:
+        raise RangeError(f"{bound} requires k <= {MAX_K}, got {int_text(k)}")
+    return m, k
+
+
 def ramos_L(m: int, k: int) -> int:
     """Degree-of-freedom lower bound ceil(m*(2^k - 1)/k) for the
     unconstrained m-mass, k-hyperplane problem."""
-    if m < 1:
-        raise RangeError(f"ramos_L requires m >= 1, got {int_text(m)}")
-    if k < 1:
-        raise RangeError(f"ramos_L requires k >= 1, got {int_text(k)}")
-    if k > MAX_K:  # before 2^k is formed
-        raise RangeError(f"ramos_L requires k <= {MAX_K}, got {int_text(k)}")
+    m, k = _bound_args("ramos_L", m, k)
     return -(-(m * (2**k - 1)) // k)
 
 
 def upper_U(m: int, k: int) -> int:
     """Best known general upper bound: with m = 2^q + r, 0 <= r < 2^q,
     returns 2^(q+k-1) + r."""
-    if m < 1:
-        raise RangeError(f"upper_U requires m >= 1, got {int_text(m)}")
-    if k < 1:
-        raise RangeError(f"upper_U requires k >= 1, got {int_text(k)}")
-    if k > MAX_K:  # before 2^(q+k-1) is formed
-        raise RangeError(f"upper_U requires k <= {MAX_K}, got {int_text(k)}")
+    m, k = _bound_args("upper_U", m, k)
     q = m.bit_length() - 1
-    r = m - (1 << q)
-    return (1 << (q + k - 1)) + r
+    return (1 << (q + k - 1)) + m - (1 << q)
 
 
 # ----------------------------------------------------------------------
@@ -304,6 +315,7 @@ class Classification:
 
 def classify(p: ConstraintProblem, d: int) -> Classification:
     """Label an instance known (or claimed) to hold at dimension d."""
+    d = _integer(d, "d")
     if d < 1:
         raise RangeError(f"d must be >= 1, got {int_text(d)}")
     c = constraint_dimension(p)

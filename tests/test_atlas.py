@@ -46,11 +46,17 @@ def test_optimal_filter_limits_first_stage():
 
 
 def test_maximal_and_balanced_filters():
-    base = dict(k=2, d_range=(2, 3), mode="strict", max_m=3, ortho_universe="all")
-    rows = list(enumerate_rows(AtlasQuery(**base, require_maximal_j=2)))
-    assert rows and all(r.classification.j_maximal >= 2 for r in rows)
-    rows = list(enumerate_rows(AtlasQuery(**base, require_balanced=True)))
-    assert rows and all(r.classification.balanced for r in rows)
+    # each filter drops exactly the rows whose labels fail it: relaxed k=2
+    # rows include some with j_maximal 0 and some unbalanced ones
+    base = dict(k=2, d_range=(2, 4), mode="relaxed", max_m=3)
+    every = list(enumerate_rows(AtlasQuery(**base)))
+    for key, keep, count in (
+        ({"require_maximal_j": 1}, lambda c: c.j_maximal >= 1, 10),
+        ({"require_balanced": True}, lambda c: c.balanced, 37),
+    ):
+        rows = list(enumerate_rows(AtlasQuery(**base, **key)))
+        assert len(every) == 43 and len(rows) == count
+        assert emit_report(rows) == emit_report(r for r in every if keep(r.classification))
 
 
 def test_rows_recheck_and_dedup():

@@ -67,6 +67,34 @@ def test_check_verbose_dumps_polynomial(capsys):
     assert doc["h_support"] == [list(t) for t in expect]
 
 
+def test_check_verbose_multiplies_the_forms_once(monkeypatch):
+    # -v prints the support of the product its certificate came from
+    import hashlib
+
+    from equipart import gf2
+
+    products = []  # every product the kernel returns, whoever called it
+
+    class Counted(gf2.TruncatedPolynomial):
+        def __init__(self, *args):
+            super().__init__(*args)
+            products.append(args)
+
+    monkeypatch.setattr(gf2, "TruncatedPolynomial", Counted)
+    argv = ["check", "--k", "4", "--m", "3", "--d", "12", "--mode", "relaxed"]
+    for flags, digest in (
+        ([], "f067add89ee5f640ceb738f8a23d2a760337488919ff6d6a3982a125a81812ad"),
+        (["-v"], "3fb5b518d65e745e73451eb2a70ef21c12206e34032271fb329769947e876387"),
+    ):
+        products.clear()
+        code, out, err = run_quiet(argv + flags)
+        assert (code, err, len(products)) == (1, "", 1)
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+    code, out, _ = run_quiet(["check", "--k", "3", "--m", "1,1,2", "--d", "4", "-v"])
+    assert code == 0 and len(products) == 2
+    assert json.loads(out)["h_support"] == [[4, 4, 4]]
+
+
 def test_check_counting_violation_exit_2(capsys):
     code = run(["check", "--k", "2", "--m", "5", "--d", "2"])
     out, err = capture(capsys)
@@ -149,6 +177,26 @@ def test_families_generates_and_certifies(capsys):
     assert code == 0
     assert doc["problem"]["m"] == [1, 1, 2] and doc["d"] == 4
     assert doc["certificate"]["verdict"] == "certified"
+
+
+def test_families_failing_its_own_certificate_exits_3(monkeypatch):
+    # a family instance that its strict certificate does not certify is a
+    # broken generator, not bad input
+    import dataclasses
+
+    import equipart.cli
+    from equipart.certify import check
+
+    monkeypatch.setattr(
+        equipart.cli, "check",
+        lambda *args: dataclasses.replace(check(*args), verdict="inconclusive"),
+    )
+    code, out, err = run_quiet(["families", "cascade", "--q", "0", "--t", "1", "--k", "3"])
+    assert (code, out) == (3, "")
+    assert json.loads(err) == {
+        "error": "family instance (m=(1, 1, 2); k=3) failed its own strict certificate at d=4",
+        "kind": "internal",
+    }
 
 
 def test_families_domain_error_exit_2(capsys):

@@ -151,6 +151,17 @@ def test_gaussian_mixture_bad_specs():
         sample_gaussian_mixture([{"mean": [0, 0]}], 0, seed=0)
 
 
+def test_a_mass_spec_names_the_one_covariance_string_it_reads():
+    spec = {"d": 2, "masses": [{"mixture": [{"mean": [0, 0], "cov": "i"}], "N": 3}]}
+    assert load_mass_spec(spec, 0)[1][0].points.shape == (3, 2)  # "I" in either case
+    spec["masses"][0]["mixture"][0]["cov"] = "J"
+    with pytest.raises(ConfigurationError) as info:
+        load_mass_spec(spec, 0)
+    assert str(info.value) == (
+        'masses[0].mixture[0].cov must be "I", a number or a matrix, got \'J\''
+    )
+
+
 inf, nan = float("inf"), float("nan")
 
 

@@ -514,5 +514,17 @@ def test_dominates_checks_all_blocks():
     assert not dominates(
         ConstraintProblem.of(2, m=(1, 1), extra=[(1, 1), (1, 1)]), base
     )
+    # each block alone can make the weaker problem ask for more
+    assert not dominates(ConstraintProblem.of(2, m=(1, 1), a=(1, 0)), base)
+    assert not dominates(ConstraintProblem.of(2, m=(1, 1), a=(0, 2)), base)
+    no_pair = ConstraintProblem.of(2, m=(1, 1), a=(0, 1), extra=[(1, 1)])
+    assert not dominates(ConstraintProblem.of(2, m=(1, 1), ortho=[(1, 2)]), no_pair)
     with pytest.raises(ShapeError):
         dominates(ConstraintProblem.of(3, m=(1, 0, 0)), base)
+
+
+def test_describe_names_every_nonempty_block():
+    p = ConstraintProblem.of(3, m=(1,), a=(0, 0, 2), ortho=[(2, 3), (1, 2)],
+                             extra=[(1, 1, 0), (0, 1, 1)])
+    assert p.describe() == "(m=(1, 0, 0), a=(0, 0, 2), O={(1,2),(2,3)}, extra=011;110; k=3)"
+    assert ConstraintProblem.of(2, m=(1, 1)).describe() == "(m=(1, 1); k=2)"

@@ -77,6 +77,16 @@ def test_assembly_degenerate_returns_none():
     assert assemble_hyperplanes(raw, problem, {1: [], 2: [], 3: []}) is None
 
 
+def test_equal_or_opposite_planes_are_coincident():
+    # a plane and its negation cut the same two half-spaces
+    plane = HyperplaneParam.of([0.6, 0.8], 0.5)
+    flipped = HyperplaneParam.of([-0.6, -0.8], -0.5)
+    other = HyperplaneParam.of([0.8, -0.6], 0.5)
+    assert equipart.solver._coincident([other, plane, plane], 1e-9)
+    assert equipart.solver._coincident([plane, other, flipped], 1e-9)
+    assert not equipart.solver._coincident([plane, other], 1e-9)
+
+
 def test_assembled_planes_keep_the_hyperplane_invariants():
     # assembly builds its planes without HyperplaneParam's checks and copy;
     # each must still pass those checks unchanged, and be read-only
